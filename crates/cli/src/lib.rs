@@ -1443,8 +1443,12 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), CliErro
 mod tests {
     use super::*;
 
-    fn tmp_dir() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("tsajs-cli-test-{}", std::process::id()));
+    /// A scratch directory of the test named `test`, so that tests running
+    /// on parallel threads never write into, or remove, each other's
+    /// files. Each test removes only its own directory.
+    fn tmp_dir(test: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("tsajs-cli-test-{}-{test}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -1647,7 +1651,7 @@ mod tests {
 
     #[test]
     fn generate_solve_compare_end_to_end() {
-        let dir = tmp_dir();
+        let dir = tmp_dir("generate_solve_compare_end_to_end");
         let scenario_path = dir.join("scenario.json");
         let report_path = dir.join("report.json");
 
@@ -1727,7 +1731,7 @@ mod tests {
 
     #[test]
     fn render_command_writes_an_svg() {
-        let dir = tmp_dir();
+        let dir = tmp_dir("render_command_writes_an_svg");
         let scenario_path = dir.join("render.json");
         let svg_path = dir.join("out.svg");
         run(
@@ -1767,7 +1771,7 @@ mod tests {
 
     #[test]
     fn inspect_command_summarizes_a_scenario() {
-        let dir = tmp_dir();
+        let dir = tmp_dir("inspect_command_summarizes_a_scenario");
         let path = dir.join("inspect.json");
         run(
             parse_args(&[
@@ -2068,7 +2072,7 @@ mod tests {
     #[test]
     fn solve_and_inspect_accept_declarative_toml_specs() {
         use mec_scenario_spec::ScenarioBuilder;
-        let dir = tmp_dir();
+        let dir = tmp_dir("solve_and_inspect_accept_declarative_toml_specs");
         let path = dir.join("declarative.toml");
         let spec = ScenarioBuilder::new("cli-solve")
             .servers(4)
@@ -2127,7 +2131,7 @@ mod tests {
     #[test]
     fn online_scenario_spec_drives_the_timeline_end_to_end() {
         use mec_scenario_spec::ScenarioBuilder;
-        let dir = tmp_dir();
+        let dir = tmp_dir("online_scenario_spec_drives_the_timeline_end_to_end");
         let path = dir.join("outage.toml");
         let spec = ScenarioBuilder::new("cli-outage")
             .servers(4)
@@ -2184,8 +2188,7 @@ mod tests {
     #[test]
     fn corpus_command_runs_a_directory_of_specs() {
         use mec_scenario_spec::ScenarioBuilder;
-        let dir = tmp_dir().join("corpus");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmp_dir("corpus_command_runs_a_directory_of_specs");
         let good = ScenarioBuilder::new("good")
             .servers(4)
             .users(5)
@@ -2221,7 +2224,7 @@ mod tests {
             ),
             Err(CliError::Usage(_))
         ));
-        std::fs::remove_dir_all(dir.parent().unwrap()).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -2232,8 +2235,7 @@ mod tests {
         // `[expect]` miss. A corpus run that silently skipped broken
         // files would green-light a rotted corpus.
         use mec_scenario_spec::ScenarioBuilder;
-        let dir = tmp_dir().join("corpus-broken");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmp_dir("corpus_exit_code_pins_unloadable_and_invalid_specs_as_failures");
         let good = ScenarioBuilder::new("good")
             .servers(4)
             .users(5)
@@ -2260,7 +2262,7 @@ mod tests {
         assert!(text.contains("FAIL malformed.toml"), "{text}");
         assert!(text.contains("FAIL invalid.toml"), "{text}");
         assert!(text.contains("1/3 specs passed"), "{text}");
-        std::fs::remove_dir_all(dir.parent().unwrap()).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -2359,8 +2361,7 @@ mod tests {
 
     #[test]
     fn loadtest_command_writes_the_verdict_and_side_artifacts() {
-        let dir = tmp_dir().join("loadtest");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmp_dir("loadtest_command_writes_the_verdict_and_side_artifacts");
         let out = dir.join("BENCH_service.json");
         let jsonl = dir.join("batches.jsonl");
         let metrics = dir.join("metrics.prom");
@@ -2408,7 +2409,7 @@ mod tests {
         }
         let prom = std::fs::read_to_string(&metrics).unwrap();
         assert!(prom.contains("tsajs_service_batches_total"), "{prom}");
-        std::fs::remove_dir_all(dir.parent().unwrap()).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -2462,7 +2463,7 @@ mod tests {
 
     #[test]
     fn conformance_command_emits_a_clean_json_verdict() {
-        let dir = tmp_dir();
+        let dir = tmp_dir("conformance_command_emits_a_clean_json_verdict");
         let report_path = dir.join("verdict.json");
         let mut buf = Vec::new();
         run(
@@ -2490,7 +2491,7 @@ mod tests {
 
     #[test]
     fn solve_reproduces_under_identical_seeds() {
-        let dir = tmp_dir();
+        let dir = tmp_dir("solve_reproduces_under_identical_seeds");
         let scenario_path = dir.join("repro.json");
         run(
             parse_args(&[
@@ -2536,7 +2537,7 @@ mod tests {
 
     #[test]
     fn shard_solver_runs_from_the_registry_and_rejects_batching() {
-        let dir = tmp_dir();
+        let dir = tmp_dir("shard_solver_runs_from_the_registry_and_rejects_batching");
         let scenario_path = dir.join("shard.json");
         run(
             parse_args(&[
@@ -2633,7 +2634,7 @@ mod tests {
 
     #[test]
     fn warm_resolves_output_is_thread_count_independent() {
-        let dir = tmp_dir();
+        let dir = tmp_dir("warm_resolves_output_is_thread_count_independent");
         let scenario_path = dir.join("warm.json");
         run(
             parse_args(&[

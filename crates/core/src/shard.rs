@@ -1614,17 +1614,15 @@ fn local_assignment(work: &ClusterWork, global: &Assignment) -> Result<Assignmen
     Ok(local)
 }
 
-/// Relative improvement floor for the descent: an accepted move must beat
-/// the incumbent by more than this fraction of its magnitude. The
-/// incremental score/apply arithmetic drifts by a few ulps (~`1e-16`
+/// Default relative improvement floor for [`descent`]: an accepted move
+/// must beat the incumbent by more than this fraction of its magnitude.
+/// The incremental score/apply arithmetic drifts by a few ulps (~`1e-16`
 /// relative) per accepted move, so without a floor a pair of moves that
 /// nets to zero can each look "improving" by ~`1e-15` and the descent
 /// cycles forever; `1e-12` is two orders of magnitude above the drift and
-/// three below the suite-wide `1e-9` tolerance, so it kills the cycles
-/// without discarding any improvement the conformance suite could see.
-/// Default relative improvement floor for [`descent`] — just enough to
-/// keep the fixed point stable under floating-point drift. See
-/// [`ShardConfig::descent_floor`] for when to raise it.
+/// three below the suite-wide `1e-9` tolerance, so it keeps the fixed
+/// point stable without discarding any improvement the conformance suite
+/// could see. See [`ShardConfig::descent_floor`] for when to raise it.
 pub const DESCENT_IMPROVEMENT_FLOOR: f64 = 1e-12;
 
 /// What one [`descent`] call did.
@@ -1640,18 +1638,23 @@ pub struct Descent {
     pub exhausted: bool,
 }
 
-/// Deterministic, RNG-free first-improvement descent — the tempering
-/// quench's move order (every single-user relocation including evictions,
-/// then pairwise slot swaps), repeated until a local optimum or the
-/// budget. A move is accepted only if it improves the objective by more
-/// than `floor` relative to its magnitude — at the default
-/// [`DESCENT_IMPROVEMENT_FLOOR`] that merely makes the fixed point stable
-/// under floating-point drift; see [`ShardConfig::descent_floor`] for the
-/// limit-cycle damping use. This is the per-cluster proposal loop of
-/// [`ShardRun::sweep`], exposed so the counting-allocator gate in
-/// `tests/shard_alloc_free.rs` can pin it: the loop reuses the
-/// incremental state's buffers only, so at a fixed point it allocates
-/// nothing.
+/// Deterministic, RNG-free first-improvement descent over TTSA's
+/// relocation neighborhood (every single-user relocation including
+/// evictions, then pairwise slot swaps), repeated until a local optimum
+/// or the budget. This is the one systematic scan of the crate: the
+/// per-cluster proposal loop of [`ShardRun::sweep`] and, with `floor =
+/// 0.0` (plain `candidate > current` for a finite incumbent), the
+/// tempering quench. A move is accepted only if it improves the
+/// objective by more than `floor` relative to its magnitude — at the
+/// default [`DESCENT_IMPROVEMENT_FLOOR`] that merely makes the fixed
+/// point stable under floating-point drift; see
+/// [`ShardConfig::descent_floor`] for the limit-cycle damping use.
+///
+/// Slot takes are priced with [`IncrementalObjective::score_take`], so a
+/// [`MoveDesc`] is built only for the other shapes and for an accepted
+/// move. The loop reuses the incremental state's buffers only, so at a
+/// fixed point it allocates nothing — the counting-allocator gate in
+/// `tests/shard_alloc_free.rs` pins that for both floors.
 pub fn descent(inc: &mut IncrementalObjective<'_>, budget: u64, floor: f64) -> Descent {
     let scenario = inc.scenario();
     let mut current = inc.current();
@@ -1675,16 +1678,18 @@ pub fn descent(inc: &mut IncrementalObjective<'_>, budget: u64, floor: f64) -> D
                     exhausted = true;
                     break 'descent;
                 }
-                let mv = match target {
-                    None => MoveDesc::relocate(inc.assignment(), u, None),
-                    Some((s, j)) => MoveDesc::relocate_evicting(inc.assignment(), u, s, j),
+                let from = inc.assignment().slot(u);
+                let candidate = match target {
+                    _ if from == target => continue,
+                    None => inc.score(&MoveDesc::relocate(inc.assignment(), u, None)),
+                    Some((s, j)) => inc.score_take(u, s, j),
                 };
-                if mv.is_noop() {
-                    continue;
-                }
-                let candidate = inc.score(&mv);
                 spent += 1;
                 if candidate - current > floor * current.abs().max(1.0) {
+                    let mv = match target {
+                        None => MoveDesc::relocate(inc.assignment(), u, None),
+                        Some((s, j)) => MoveDesc::relocate_evicting(inc.assignment(), u, s, j),
+                    };
                     inc.apply(&mv);
                     inc.commit();
                     current = candidate;

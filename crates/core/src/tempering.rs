@@ -43,9 +43,9 @@ use crate::annealing::{
 };
 use crate::config::{Cooling, TemperingConfig, TtsaConfig};
 use crate::moves::NeighborhoodKernel;
+use crate::shard::descent;
 use crate::trace::{EpochRecord, SearchTrace};
-use mec_system::{Assignment, IncrementalObjective, MoveDesc, Scenario};
-use mec_types::{ServerId, SubchannelId};
+use mec_system::{Assignment, IncrementalObjective, Scenario};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::mpsc;
@@ -407,90 +407,20 @@ fn run<'a, R: Rng + ?Sized>(
     }
     let mut epochs = rounds * epochs_by_rung.iter().sum::<u64>();
 
-    // Systematic quench: deterministic first-improvement descent over
-    // every single-user relocation (back to local, onto any slot —
-    // evicting its occupant when taken), repeated until a local optimum
-    // or the quench budget runs out. This replaces the single chain's
-    // long low-temperature tail: where random proposals mostly re-draw
-    // rejected moves, the sweep finds every remaining single-move
-    // improvement in one pass and stops as soon as none is left.
+    // Systematic quench: the deterministic first-improvement `descent`
+    // over every single-user relocation and slot swap,
+    // repeated until a local optimum or the quench budget runs out. This
+    // replaces the single chain's long low-temperature tail: where random
+    // proposals mostly re-draw rejected moves, the scan finds every
+    // remaining single-move improvement in one pass and stops as soon as
+    // none is left. Floor 0.0 accepts any strict improvement of the
+    // finite incumbent.
     if tcfg.quench_epochs > 0 && best_obj.is_finite() && best_obj >= 0.0 {
         let l = base.inner_iterations as u64;
-        let budget = tcfg.quench_epochs * l;
         let mut inc =
             IncrementalObjective::new(scenario, best.clone()).expect("global best is feasible");
-        let mut current = inc.current();
-        let mut spent: u64 = 0;
-        let mut improved = true;
-        let n = scenario.num_subchannels();
-        let total_slots = scenario.num_servers() * n;
-        let slot = |p: usize| (ServerId::new(p / n), SubchannelId::new(p % n));
-        'quench: while improved && spent < budget {
-            improved = false;
-            // Phase 1: every single-user relocation — back to local, or
-            // onto any slot (evicting its occupant when taken). This
-            // also covers local↔offloaded exchanges, since the evictee
-            // falls back to local execution.
-            for u in scenario.user_ids() {
-                let slots = scenario.server_ids().flat_map(|s| {
-                    SubchannelId::all(scenario.num_subchannels()).map(move |j| Some((s, j)))
-                });
-                for target in std::iter::once(None).chain(slots) {
-                    if spent >= budget {
-                        break 'quench;
-                    }
-                    let mv = match target {
-                        None => MoveDesc::relocate(inc.assignment(), u, None),
-                        Some((s, j)) => MoveDesc::relocate_evicting(inc.assignment(), u, s, j),
-                    };
-                    if mv.is_noop() {
-                        continue;
-                    }
-                    // Speculative scoring: rejected candidates (the vast
-                    // majority near a local optimum) never touch the
-                    // state, so they cost no journaling and no undo.
-                    let candidate = inc.score(&mv);
-                    spent += 1;
-                    if candidate > current {
-                        inc.apply(&mv);
-                        inc.commit();
-                        current = candidate;
-                        improved = true;
-                    }
-                }
-            }
-            // Phase 2: pairwise slot exchanges between offloaded users
-            // (the one move class single relocations cannot express).
-            // At most S·N slots are occupied, so this adds O((S·N)²)
-            // proposals per sweep, far below the relocation phase.
-            for p in 0..total_slots {
-                for q in (p + 1)..total_slots {
-                    if spent >= budget {
-                        break 'quench;
-                    }
-                    let (s1, j1) = slot(p);
-                    let (s2, j2) = slot(q);
-                    let (Some(a), Some(b)) = (
-                        inc.assignment().occupant(s1, j1),
-                        inc.assignment().occupant(s2, j2),
-                    ) else {
-                        continue;
-                    };
-                    let mv = MoveDesc::swap(inc.assignment(), a, b);
-                    if mv.is_noop() {
-                        continue;
-                    }
-                    let candidate = inc.score(&mv);
-                    spent += 1;
-                    if candidate > current {
-                        inc.apply(&mv);
-                        inc.commit();
-                        current = candidate;
-                        improved = true;
-                    }
-                }
-            }
-        }
+        let spent = descent(&mut inc, tcfg.quench_epochs * l, 0.0).spent;
+        let current = inc.current();
         proposals += spent;
         epochs += spent.div_ceil(l);
         if current > best_obj {

@@ -7,7 +7,9 @@
 //! across the whole metro. This test installs a counting global
 //! allocator, drives the descent to its fixed point (where scratch
 //! buffers have reached steady-state capacity), then asserts that a full
-//! re-scan of the neighborhood at the fixed point allocates nothing.
+//! re-scan of the neighborhood at the fixed point allocates nothing —
+//! at the reconcile floor and at floor 0.0, where the same scan runs as
+//! the tempering quench.
 //!
 //! It must stay the only `#[test]` in this binary: the libtest harness
 //! runs tests on worker threads whose setup allocates, so a sibling test
@@ -52,12 +54,17 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// A cluster-shaped subproblem with a halo installed, like every cluster
 /// visit during a reconciliation sweep sees it.
-fn cluster_scenario(users: usize, servers: usize, subchannels: usize) -> Scenario {
+fn cluster_scenario(gains: ChannelGains) -> Scenario {
+    let (users, servers, subchannels) = (
+        gains.num_users(),
+        gains.num_servers(),
+        gains.num_subchannels(),
+    );
     let mut sc = Scenario::new(
         vec![UserSpec::paper_default_with_workload(Cycles::from_mega(2000.0)).unwrap(); users],
         vec![ServerProfile::paper_default(); servers],
         OfdmaConfig::new(Hertz::from_mega(20.0), subchannels).unwrap(),
-        ChannelGains::uniform(users, servers, subchannels, 1e-10).unwrap(),
+        gains,
         Watts::new(1e-13),
     )
     .unwrap();
@@ -70,7 +77,7 @@ fn cluster_scenario(users: usize, servers: usize, subchannels: usize) -> Scenari
 
 #[test]
 fn the_descent_loop_performs_zero_heap_allocations_at_fixed_point() {
-    let scenario = cluster_scenario(12, 3, 4);
+    let scenario = cluster_scenario(ChannelGains::uniform(12, 3, 4, 1e-10).unwrap());
     let initial = Assignment::all_local(&scenario);
     let mut inc = IncrementalObjective::new(&scenario, initial).unwrap();
 
@@ -98,6 +105,31 @@ fn the_descent_loop_performs_zero_heap_allocations_at_fixed_point() {
         delta, 0,
         "the per-cluster descent loop heap-allocated {delta} times over {} \
          proposals at the fixed point; it must be allocation-free",
+        outcome.spent
+    );
+
+    // The same scan is the tempering quench, run with floor 0.0 (any
+    // strict improvement). Identical users would let ulp-level drift
+    // cycle at that floor, so the quench gets distinct links. Settle it,
+    // then pin a further full pass: it must not touch the heap either.
+    let varied = cluster_scenario(
+        ChannelGains::from_fn(12, 3, 4, |u, s, j| {
+            1e-11 * (1.0 + ((u.index() * 7 + s.index() * 3 + j.index()) % 11) as f64)
+        })
+        .unwrap(),
+    );
+    let mut quench = IncrementalObjective::new(&varied, Assignment::all_local(&varied)).unwrap();
+    let settle = descent(&mut quench, 1_000_000, 0.0);
+    assert!(settle.changed && !settle.exhausted, "the quench settles");
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let outcome = descent(&mut quench, 1_000_000, 0.0);
+    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert!(!outcome.changed, "the quench's fixed point must be stable");
+    assert!(outcome.spent > 0);
+    assert_eq!(
+        delta, 0,
+        "the scan heap-allocated {delta} times over {} proposals as the \
+         quench (floor 0.0) on a settled state; it must be allocation-free",
         outcome.spent
     );
 

@@ -43,7 +43,11 @@
 //! Search loops score first and only `apply`+`commit` accepted moves, so
 //! a rejected proposal costs pure arithmetic: no assignment mutation, no
 //! journaling, no undo. This is the batched-proposal fast path of the
-//! TTSA/tempering/local-search/hJTORA engines.
+//! TTSA/tempering/local-search/hJTORA engines. The commonest shape, a
+//! local user taking a slot (evicting its occupant), touches one server
+//! and one subchannel; it is priced by one straight-line recipe, which
+//! [`score_take`](IncrementalObjective::score_take) exposes without a
+//! [`MoveDesc`] and `score` routes that shape through.
 //!
 //! ## Exactness and drift
 //!
@@ -875,18 +879,21 @@ impl<'a> IncrementalObjective<'a> {
     }
 
     /// Accepts the last applied move, flushing its buffered totals and Γ
-    /// writes into the persistent arrays. A no-op without a pending move.
+    /// writes into the persistent arrays. A no-op without a pending move
+    /// (`undo` and `discard` leave the log empty, so there is nothing to
+    /// clear — every speculative score starts with this check).
     pub fn commit(&mut self) {
-        if self.log.valid {
-            let stride = self.stride;
-            for (k, &j) in self.log.touched_subs.iter().enumerate() {
-                self.totals[j * stride..][..stride]
-                    .copy_from_slice(&self.log.new_totals[k * stride..][..stride]);
-            }
-            for &(u, term, bad) in &self.log.new_gammas {
-                self.gamma_of[u] = term;
-                self.gamma_bad[u] = bad;
-            }
+        if !self.log.valid {
+            return;
+        }
+        let stride = self.stride;
+        for (k, &j) in self.log.touched_subs.iter().enumerate() {
+            self.totals[j * stride..][..stride]
+                .copy_from_slice(&self.log.new_totals[k * stride..][..stride]);
+        }
+        for &(u, term, bad) in &self.log.new_gammas {
+            self.gamma_of[u] = term;
+            self.gamma_bad[u] = bad;
         }
         self.log.discard();
     }
@@ -914,8 +921,32 @@ impl IncrementalObjective<'_> {
     /// the current assignment; scoring a move built for a different
     /// decision yields a meaningless value (and panics in debug builds
     /// where the mismatch is detectable).
+    ///
+    /// The dominant shape — a local user taking a slot, evicting its
+    /// occupant if any (`[Assign]` or `[Release occupant, Assign]`) — is
+    /// priced by the same straight-line recipe as
+    /// [`score_take`](Self::score_take); every other shape runs the
+    /// overlay replay below.
     pub fn score(&mut self, mv: &MoveDesc) -> f64 {
         self.commit();
+        let take = match mv.ops[..mv.len()] {
+            [Some(PrimOp::Assign {
+                user,
+                server,
+                subchannel,
+            })] => Some((user, server, subchannel)),
+            [Some(PrimOp::Release { user: victim }), Some(PrimOp::Assign {
+                user,
+                server,
+                subchannel,
+            })] if victim != user && self.x.occupant(server, subchannel) == Some(victim) => {
+                Some((user, server, subchannel))
+            }
+            _ => None,
+        };
+        if let Some((user, server, subchannel)) = take {
+            return self.price_take(user, server, subchannel);
+        }
         // Local replicas of the scalar sums `apply` updates in place.
         let mut gain_sum = self.gain_sum;
         let mut gamma_sum = self.gamma_sum;
@@ -1136,6 +1167,131 @@ impl IncrementalObjective<'_> {
         if num_offloaded == 0 {
             0.0
         } else if nonfinite > 0 {
+            f64::NEG_INFINITY
+        } else {
+            gain_sum - gamma_sum - lambda_sum
+        }
+    }
+
+    /// Scores `user` taking the slot `(server, subchannel)`, evicting its
+    /// occupant to local execution: the objective
+    /// [`score`](Self::score)`(&MoveDesc::relocate_evicting(..))` returns
+    /// for that move, bit for bit, without building the move. This is the
+    /// systematic relocation scan's dominant candidate. For a local
+    /// `user` it runs the straight-line recipe (one touched subchannel,
+    /// one touched server, no overlays); an offloaded `user` falls back
+    /// to the general replay. Taking the slot `user` already holds scores
+    /// the current objective.
+    pub fn score_take(&mut self, user: UserId, server: ServerId, subchannel: SubchannelId) -> f64 {
+        if self.x.is_offloaded(user) {
+            let mv = MoveDesc::relocate_evicting(&self.x, user, server, subchannel);
+            return self.score(&mv);
+        }
+        self.commit();
+        self.price_take(user, server, subchannel)
+    }
+
+    /// The straight-line price of local `user` taking `(server,
+    /// subchannel)` from its occupant, if any — the overlay replay of
+    /// `[Release occupant, Assign user]` with the overlays resolved
+    /// statically: the same float operations in the same order (benefit,
+    /// Γ retirement and Λ step of the eviction, then of the join, then
+    /// the touched row's Γ refresh fold), with each post-move total
+    /// formed slot by slot as `(committed − evicted) + joined` instead of
+    /// sweeping a scratch row. The caller has committed.
+    fn price_take(&mut self, user: UserId, server: ServerId, subchannel: SubchannelId) -> f64 {
+        debug_assert!(!self.x.is_offloaded(user), "a take moves a local user");
+        let (u, si, ji) = (user.index(), server.index(), subchannel.index());
+        let victim = self.x.occupant(server, subchannel);
+        let capacity = self.capacity[si];
+        let mut gain_sum = self.gain_sum;
+        let mut gamma_sum = self.gamma_sum;
+        let mut lambda_sum = self.lambda_sum;
+        let mut nonfinite = self.nonfinite;
+        let mut sqrt_eta_sum = self.sum_sqrt_eta[si];
+        if let Some(v) = victim {
+            let v = v.index();
+            gain_sum -= self.coeffs.gain_const[v];
+            if self.gamma_bad[v] {
+                nonfinite -= 1;
+            } else {
+                gamma_sum -= self.gamma_of[v];
+            }
+            let old_term = lambda_term_from(sqrt_eta_sum, capacity);
+            // Same empty-server pin to exactly zero as `leave`.
+            sqrt_eta_sum = if self.users_on[si] == 1 {
+                0.0
+            } else {
+                sqrt_eta_sum - self.coeffs.sqrt_eta[v]
+            };
+            lambda_sum += lambda_term_from(sqrt_eta_sum, capacity) - old_term;
+        }
+        gain_sum += self.coeffs.gain_const[u];
+        let old_term = lambda_term_from(sqrt_eta_sum, capacity);
+        sqrt_eta_sum += self.coeffs.sqrt_eta[u];
+        lambda_sum += lambda_term_from(sqrt_eta_sum, capacity) - old_term;
+
+        // Γ refresh of the touched subchannel. As in `score`, the gather
+        // pass collects each post-move occupant's SINR call-free and the
+        // second pass runs the `log2` calls; both accumulators add in
+        // server order, so the bits match the overlay replay.
+        let servers = self.capacity.len();
+        let joined_at = self.wgain_base(u, ji);
+        let evicted_at = victim.map(|v| self.wgain_base(v.index(), ji));
+        // Field-wise borrows: the fold scratch is written while the rows
+        // are read.
+        let Self {
+            x,
+            stride,
+            noise,
+            coeffs,
+            wgain,
+            totals,
+            gamma_of,
+            signal_of,
+            gamma_bad,
+            score_fold,
+            ..
+        } = self;
+        let totals = &totals[ji * *stride..][..servers];
+        let joined = &wgain[joined_at..][..servers];
+        let evicted = evicted_at.map(|at| &wgain[at..][..servers]);
+        let occupants = &x.occupants_on(subchannel)[..servers];
+        score_fold.clear();
+        let mut row_old = 0.0;
+        for t in 0..servers {
+            let (w, signal) = if t == si {
+                (u, joined[t])
+            } else if let Some(w) = occupants[t] {
+                (w.index(), signal_of[w.index()])
+            } else {
+                continue;
+            };
+            let mut total = totals[t];
+            if let Some(evicted) = evicted {
+                total -= evicted[t];
+            }
+            total += joined[t];
+            if gamma_bad[w] {
+                nonfinite -= 1;
+            }
+            row_old += gamma_of[w];
+            score_fold.push((coeffs.gamma_num[w], sinr_from(signal, total, *noise)));
+        }
+        let mut row_new = 0.0;
+        for &(gamma_num, sinr) in score_fold.iter() {
+            let term = gamma_term_from_sinr(gamma_num, sinr);
+            row_new += if term.is_finite() {
+                term
+            } else {
+                nonfinite += 1;
+                0.0
+            };
+        }
+        gamma_sum += row_new - row_old;
+
+        // The joining user keeps at least one user offloaded.
+        if nonfinite > 0 {
             f64::NEG_INFINITY
         } else {
             gain_sum - gamma_sum - lambda_sum
@@ -1606,6 +1762,62 @@ mod tests {
                     reference,
                     &format!("seed {seed} step {step} with external rx"),
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn score_take_matches_apply_on_every_slot() {
+        // Three servers (not a lane multiple), a halo, and a user whose
+        // links are all zero, so its Γ term is non-finite once offloaded.
+        let gains = ChannelGains::from_fn(6, 3, 2, |u, s, j| {
+            if u.index() == 5 {
+                0.0
+            } else {
+                1e-11 * (1.0 + (u.index() * 7 + s.index() * 3 + j.index()) as f64)
+            }
+        })
+        .unwrap();
+        let mut sc = Scenario::new(
+            vec![UserSpec::paper_default_with_workload(Cycles::from_mega(2000.0)).unwrap(); 6],
+            vec![ServerProfile::paper_default(); 3],
+            OfdmaConfig::new(Hertz::from_mega(20.0), 2).unwrap(),
+            gains,
+            Watts::new(1e-13),
+        )
+        .unwrap();
+        sc.set_external_rx(Some((0..6).map(|i| 1e-12 * (1.0 + i as f64)).collect()))
+            .unwrap();
+        let mut x = Assignment::all_local(&sc);
+        x.assign(UserId::new(0), ServerId::new(0), SubchannelId::new(0))
+            .unwrap();
+        x.assign(UserId::new(1), ServerId::new(2), SubchannelId::new(1))
+            .unwrap();
+        for with_zero_gain_user in [false, true] {
+            let mut x = x.clone();
+            if with_zero_gain_user {
+                x.assign(UserId::new(5), ServerId::new(1), SubchannelId::new(0))
+                    .unwrap();
+            }
+            let mut inc = IncrementalObjective::new(&sc, x).unwrap();
+            assert_eq!(inc.current().is_finite(), !with_zero_gain_user);
+            for u in 0..6 {
+                for s in 0..3 {
+                    for j in 0..2 {
+                        let (u, s, j) = (UserId::new(u), ServerId::new(s), SubchannelId::new(j));
+                        let mv = MoveDesc::relocate_evicting(inc.assignment(), u, s, j);
+                        let take = inc.score_take(u, s, j);
+                        assert_eq!(take.to_bits(), inc.score(&mv).to_bits());
+                        inc.apply(&mv);
+                        assert_eq!(
+                            take.to_bits(),
+                            inc.current().to_bits(),
+                            "{u} takes ({s}, {j}): {take} vs {}",
+                            inc.current()
+                        );
+                        inc.undo();
+                    }
+                }
             }
         }
     }

@@ -4,10 +4,12 @@
 //!
 //! Three contracts, each exercised across random geometries (including
 //! server counts that are not lane multiples, so the padding lanes are
-//! covered):
+//! covered), with and without a halo (`external_rx`, as every shard
+//! cluster scores against one):
 //!
-//! * `score(mv)` equals `apply(mv)` + `current()` **bit for bit**, and
-//!   leaves no trace;
+//! * `score(mv)` and `score_take(u, s, j)` equal `apply(mv)` +
+//!   `current()` **bit for bit**, and leave no trace — for slot takes
+//!   exhaustively, over free and occupied slots and zero-gain users;
 //! * `undo()` after `apply()` restores the objective bit-exactly;
 //! * the maintained sums track the reference evaluator within `1e-9`
 //!   relative over long committed walks (the documented drift bound).
@@ -20,10 +22,22 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn random_scenario(seed: u64, users: usize, servers: usize, subs: usize) -> Scenario {
+/// A random geometry whose links are zero with probability `zero_share`
+/// (users offloaded over a zero link carry a non-finite Γ term).
+fn random_scenario(
+    seed: u64,
+    users: usize,
+    servers: usize,
+    subs: usize,
+    zero_share: f64,
+) -> Scenario {
     let mut rng = StdRng::seed_from_u64(seed);
     let gains = ChannelGains::from_fn(users, servers, subs, |_, _, _| {
-        10.0_f64.powf(rng.gen_range(-13.0..-9.0))
+        if zero_share > 0.0 && rng.gen_bool(zero_share) {
+            0.0
+        } else {
+            10.0_f64.powf(rng.gen_range(-13.0..-9.0))
+        }
     })
     .unwrap();
     Scenario::new(
@@ -34,6 +48,19 @@ fn random_scenario(seed: u64, users: usize, servers: usize, subs: usize) -> Scen
         Watts::new(1e-13),
     )
     .unwrap()
+}
+
+/// Installs a random halo (`external_rx`) when `halo` is set, the way a
+/// shard cluster sees the rest of the city.
+fn with_halo(mut scenario: Scenario, seed: u64, halo: bool) -> Scenario {
+    if halo {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x4a10);
+        let ext = (0..scenario.num_subchannels() * scenario.num_servers())
+            .map(|_| 10.0_f64.powf(rng.gen_range(-14.0..-10.0)))
+            .collect();
+        scenario.set_external_rx(Some(ext)).unwrap();
+    }
+    scenario
 }
 
 fn random_assignment(scenario: &Scenario, seed: u64) -> Assignment {
@@ -86,8 +113,9 @@ proptest! {
         users in 2usize..16,
         servers in 1usize..9,
         subs in 1usize..5,
+        halo in 0u8..2,
     ) {
-        let sc = random_scenario(seed, users, servers, subs);
+        let sc = with_halo(random_scenario(seed, users, servers, subs, 0.0), seed, halo == 1);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         let mut inc =
             IncrementalObjective::new(&sc, random_assignment(&sc, seed.wrapping_add(3))).unwrap();
@@ -125,6 +153,60 @@ proptest! {
         }
     }
 
+    /// Every slot take — each `(user, server, subchannel)`, local and
+    /// offloaded users, free and occupied slots, zero-gain links, with
+    /// and without a halo — prices bit for bit as the general `score` of
+    /// the same move and as `apply` + `current`, and leaves no trace.
+    #[test]
+    fn every_slot_take_prices_bit_exact_against_apply(
+        seed in 0u64..1_000_000,
+        users in 2usize..10,
+        servers in 1usize..7,
+        subs in 1usize..4,
+        halo in 0u8..2,
+    ) {
+        let sc = with_halo(random_scenario(seed, users, servers, subs, 0.25), seed, halo == 1);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7a4e);
+        let mut inc =
+            IncrementalObjective::new(&sc, random_assignment(&sc, seed.wrapping_add(5))).unwrap();
+        // Sweeps from the fresh build and from states a committed random
+        // walk reached, whose maintained sums carry drift (e.g. a
+        // single-user server's `Σ√η` that is no longer exactly its one
+        // term, where the empty-server pin matters).
+        for sweep in 0..3 {
+            for _ in 0..40 * sweep {
+                let mv = random_move(&sc, inc.assignment(), &mut rng);
+                inc.apply(&mv);
+                inc.commit();
+            }
+            for u in sc.user_ids() {
+                for s in sc.server_ids() {
+                    for j in SubchannelId::all(subs) {
+                        let before_bits = inc.current().to_bits();
+                        let x_before = inc.assignment().clone();
+                        let take = inc.score_take(u, s, j);
+                        prop_assert_eq!(inc.current().to_bits(), before_bits);
+                        prop_assert_eq!(inc.assignment(), &x_before);
+                        let mv = MoveDesc::relocate_evicting(inc.assignment(), u, s, j);
+                        prop_assert_eq!(take.to_bits(), inc.score(&mv).to_bits());
+                        inc.apply(&mv);
+                        prop_assert_eq!(
+                            take.to_bits(),
+                            inc.current().to_bits(),
+                            "{:?} takes ({:?}, {:?}): score_take {} vs apply {}",
+                            u,
+                            s,
+                            j,
+                            take,
+                            inc.current()
+                        );
+                        inc.undo();
+                    }
+                }
+            }
+        }
+    }
+
     /// Undo after apply restores the objective and decision bit-exactly,
     /// with interleaved speculative scores thrown in (they must not
     /// disturb the pending-move machinery).
@@ -135,7 +217,7 @@ proptest! {
         servers in 1usize..7,
         subs in 1usize..4,
     ) {
-        let sc = random_scenario(seed, users, servers, subs);
+        let sc = random_scenario(seed, users, servers, subs, 0.0);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xabcd);
         let mut inc =
             IncrementalObjective::new(&sc, random_assignment(&sc, seed.wrapping_add(9))).unwrap();
@@ -162,8 +244,9 @@ proptest! {
         users in 2usize..14,
         servers in 1usize..9,
         subs in 1usize..4,
+        halo in 0u8..2,
     ) {
-        let sc = random_scenario(seed, users, servers, subs);
+        let sc = with_halo(random_scenario(seed, users, servers, subs, 0.0), seed, halo == 1);
         let ev = Evaluator::new(&sc);
         let mut scratch = EvalScratch::default();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x77);
