@@ -20,7 +20,7 @@ use mec_radio::ChannelGains;
 use mec_system::pr1_baseline::Pr1IncrementalObjective;
 use mec_system::simd::{add_assign_rows, padded_len};
 use mec_system::{
-    Assignment, CoefficientBlocks, Evaluator, IncrementalObjective, MoveDesc, Scenario, Solver,
+    Assignment, CoefficientBlocks, Evaluator, IncrementalObjective, Scenario, Solver,
 };
 use mec_types::{ServerId, SubchannelId, UserId};
 use mec_workloads::{ExperimentParams, ScenarioGenerator};
@@ -77,13 +77,11 @@ struct Metrics {
     pr1_incremental_delta: f64,
     incremental_delta: f64,
     score_path: f64,
-    batched: [f64; 3], // K = 1, 4, 8
+    solver_step: f64,
     aos_scalar: f64,
     soa_scalar: f64,
     soa_chunked: f64,
 }
-
-const BATCH_WIDTHS: [usize; 3] = [1, 4, 8];
 
 fn measure(scenario: &Scenario, reps: u32, iters: u64) -> Metrics {
     let inf = f64::INFINITY;
@@ -95,7 +93,7 @@ fn measure(scenario: &Scenario, reps: u32, iters: u64) -> Metrics {
         pr1_incremental_delta: inf,
         incremental_delta: inf,
         score_path: inf,
-        batched: [inf; 3],
+        solver_step: inf,
         aos_scalar: inf,
         soa_scalar: inf,
         soa_chunked: inf,
@@ -115,27 +113,9 @@ fn measure(scenario: &Scenario, reps: u32, iters: u64) -> Metrics {
     let mut rng_delta = StdRng::seed_from_u64(7);
     let mut inc_score = IncrementalObjective::new(scenario, x.clone()).expect("feasible");
     let mut rng_score = StdRng::seed_from_u64(7);
-    struct BatchState<'b> {
-        inc: IncrementalObjective<'b>,
-        current: f64,
-        batch: Vec<MoveDesc>,
-        scores: Vec<f64>,
-        rng: StdRng,
-    }
-    let mut batch_states: Vec<BatchState<'_>> = BATCH_WIDTHS
-        .iter()
-        .map(|&k| {
-            let inc = IncrementalObjective::new(scenario, x.clone()).expect("feasible");
-            let current = inc.current();
-            BatchState {
-                inc,
-                current,
-                batch: Vec::with_capacity(k),
-                scores: Vec::with_capacity(k),
-                rng: StdRng::seed_from_u64(7),
-            }
-        })
-        .collect();
+    let mut inc_step = IncrementalObjective::new(scenario, x.clone()).expect("feasible");
+    let mut current_step = inc_step.current();
+    let mut rng_step = StdRng::seed_from_u64(7);
 
     // Layout-ablation state: the Γ bookkeeping row-op (add one user's
     // weighted-gain row for subchannel j into the per-server totals),
@@ -220,31 +200,20 @@ fn measure(scenario: &Scenario, reps: u32, iters: u64) -> Metrics {
             black_box(inc_score.score(&mv));
         }));
 
-        // The full batched draw/score/select step at K ∈ {1, 4, 8},
-        // normalized per proposal. Accepted winners mutate the walk,
-        // like the real annealing loop; the Metropolis factor is fixed
-        // so the accept rate stays representative rather than
-        // temperature-swept.
-        for (slot, &k) in BATCH_WIDTHS.iter().enumerate() {
-            let st = &mut batch_states[slot];
-            let step_ns = time_ns(iters / k as u64, || {
-                kernel.propose_batch(scenario, st.inc.assignment(), k, &mut st.batch, &mut st.rng);
-                st.scores.clear();
-                for mv in st.batch.iter() {
-                    st.scores.push(st.inc.score(mv));
-                }
-                for (mv, &candidate) in st.batch.iter().zip(st.scores.iter()) {
-                    let delta = candidate - st.current;
-                    if delta > 0.0 || (delta * 2.0).exp() > st.rng.gen::<f64>() {
-                        st.inc.apply(mv);
-                        st.inc.commit();
-                        st.current = candidate;
-                        break;
-                    }
-                }
-            });
-            m.batched[slot] = m.batched[slot].min(step_ns / k as f64);
-        }
+        // The solver's full step: propose, score, and apply + commit
+        // only an accepted move, so the walk advances like the real
+        // annealing loop. The Metropolis factor is fixed so the accept
+        // rate stays representative rather than temperature-swept.
+        m.solver_step = m.solver_step.min(time_ns(iters, || {
+            let (mv, _) = kernel.propose_move(scenario, inc_step.assignment(), &mut rng_step);
+            let candidate = inc_step.score(&mv);
+            let delta = candidate - current_step;
+            if delta > 0.0 || (delta * 2.0).exp() > rng_step.gen::<f64>() {
+                inc_step.apply(&mv);
+                inc_step.commit();
+                current_step = candidate;
+            }
+        }));
 
         totals.fill(0.0);
         m.aos_scalar = m.aos_scalar.min(
@@ -326,20 +295,15 @@ fn main() {
     println!("objective bench: U={users}, seeds {SEEDS:?}, quick={quick}");
 
     let mut all: Vec<Metrics> = Vec::new();
-    let mut utilities: Vec<[f64; 3]> = Vec::new(); // per seed, per K
+    let mut utilities: Vec<f64> = Vec::new(); // per seed
     for seed in SEEDS {
         let scenario = generator.generate(seed).expect("scenario");
         all.push(measure(&scenario, reps, iters));
-        // Solution quality across batch widths: K=1 replays the PR-1
-        // trajectory bit for bit (pinned by the determinism tests), so
-        // its J IS the baseline J; wider batches walk different but
-        // seeded trajectories.
-        let mut js = [0.0f64; 3];
-        for (slot, &k) in BATCH_WIDTHS.iter().enumerate() {
-            let mut solver = TsajsSolver::new(base.with_seed(seed).with_batch_width(k));
-            js[slot] = solver.solve(&scenario).expect("solve").utility;
-        }
-        utilities.push(js);
+        // Solution quality: the solver replays the PR-1 trajectory bit
+        // for bit (pinned by the determinism tests), so its J IS the
+        // baseline J.
+        let mut solver = TsajsSolver::new(base.with_seed(seed));
+        utilities.push(solver.solve(&scenario).expect("solve").utility);
     }
 
     let agg = |f: fn(&Metrics) -> f64| mean(all.iter().map(f));
@@ -350,9 +314,7 @@ fn main() {
     let pr1_incremental = agg(|m| m.pr1_incremental_delta);
     let incremental = agg(|m| m.incremental_delta);
     let score = agg(|m| m.score_path);
-    let batched: Vec<f64> = (0..3)
-        .map(|i| mean(all.iter().map(|m| m.batched[i])))
-        .collect();
+    let solver_step = agg(|m| m.solver_step);
     let aos = agg(|m| m.aos_scalar);
     let soa = agg(|m| m.soa_scalar);
     let chunked = agg(|m| m.soa_chunked);
@@ -367,9 +329,7 @@ fn main() {
         ("pr1_incremental_delta", pr1_incremental),
         ("incremental_delta", incremental),
         ("score_path", score),
-        ("batched_k1", batched[0]),
-        ("batched_k4", batched[1]),
-        ("batched_k8", batched[2]),
+        ("solver_step", solver_step),
     ] {
         println!("{name:<22} {ns:>12.1}");
     }
@@ -388,9 +348,7 @@ fn main() {
     let speedup_same_run = pr1_incremental / score;
     let speedup = incremental / score;
     let speedup_vs_clone = cloning / score;
-    let mean_j: Vec<f64> = (0..3)
-        .map(|i| mean(utilities.iter().map(|j| j[i])))
-        .collect();
+    let mean_j = mean(utilities.iter().copied());
     println!(
         "\nspeculative scoring vs the PR-1 incremental baseline: \
          {speedup_vs_recorded:.2}x per proposal vs the {PR1_RECORDED_NS:.0} ns recorded in \
@@ -399,20 +357,14 @@ fn main() {
          cloning path)"
     );
     println!(
-        "mean J at K=1/4/8: {:.6} / {:.6} / {:.6} (K=1 is trajectory-identical \
-         to the PR-1 baseline, so its J is the baseline J)",
-        mean_j[0], mean_j[1], mean_j[2]
+        "mean J: {mean_j:.6} (trajectory-identical to the PR-1 baseline, so it \
+         is the baseline J)"
     );
 
     let per_seed: Vec<String> = SEEDS
         .iter()
         .zip(utilities.iter())
-        .map(|(seed, js)| {
-            format!(
-                "{{\"seed\":{},\"utility_k1\":{},\"utility_k4\":{},\"utility_k8\":{}}}",
-                seed, js[0], js[1], js[2]
-            )
-        })
+        .map(|(seed, j)| format!("{{\"seed\":{seed},\"utility\":{j}}}"))
         .collect();
     let json = format!(
         "{{\n  \"users\": {users},\n  \"quick\": {quick},\n  \"seeds\": [11, 23, 47],\n  \
@@ -421,8 +373,7 @@ fn main() {
          \"cloning_proposal\": {cloning},\n    \
          \"pr1_incremental_delta\": {pr1_incremental},\n    \
          \"incremental_delta\": {incremental},\n    \
-         \"score_path\": {score},\n    \"batched_k1\": {},\n    \"batched_k4\": {},\n    \
-         \"batched_k8\": {}\n  }},\n  \
+         \"score_path\": {score},\n    \"solver_step\": {solver_step}\n  }},\n  \
          \"layout_ns_per_row\": {{\n    \"aos_scalar\": {aos},\n    \
          \"soa_scalar\": {soa},\n    \"soa_chunked\": {chunked}\n  }},\n  \
          \"pr1_recorded_baseline_ns\": {PR1_RECORDED_NS},\n  \
@@ -430,21 +381,15 @@ fn main() {
          \"speedup_score_vs_pr1_same_run\": {speedup_same_run},\n  \
          \"speedup_score_vs_applyundo\": {speedup},\n  \
          \"speedup_score_vs_cloning\": {speedup_vs_clone},\n  \
-         \"mean_utility_k1\": {},\n  \"mean_utility_k4\": {},\n  \"mean_utility_k8\": {},\n  \
+         \"mean_utility\": {mean_j},\n  \
          \"baseline_note\": \"pr1_recorded_baseline_ns is the U=90 incremental_delta figure \
          recorded by PR 1 in EXPERIMENTS.md on this machine; part of that ratio is \
          methodology (criterion mean there vs keep-fastest here). \
          pr1_incremental_delta is the PR-1 evaluator itself (vendored, bit-exact against \
          this tree, same loop shape) measured live in this run — the same-machine-state \
-         denominator. K=1 replays the PR-1 apply/undo trajectory bit-exactly (pinned by \
-         determinism tests), so mean_utility_k1 equals the baseline mean J\",\n  \
+         denominator. The solver replays the PR-1 apply/undo trajectory bit-exactly (pinned \
+         by determinism tests), so mean_utility equals the baseline mean J\",\n  \
          \"solves\": [{}]\n}}\n",
-        batched[0],
-        batched[1],
-        batched[2],
-        mean_j[0],
-        mean_j[1],
-        mean_j[2],
         per_seed.join(",")
     );
     let out =

@@ -30,7 +30,7 @@
 use mec_types::{effective_parallelism, UserId};
 use mec_workloads::{ExperimentParams, ScenarioGenerator};
 use std::time::Instant;
-use tsajs::{resolve_sharded, solve_sharded, Reconcile, ShardConfig, ShardRun, TtsaConfig};
+use tsajs::{resolve_sharded, solve_sharded, ShardConfig, ShardRun, TtsaConfig};
 
 const SEED: u64 = 11;
 
@@ -82,15 +82,13 @@ fn run_shard(
     }
 }
 
-/// One reconciliation-mode measurement of the service steady state: a
-/// cold solve (outside the timer — the cluster phase is identical in
-/// both modes), then a stream of churned warm re-solves, each through
-/// the audited [`resolve_sharded`] path exactly as `Tier::CityScale`
-/// drives it. Round `r` churns the users of non-empty cluster
-/// `r mod C` (capped), so the active neighborhood moves around the city
-/// while the rest of it stays settled — the regime the aging gate
-/// exists for, and the one the sequential reconciler pays full
-/// `O(U·S)` halo rebuilds on every cluster of every sweep.
+/// One measurement of the reconciler in the service steady state: a
+/// cold solve (outside the timer), then a stream of churned warm
+/// re-solves, each through the audited [`resolve_sharded`] path exactly
+/// as `Tier::CityScale` drives it. Round `r` churns the users of
+/// non-empty cluster `r mod C` (capped), so the active neighborhood
+/// moves around the city while the rest of it stays settled — the
+/// regime the aging gate exists for.
 struct StreamRun {
     resolve_seconds: f64,
     utility: f64,
@@ -112,8 +110,8 @@ fn run_churn_stream(
     let n = scenario.num_users();
     let cold = solve_sharded(scenario, config, workers).expect("cold city solve");
     // The churn schedule comes from the partition alone, which is a pure
-    // function of (geometry, cluster_size, seed) — identical every round
-    // and across reconcile modes, so it can be drawn up front.
+    // function of (geometry, cluster_size, seed) — identical every round,
+    // so it can be drawn up front.
     let populated: Vec<usize> = (0..cold.partition.num_clusters())
         .filter(|&c| !cold.partition.clusters()[c].users.is_empty())
         .collect();
@@ -134,7 +132,7 @@ fn run_churn_stream(
     // Timed stream: each round is a warm `ShardRun` closed by the cheap
     // `finish_fast`, so a measurement point costs only what the warm
     // patch + reconciler cost — never the audited `O(U·S)` resync, which
-    // is identical in both modes and would only dilute the comparison.
+    // would only dilute the measurement.
     let mut best_seconds = f64::INFINITY;
     let mut fast = None;
     for _ in 0..reps {
@@ -270,20 +268,15 @@ fn main() {
          {baseline_seconds:.3}s; best time-to-quality speedup {best_speedup:.2}x"
     );
 
-    // ── Pipelined vs sequential halo reconciliation (ISSUE 10) ───────
-    // The reconciler comparison runs at the city-scale regime the
-    // tentpole names (U = 100k over 36 cells; the smaller shared shape
-    // in quick mode), in the regime the pipeline exists for: a
-    // steady-state churn stream. Both modes first pay an identical cold
-    // solve (outside the timer), then absorb the same sequence of
-    // geographically clustered churn events — round `r` empties and
-    // refills non-empty cluster `r mod C` — through the audited
-    // `resolve_sharded` warm path. The churn schedule is mode-independent
-    // because `Partition` is a pure function of (geometry, cluster_size,
-    // seed). Sequential reconciliation re-walks every cluster with an
-    // `O(U·S)` halo rebuild per visit per sweep; the pipelined aging
-    // gate settles the untouched city and spends its epochs on the
-    // churned neighborhood.
+    // ── Halo reconciliation under a churn stream ──────────────────────
+    // The reconciler runs at city scale (U = 100k over 36 cells; the
+    // smaller shared shape in quick mode), in the regime the pipeline
+    // exists for: a steady-state churn stream. A cold solve (outside the
+    // timer) is followed by a sequence of geographically clustered churn
+    // events — round `r` empties and refills non-empty cluster `r mod C`
+    // — through the audited `resolve_sharded` warm path. The aging gate
+    // settles the untouched city and spends its epochs on the churned
+    // neighborhood.
     let (r_users, r_servers, r_budget) = if quick {
         (users, servers, 2_000u64)
     } else {
@@ -292,7 +285,7 @@ fn main() {
     // Hotspot placement (one pocket per cluster-sized cell): churn stays
     // geographically coherent, and the damping floor below keeps the
     // boundary users from limit-cycling (see
-    // `ShardConfig::descent_floor`), which is what lets both modes reach
+    // `ShardConfig::descent_floor`), which is what lets the runs reach
     // *certified* fixed points instead of racing the sweep cap.
     let r_cluster = (r_servers / 18).max(2);
     let r_hotspots = (r_servers / r_cluster).max(2);
@@ -322,46 +315,16 @@ fn main() {
     let r_rounds = if quick { 4usize } else { 6usize };
     let r_churn_cap = (r_users / 10).max(1);
     // Steady-state churn keeps re-disturbing the same boundaries, so the
-    // stream runs both modes under a stronger hysteresis band (1e-3):
-    // marginal boundary shuffles that would add propagation epochs
-    // without moving the objective are damped out, and each round
-    // settles at its structural floor (two proof sweeps sequential,
-    // changed + aged + certification epochs pipelined).
+    // stream runs under a stronger hysteresis band (1e-3): marginal
+    // boundary shuffles that would add propagation epochs without moving
+    // the objective are damped out, and each round settles at its
+    // structural floor (changed + aged + certification epochs).
     let stream = base.with_descent_floor(1e-3);
-    let sequential = run_churn_stream(
-        &r_scenario,
-        &stream.with_reconcile(Reconcile::Sequential),
-        reps,
-        r_workers,
-        r_rounds,
-        r_churn_cap,
-    );
-    let pipelined = run_churn_stream(
-        &r_scenario,
-        &stream.with_reconcile(Reconcile::Pipelined),
-        reps,
-        r_workers,
-        r_rounds,
-        r_churn_cap,
-    );
-    let stream_speedup = sequential.resolve_seconds / pipelined.resolve_seconds;
-    // Two damped runs are comparable only up to the hysteresis band:
-    // each certified fixed point may sit up to ~descent_floor (relative)
-    // below the undamped optimum, so "equal or better" is judged within
-    // twice the floor.
-    let band = 2.0 * stream.descent_floor * sequential.utility.abs().max(1.0);
-    let equal_or_better = pipelined.utility >= sequential.utility - band;
+    let pipelined = run_churn_stream(&r_scenario, &stream, reps, r_workers, r_rounds, r_churn_cap);
     println!(
         "reconcile stream: U={r_users}, S={r_servers}, cluster budget {r_budget}, \
-         {r_rounds} churned re-solves, sequential {:.3}s ({} sweeps, J={:.6}) vs \
-         pipelined {:.3}s ({} sweeps, J={:.6}) -> {stream_speedup:.2}x, \
-         equal-or-better: {equal_or_better}",
-        sequential.resolve_seconds,
-        sequential.sweeps,
-        sequential.utility,
-        pipelined.resolve_seconds,
-        pipelined.sweeps,
-        pipelined.utility,
+         {r_rounds} churned re-solves, pipelined {:.3}s ({} sweeps, J={:.6})",
+        pipelined.resolve_seconds, pipelined.sweeps, pipelined.utility,
     );
 
     // ── Warm vs cold city-scale re-solve (ISSUE 10) ──────────────────
@@ -444,26 +407,18 @@ fn main() {
             )
         })
         .collect();
-    let mode_json = |r: &StreamRun| {
-        format!(
-            "{{\"resolve_seconds\":{},\"utility\":{},\"fast_utility\":{},\
-             \"sweeps\":{},\"proposals\":{},\"converged\":{},\"halo_residual\":{}}}",
-            r.resolve_seconds,
-            r.utility,
-            r.fast_utility,
-            r.sweeps,
-            r.proposals,
-            r.converged,
-            r.halo_residual,
-        )
-    };
     let reconcile_json = format!(
         "{{\"users\":{r_users},\"servers\":{r_servers},\"cluster_budget\":{r_budget},\
          \"workers\":{r_workers},\"rounds\":{r_rounds},\"churn_cap\":{r_churn_cap},\
-         \"sequential\":{},\"pipelined\":{},\
-         \"stream_speedup\":{stream_speedup},\"equal_or_better\":{equal_or_better}}}",
-        mode_json(&sequential),
-        mode_json(&pipelined),
+         \"pipelined\":{{\"resolve_seconds\":{},\"utility\":{},\"fast_utility\":{},\
+         \"sweeps\":{},\"proposals\":{},\"converged\":{},\"halo_residual\":{}}}}}",
+        pipelined.resolve_seconds,
+        pipelined.utility,
+        pipelined.fast_utility,
+        pipelined.sweeps,
+        pipelined.proposals,
+        pipelined.converged,
+        pipelined.halo_residual,
     );
     let warm_json = format!(
         "{{\"users\":{r_users},\"servers\":{r_servers},\"churned\":{churn_count},\

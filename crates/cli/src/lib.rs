@@ -117,10 +117,8 @@ USAGE:
                      [--output-kb D --downlink-mbps R]
                      [--seed SEED] --out FILE
   tsajs-sim solve    --scenario FILE [--solver NAME] [--seed SEED]
-                     [--threads N] [--batch K] [--warm-resolves K]
-                     [--report FILE]
+                     [--threads N] [--warm-resolves K] [--report FILE]
   tsajs-sim compare  --scenario FILE [--seed SEED] [--threads N]
-                     [--batch K]
   tsajs-sim render   --scenario FILE --out FILE.svg
                      [--solver NAME] [--seed SEED] [--threads N]
   tsajs-sim inspect  --scenario FILE
@@ -147,9 +145,8 @@ SOLVERS: tsajs (default), tempering, shard, hjtora, greedy,
 
 The `shard` solver is the city-scale engine: it partitions the cell
 topology into clusters, solves each cluster on the worker pool, and
-reconciles cross-cluster interference with halo sweeps — pipelined
-Jacobi-with-aging by default, sequential Gauss–Seidel as a library
-option. Use it for populations the monolithic annealer cannot hold
+reconciles cross-cluster interference with pipelined Jacobi-with-aging
+halo epochs. Use it for populations the monolithic annealer cannot hold
 (U >= 100k). `--warm-resolves K` (shard only) chains K warm re-solves
 after the cold solve under a deterministic rolling ~10% churn and
 prints each objective; output is bit-identical at any thread count.
@@ -163,12 +160,6 @@ with a `schema_version` field. Declarative specs materialize from
 multi-start, exhaustive); the TSAJS_THREADS environment variable does
 the same when no flag is given. Results are bit-identical at any
 thread count.
-
-`--batch K` sets the speculative proposal batch width of the annealing
-solvers (tsajs, tempering): K candidate moves are drawn and scored per
-step and the first Metropolis acceptance wins. K=1 (the default) is the
-paper's one-proposal-at-a-time walk; results are deterministic per seed
-at any K and any thread count.
 
 The `online` command runs the event-driven engine (Poisson arrivals,
 exponential sojourns, per-epoch warm-started re-solves) and writes one
@@ -220,8 +211,6 @@ pub enum Command {
         seed: u64,
         /// Worker-pool cap for parallel solvers (`None` = auto).
         threads: Option<usize>,
-        /// Speculative batch width for the annealing solvers (`None` = 1).
-        batch: Option<usize>,
         /// Warm shard re-solves to chain after the cold solve under a
         /// deterministic ~10% churn per repeat (shard solver only).
         warm_resolves: Option<usize>,
@@ -236,8 +225,6 @@ pub enum Command {
         seed: u64,
         /// Worker-pool cap for parallel solvers (`None` = auto).
         threads: Option<usize>,
-        /// Speculative batch width for the annealing solvers (`None` = 1).
-        batch: Option<usize>,
     },
     /// Solve a scenario file and write the schedule as an SVG figure.
     Render {
@@ -385,14 +372,6 @@ fn parse_threads(value: &str) -> Result<usize, CliError> {
     Ok(n)
 }
 
-fn parse_batch(value: &str) -> Result<usize, CliError> {
-    let n: usize = parse_num("--batch", value)?;
-    if n == 0 {
-        return Err(CliError::Usage("--batch must be at least 1".into()));
-    }
-    Ok(n)
-}
-
 /// Parses a command line (without the program name).
 ///
 /// # Errors
@@ -455,7 +434,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, CliError> {
             let mut solver = "tsajs".to_string();
             let mut seed = 0u64;
             let mut threads: Option<usize> = None;
-            let mut batch: Option<usize> = None;
             let mut warm_resolves: Option<usize> = None;
             let mut report: Option<PathBuf> = None;
             while let Some(flag) = iter.next() {
@@ -464,7 +442,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, CliError> {
                     "--solver" => solver = take_value(flag, &mut iter)?.to_string(),
                     "--seed" => seed = parse_num(flag, take_value(flag, &mut iter)?)?,
                     "--threads" => threads = Some(parse_threads(take_value(flag, &mut iter)?)?),
-                    "--batch" => batch = Some(parse_batch(take_value(flag, &mut iter)?)?),
                     "--warm-resolves" => {
                         let k: usize = parse_num(flag, take_value(flag, &mut iter)?)?;
                         if k == 0 {
@@ -495,7 +472,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, CliError> {
                 solver,
                 seed,
                 threads,
-                batch,
                 warm_resolves,
                 report,
             })
@@ -504,13 +480,11 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, CliError> {
             let mut scenario: Option<PathBuf> = None;
             let mut seed = 0u64;
             let mut threads: Option<usize> = None;
-            let mut batch: Option<usize> = None;
             while let Some(flag) = iter.next() {
                 match flag {
                     "--scenario" => scenario = Some(PathBuf::from(take_value(flag, &mut iter)?)),
                     "--seed" => seed = parse_num(flag, take_value(flag, &mut iter)?)?,
                     "--threads" => threads = Some(parse_threads(take_value(flag, &mut iter)?)?),
-                    "--batch" => batch = Some(parse_batch(take_value(flag, &mut iter)?)?),
                     other => return Err(CliError::Usage(format!("unknown flag {other}"))),
                 }
             }
@@ -520,7 +494,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, CliError> {
                 scenario,
                 seed,
                 threads,
-                batch,
             })
         }
         "render" => {
@@ -783,10 +756,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, CliError> {
 /// multi-start, exhaustive); `None` defers to `TSAJS_THREADS` and the
 /// machine's available parallelism. Thread count never changes results.
 ///
-/// `batch` sets the speculative proposal batch width of the annealing
-/// solvers (tsajs, tempering); `None` keeps the paper's one-proposal-at-
-/// a-time walk (K=1). The flag is ignored by the non-annealing baselines.
-///
 /// # Errors
 ///
 /// Returns [`CliError::Usage`] for an unknown solver name.
@@ -794,40 +763,24 @@ pub fn build_solver(
     name: &str,
     seed: u64,
     threads: Option<usize>,
-    batch: Option<usize>,
 ) -> Result<Box<dyn Solver>, CliError> {
     Ok(match name.to_ascii_lowercase().as_str() {
         "tsajs" => {
-            let mut config = TtsaConfig::paper_default().with_seed(seed);
-            if let Some(k) = batch {
-                config = config.with_batch_width(k);
-            }
-            let mut solver = TsajsSolver::new(config);
+            let mut solver = TsajsSolver::new(TtsaConfig::paper_default().with_seed(seed));
             if let Some(n) = threads {
                 solver = solver.with_threads(n);
             }
             Box::new(solver)
         }
         "tempering" | "tsajs-pt" => {
-            let mut config = TtsaConfig::paper_default().with_seed(seed);
-            if let Some(k) = batch {
-                config = config.with_batch_width(k);
-            }
-            let mut solver =
-                TsajsSolver::new(config).with_tempering(TemperingConfig::paper_default());
+            let mut solver = TsajsSolver::new(TtsaConfig::paper_default().with_seed(seed))
+                .with_tempering(TemperingConfig::paper_default());
             if let Some(n) = threads {
                 solver = solver.with_threads(n);
             }
             Box::new(solver)
         }
         "shard" | "tsajs-shard" => {
-            // The shard engine has no batched-proposal mode; its inner
-            // cluster solves run the tempering engine at K=1.
-            if batch.is_some() {
-                return Err(CliError::Usage(
-                    "--batch is not supported by the shard solver".into(),
-                ));
-            }
             let mut solver = ShardSolver::new(ShardConfig::paper_default().with_seed(seed));
             if let Some(n) = threads {
                 solver = solver.with_threads(n);
@@ -968,7 +921,6 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), CliErro
             solver,
             seed,
             threads,
-            batch,
             warm_resolves,
             report,
         } => {
@@ -976,7 +928,7 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), CliErro
             if let Some(repeats) = warm_resolves {
                 return run_warm_resolves(&scenario, seed, threads, repeats, out);
             }
-            let mut solver = build_solver(&solver, seed, threads, batch)?;
+            let mut solver = build_solver(&solver, seed, threads)?;
             let solution = solver.solve(&scenario)?;
             let evaluation = solution.evaluate(&scenario)?;
             writeln!(out, "solver      : {}", solver.name())?;
@@ -1032,7 +984,7 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), CliErro
                 )
             })?;
             let scenario = spec.into_scenario()?;
-            let mut solver = build_solver(&solver, seed, threads, None)?;
+            let mut solver = build_solver(&solver, seed, threads)?;
             let solution = solver.solve(&scenario)?;
             // Rebuild the layout from the paper's ISD; stations in specs
             // always come from the hexagonal generator.
@@ -1118,12 +1070,12 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), CliErro
                 }
             };
             // Validate the name eagerly so a bad one errors before the run.
-            build_solver(&solver, seed, threads, None)?;
+            build_solver(&solver, seed, threads)?;
             let params = ExperimentParams::paper_default().with_users(users);
             let mut sim = DynamicSimulation::new(params, profile, seed)?;
             let solver_name = solver.clone();
             let history = sim.run(epochs, |epoch_seed| {
-                build_solver(&solver_name, epoch_seed, threads, None)
+                build_solver(&solver_name, epoch_seed, threads)
                     .expect("solver name validated before the run")
             })?;
             writeln!(
@@ -1398,7 +1350,6 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), CliErro
             scenario,
             seed,
             threads,
-            batch,
         } => {
             let scenario = load_scenario(&scenario, seed)?;
             writeln!(
@@ -1415,7 +1366,7 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), CliErro
                 "random",
                 "alllocal",
             ] {
-                let mut solver = build_solver(name, seed, threads, batch)?;
+                let mut solver = build_solver(name, seed, threads)?;
                 let solution = solver.solve(&scenario)?;
                 let secs = solution.stats.elapsed.as_secs_f64();
                 let throughput = if secs > 0.0 {
@@ -1509,7 +1460,6 @@ mod tests {
                 solver: "greedy".into(),
                 seed: 3,
                 threads: None,
-                batch: None,
                 warm_resolves: None,
                 report: None,
             }
@@ -1521,44 +1471,8 @@ mod tests {
                 scenario: PathBuf::from("s.json"),
                 seed: 0,
                 threads: None,
-                batch: None,
             }
         );
-    }
-
-    #[test]
-    fn parses_batch_and_rejects_zero() {
-        let cmd = parse_args(&["solve", "--scenario", "s.json", "--batch", "8"]).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Solve {
-                scenario: PathBuf::from("s.json"),
-                solver: "tsajs".into(),
-                seed: 0,
-                threads: None,
-                batch: Some(8),
-                warm_resolves: None,
-                report: None,
-            }
-        );
-        let cmd = parse_args(&["compare", "--scenario", "s.json", "--batch", "4"]).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Compare {
-                scenario: PathBuf::from("s.json"),
-                seed: 0,
-                threads: None,
-                batch: Some(4),
-            }
-        );
-        assert!(matches!(
-            parse_args(&["solve", "--scenario", "s.json", "--batch", "0"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse_args(&["compare", "--scenario", "s.json", "--batch", "x"]),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]
@@ -1580,7 +1494,6 @@ mod tests {
                 solver: "tempering".into(),
                 seed: 0,
                 threads: Some(4),
-                batch: None,
                 warm_resolves: None,
                 report: None,
             }
@@ -1644,7 +1557,7 @@ mod tests {
             Err(CliError::Usage(_)),
         ));
         assert!(matches!(
-            build_solver("nope", 0, None, None),
+            build_solver("nope", 0, None),
             Err(CliError::Usage(_))
         ));
     }
@@ -2482,7 +2395,7 @@ mod tests {
         let value: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(value["passed"], serde_json::Value::Bool(true));
         assert_eq!(value["seeds"].as_u64(), Some(2));
-        assert_eq!(value["invariants"].as_array().unwrap().len(), 13);
+        assert_eq!(value["invariants"].as_array().unwrap().len(), 12);
         // The --out file carries the same report.
         let file = std::fs::read_to_string(&report_path).unwrap();
         assert_eq!(text.trim_end(), file);
@@ -2582,10 +2495,6 @@ mod tests {
         assert!(text.contains("TSAJS-SHARD"), "{text}");
         // Same seed, same run — the shard engine is fully deterministic.
         assert_eq!(text, run_once());
-        assert!(matches!(
-            build_solver("shard", 0, None, Some(4)),
-            Err(CliError::Usage(_))
-        ));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -2608,7 +2517,6 @@ mod tests {
                 solver: "shard".into(),
                 seed: 0,
                 threads: None,
-                batch: None,
                 warm_resolves: Some(3),
                 report: None,
             }

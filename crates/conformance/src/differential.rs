@@ -22,8 +22,8 @@ use mec_types::{ServerId, SubchannelId, UserId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tsajs::{
-    resolve_sharded, solve_sharded, temper, NeighborhoodKernel, Reconcile, ShardConfig,
-    ShardOutcome, TemperingConfig, TsajsSolver, TtsaConfig,
+    resolve_sharded, solve_sharded, temper, NeighborhoodKernel, ShardConfig, ShardOutcome,
+    TemperingConfig, TsajsSolver, TtsaConfig,
 };
 
 /// An interference-free matching heuristic: assigns users to pairwise
@@ -195,15 +195,16 @@ pub fn check_partial_order(
 }
 
 /// Determinism check: the tempering engine must return bit-identical
-/// results at 1, 2 and 4 worker threads — the worker pool is a
-/// wall-clock knob, never a semantic one.
+/// results on a same-seed rerun and at 1, 2, 4 and 8 worker threads —
+/// the worker pool is a wall-clock knob, never a semantic one.
 ///
 /// Returns `0.0` (the check is exact; any divergence is a failure, not
 /// a residual).
 ///
 /// # Errors
 ///
-/// Returns a description of the first divergence between thread counts.
+/// Returns a description of the first divergence from the 1-worker
+/// reference.
 pub fn check_thread_independence(
     scenario: &Scenario,
     seed: u64,
@@ -220,97 +221,28 @@ pub fn check_thread_independence(
         temper(scenario, &tempering, &base, &kernel, &mut rng, workers)
     };
     let reference = solve_at(1);
-    for workers in [2usize, 4] {
+    // Workers = 1 again is the same-seed rerun.
+    for workers in [1usize, 2, 4, 8] {
         let outcome = solve_at(workers);
         if outcome.objective.to_bits() != reference.objective.to_bits() {
             return Err(format!(
-                "objective diverges with the thread count: {} at 1 worker \
-                 vs {} at {workers}",
+                "objective diverges from the 1-worker reference: {} vs {} \
+                 at {workers} workers",
                 reference.objective, outcome.objective
             ));
         }
         if outcome.assignment != reference.assignment {
             return Err(format!(
-                "assignment diverges between 1 and {workers} workers \
-                 despite equal objectives"
+                "assignment diverges from the 1-worker reference at \
+                 {workers} workers despite equal objectives"
             ));
         }
         if outcome.proposals != reference.proposals || outcome.epochs != reference.epochs {
             return Err(format!(
-                "search effort diverges between 1 and {workers} workers: \
-                 {}/{} proposals, {}/{} epochs",
+                "search effort diverges from the 1-worker reference at \
+                 {workers} workers: {}/{} proposals, {}/{} epochs",
                 reference.proposals, outcome.proposals, reference.epochs, outcome.epochs
             ));
-        }
-    }
-    Ok(0.0)
-}
-
-/// Determinism check for the batched proposal step: at every batch
-/// width K the tempering engine must return bit-identical results at 1,
-/// 2 and 8 worker threads, and repeated same-seed runs must agree
-/// exactly. Different widths walk different (but each reproducible)
-/// trajectories, because a batch draws its K candidates up front; the
-/// contract is determinism per `(seed, K)`, not equality across K.
-///
-/// Returns `0.0` (the check is exact; any divergence is a failure, not
-/// a residual).
-///
-/// # Errors
-///
-/// Returns a description of the first divergence between worker counts
-/// or repeated runs at the same batch width.
-pub fn check_batched_proposal_determinism(
-    scenario: &Scenario,
-    seed: u64,
-    ttsa_budget: u64,
-) -> Result<f64, String> {
-    let tempering = TemperingConfig::paper_default().with_replicas(4);
-    let kernel = NeighborhoodKernel::new();
-    for k in [1usize, 4, 8] {
-        let base = TtsaConfig::paper_default()
-            .with_min_temperature(1e-2)
-            .with_proposal_budget(ttsa_budget)
-            .with_batch_width(k)
-            .with_seed(seed);
-        let solve_at = |workers: usize| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            temper(scenario, &tempering, &base, &kernel, &mut rng, workers)
-        };
-        let reference = solve_at(1);
-        // Same seed, same width, same worker count → bit-identical rerun.
-        let rerun = solve_at(1);
-        if rerun.objective.to_bits() != reference.objective.to_bits()
-            || rerun.assignment != reference.assignment
-            || rerun.proposals != reference.proposals
-        {
-            return Err(format!(
-                "batch width {k}: same-seed rerun diverges ({} vs {})",
-                reference.objective, rerun.objective
-            ));
-        }
-        for workers in [2usize, 8] {
-            let outcome = solve_at(workers);
-            if outcome.objective.to_bits() != reference.objective.to_bits() {
-                return Err(format!(
-                    "batch width {k}: objective diverges with the thread \
-                     count: {} at 1 worker vs {} at {workers}",
-                    reference.objective, outcome.objective
-                ));
-            }
-            if outcome.assignment != reference.assignment {
-                return Err(format!(
-                    "batch width {k}: assignment diverges between 1 and \
-                     {workers} workers despite equal objectives"
-                ));
-            }
-            if outcome.proposals != reference.proposals {
-                return Err(format!(
-                    "batch width {k}: proposal count diverges between 1 and \
-                     {workers} workers: {} vs {}",
-                    reference.proposals, outcome.proposals
-                ));
-            }
         }
     }
     Ok(0.0)
@@ -504,7 +436,7 @@ pub fn check_pipelined_halo_determinism(
 ) -> Result<f64, String> {
     let mut worst = 0.0f64;
     for config_seed in [11u64, 23, 47] {
-        let config = quick_shard_config(config_seed).with_reconcile(Reconcile::Pipelined);
+        let config = quick_shard_config(config_seed);
         let reference = solve_sharded(scenario, &config, 1)
             .map_err(|e| format!("pipelined solve (seed {config_seed}): {e}"))?;
         for workers in [2usize, 8] {

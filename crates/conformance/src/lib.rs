@@ -142,7 +142,6 @@ pub fn run_conformance(config: &ConformanceConfig) -> VerdictReport {
     let mut incremental = InvariantVerdict::new("incremental_vs_resync");
     let mut order = InvariantVerdict::new("solver_partial_order");
     let mut threads = InvariantVerdict::new("tempering_thread_independence");
-    let mut batched = InvariantVerdict::new("batched_proposal_determinism");
     let mut shard = InvariantVerdict::new("shard_equivalence");
     let mut shard_warm = InvariantVerdict::new("shard_warm_equivalence");
     let mut pipelined = InvariantVerdict::new("pipelined_halo_determinism");
@@ -178,14 +177,6 @@ pub fn run_conformance(config: &ConformanceConfig) -> VerdictReport {
             threads.record(
                 seed,
                 differential::check_thread_independence(&scenario, seed, config.ttsa_budget),
-            );
-            batched.record(
-                seed,
-                differential::check_batched_proposal_determinism(
-                    &scenario,
-                    seed,
-                    config.ttsa_budget,
-                ),
             );
             shard.record(
                 seed,
@@ -237,7 +228,6 @@ pub fn run_conformance(config: &ConformanceConfig) -> VerdictReport {
             incremental,
             order,
             threads,
-            batched,
             shard,
             shard_warm,
             pipelined,
@@ -288,6 +278,6 @@ mod tests {
         let report = run_conformance(&ConformanceConfig::smoke().with_seeds(2).with_base_seed(7));
         assert_eq!(report.seeds, 2);
         assert_eq!(report.base_seed, 7);
-        assert_eq!(report.invariants.len(), 13);
+        assert_eq!(report.invariants.len(), 12);
     }
 }

@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 use mec_baselines::{GreedySolver, HJtoraSolver, LocalSearchSolver};
-use mec_online::{OnlineEngine, OnlineEpochReport};
 use mec_system::{Scenario, Solution, Solver};
 use mec_types::Error;
 use std::sync::mpsc;
@@ -274,73 +273,6 @@ impl Drop for SchedulerService {
     }
 }
 
-/// A background [`OnlineEngine`] run streaming one [`OnlineEpochReport`]
-/// per epoch.
-///
-/// The controller analogue of `SchedulerService` for the online setting:
-/// the engine steps on a worker thread while the caller consumes the
-/// epoch-report stream as it is produced (dashboards, loggers, the CLI's
-/// JSONL output). The report channel is buffered for the whole run, so
-/// the worker never blocks on a slow consumer; dropping the receiver
-/// early just stops the stream, and [`join`](Self::join) returns the
-/// engine (with its SLA log) once all epochs ran.
-pub struct OnlineRun {
-    reports: mpsc::Receiver<OnlineEpochReport>,
-    worker: Option<JoinHandle<Result<OnlineEngine, Error>>>,
-}
-
-impl OnlineRun {
-    /// Starts stepping `engine` for `epochs` epochs on a worker thread.
-    pub fn spawn(mut engine: OnlineEngine, epochs: usize) -> Self {
-        let (sender, reports) = mpsc::sync_channel(epochs.max(1));
-        let worker = std::thread::spawn(move || {
-            for _ in 0..epochs {
-                let report = engine.step()?;
-                if sender.send(report).is_err() {
-                    // Consumer hung up; finish silently is pointless —
-                    // return the engine as-is.
-                    break;
-                }
-            }
-            Ok(engine)
-        });
-        Self {
-            reports,
-            worker: Some(worker),
-        }
-    }
-
-    /// The live report stream (one entry per completed epoch, in order).
-    pub fn reports(&self) -> &mpsc::Receiver<OnlineEpochReport> {
-        &self.reports
-    }
-
-    /// Iterates reports as they arrive, ending when the run finishes.
-    pub fn iter(&self) -> mpsc::Iter<'_, OnlineEpochReport> {
-        self.reports.iter()
-    }
-
-    /// Waits for the run to finish and returns the engine (SLA log,
-    /// counters, and all) for post-run inspection.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Solver`] if an epoch failed, or
-    /// [`ServiceError::Stopped`] if the worker panicked.
-    pub fn join(mut self) -> Result<OnlineEngine, ServiceError> {
-        let handle = self.worker.take().expect("worker joined exactly once");
-        // Drop the receiver first so a worker blocked on a full buffer
-        // (impossible with the run-sized buffer, but cheap insurance)
-        // unblocks.
-        drop(self.reports);
-        match handle.join() {
-            Ok(Ok(engine)) => Ok(engine),
-            Ok(Err(e)) => Err(ServiceError::Solver(e)),
-            Err(_) => Err(ServiceError::Stopped),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,49 +446,6 @@ mod tests {
             }
         }
         service.shutdown();
-    }
-
-    #[test]
-    fn online_run_streams_reports_and_returns_the_engine() {
-        use mec_online::{AdmitAll, OnlineConfig, OnlineEngine, TraceChurn};
-        use mec_types::Seconds;
-        use mec_workloads::PoissonChurn;
-
-        let params = ExperimentParams::paper_default().with_servers(3);
-        let config = OnlineConfig::pedestrian()
-            .with_base(TtsaConfig::paper_default().with_min_temperature(1e-2))
-            .with_mode(tsajs::ResolveMode::warm(120));
-        let churn = PoissonChurn::new(6, 0.1, Seconds::new(40.0)).unwrap();
-        let engine = OnlineEngine::new(
-            params,
-            config,
-            Box::new(TraceChurn::poisson(&churn, Seconds::new(100.0), 3)),
-            Box::new(AdmitAll),
-            3,
-        )
-        .unwrap();
-
-        let run = OnlineRun::spawn(engine, 6);
-        let streamed: Vec<_> = run.iter().collect();
-        assert_eq!(streamed.len(), 6);
-        assert_eq!(streamed[0].epoch, 0);
-        assert_eq!(streamed[5].epoch, 5);
-
-        let engine = run.join().unwrap();
-        assert_eq!(engine.epochs_run(), 6);
-        // The streamed run matches a direct same-seed run exactly.
-        let churn = PoissonChurn::new(6, 0.1, Seconds::new(40.0)).unwrap();
-        let mut direct = OnlineEngine::new(
-            params,
-            OnlineConfig::pedestrian()
-                .with_base(TtsaConfig::paper_default().with_min_temperature(1e-2))
-                .with_mode(tsajs::ResolveMode::warm(120)),
-            Box::new(TraceChurn::poisson(&churn, Seconds::new(100.0), 3)),
-            Box::new(AdmitAll),
-            3,
-        )
-        .unwrap();
-        assert_eq!(direct.run(6).unwrap(), streamed);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::config::{Cooling, InitialSolution, InitialTemperature, TtsaConfig};
 use crate::moves::NeighborhoodKernel;
 use crate::trace::{EpochRecord, SearchTrace};
-use mec_system::{Assignment, IncrementalObjective, MoveDesc, Scenario};
+use mec_system::{Assignment, IncrementalObjective, Scenario};
 use mec_types::{ServerId, UserId};
 use rand::Rng;
 
@@ -107,31 +107,19 @@ pub(crate) struct ChainState<'a> {
     pub(crate) count: u64,
     pub(crate) proposals: u64,
     pub(crate) last_resync: u64,
-    /// Reusable candidate scratch for the batched proposal step (capacity
-    /// reserved for the configured batch width, so the hot loop never
-    /// allocates).
-    batch: Vec<MoveDesc>,
-    /// Speculative scores paired with `batch`, same reuse discipline.
-    scores: Vec<f64>,
 }
 
 impl<'a> ChainState<'a> {
-    /// Builds a chain seeded with `initial`, with candidate scratch sized
-    /// for `batch_width` speculative proposals per step.
+    /// Builds a chain seeded with `initial`.
     ///
     /// # Panics
     ///
     /// Panics if `initial` does not fit the scenario's geometry.
-    pub(crate) fn from_initial(
-        scenario: &'a Scenario,
-        initial: Assignment,
-        batch_width: usize,
-    ) -> Self {
+    pub(crate) fn from_initial(scenario: &'a Scenario, initial: Assignment) -> Self {
         let inc = IncrementalObjective::new(scenario, initial)
             .expect("warm-start decision must fit the scenario");
         let current_obj = inc.current();
         let best = inc.assignment().clone();
-        let k = batch_width.max(1);
         Self {
             inc,
             current_obj,
@@ -140,8 +128,6 @@ impl<'a> ChainState<'a> {
             count: 0,
             proposals: 0,
             last_resync: 0,
-            batch: Vec::with_capacity(k),
-            scores: Vec::with_capacity(k),
         }
     }
 }
@@ -154,29 +140,18 @@ pub(crate) struct EpochStats {
 }
 
 /// Runs one temperature epoch (Algorithm 1, lines 9-25):
-/// `config.inner_iterations` proposal steps at `temperature`, each step
-/// drawing `config.batch_width` speculative candidates, followed by the
-/// epoch-boundary drift-control resync.
+/// `config.inner_iterations` proposal steps at `temperature`, followed by
+/// the epoch-boundary drift-control resync.
 ///
-/// Each step has three phases with a fixed draw order, which is the
-/// seeded-trajectory contract shared by the single chain and every
-/// tempering replica:
-///
-/// 1. **Draw** — all `K` candidate moves are drawn up front against the
-///    same incumbent (the move-kernel draws, in candidate order);
-/// 2. **Score** — every candidate is scored through the speculative
-///    [`IncrementalObjective::score`] path, which replays the apply-path
-///    arithmetic bit-exactly without touching the state, so rejected
-///    candidates cost no mutation, no journaling, and no undo;
-/// 3. **Select** — candidates are judged sequentially in draw order:
-///    an improving candidate is accepted outright, otherwise one uniform
-///    is drawn for the Metropolis test (lines 20-22); the first
-///    acceptance wins and only that move is applied and committed.
-///
-/// With `batch_width == 1` the step consumes the legacy RNG stream
-/// verbatim (one move proposal, then — only on the Metropolis branch —
-/// one uniform) and reproduces the historical apply/undo trajectory bit
-/// for bit. Every scored candidate counts as a proposal.
+/// Each step draws one neighbor, prices it through the speculative
+/// [`IncrementalObjective::score`] path (which replays the apply-path
+/// arithmetic bit-exactly without touching the state, so a rejected move
+/// costs no mutation, journaling or undo) and judges it: an improving
+/// move is accepted outright, otherwise one uniform is drawn for the
+/// Metropolis test (lines 20-22). Only an accepted move is applied and
+/// committed. This draw order — one move proposal, then a uniform only on
+/// the Metropolis branch — is the seeded-trajectory contract shared by
+/// the single chain and every tempering replica.
 pub(crate) fn run_epoch<R: Rng + ?Sized>(
     scenario: &Scenario,
     config: &TtsaConfig,
@@ -186,41 +161,27 @@ pub(crate) fn run_epoch<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> EpochStats {
     let mut stats = EpochStats::default();
-    let k = config.batch_width.max(1);
     for _ in 0..config.inner_iterations {
-        // Phase 1: fixed draw order, all K candidates against the same
-        // incumbent. The scratch vectors were sized for K at
-        // construction, so the pushes never allocate.
-        kernel.propose_batch(scenario, state.inc.assignment(), k, &mut state.batch, rng);
-        // Phase 2: speculative scoring — no state mutation.
-        state.scores.clear();
-        for mv in &state.batch {
-            state.scores.push(state.inc.score(mv));
-        }
-        state.proposals += k as u64;
-        // Phase 3: sequential Metropolis selection; first acceptance
-        // wins, the rest of the batch is discarded.
-        for (mv, &candidate_obj) in state.batch.iter().zip(state.scores.iter()) {
-            let delta = candidate_obj - state.current_obj;
-            if delta > 0.0 {
-                state.inc.apply(mv);
-                state.inc.commit();
-                state.current_obj = candidate_obj;
-                stats.accepted_better += 1;
-                if state.current_obj > state.best_obj {
-                    state.best.clone_from(state.inc.assignment());
-                    state.best_obj = state.current_obj;
-                }
-                break;
-            } else if (delta / temperature).exp() > rng.gen::<f64>() {
-                // Metropolis acceptance of a worsening move (line 20-22).
-                state.inc.apply(mv);
-                state.inc.commit();
-                state.current_obj = candidate_obj;
-                state.count += 1;
-                stats.accepted_worse += 1;
-                break;
+        let (mv, _) = kernel.propose_move(scenario, state.inc.assignment(), rng);
+        let candidate_obj = state.inc.score(&mv);
+        state.proposals += 1;
+        let delta = candidate_obj - state.current_obj;
+        if delta > 0.0 {
+            state.inc.apply(&mv);
+            state.inc.commit();
+            state.current_obj = candidate_obj;
+            stats.accepted_better += 1;
+            if state.current_obj > state.best_obj {
+                state.best.clone_from(state.inc.assignment());
+                state.best_obj = state.current_obj;
             }
+        } else if (delta / temperature).exp() > rng.gen::<f64>() {
+            // Metropolis acceptance of a worsening move (line 20-22).
+            state.inc.apply(&mv);
+            state.inc.commit();
+            state.current_obj = candidate_obj;
+            state.count += 1;
+            stats.accepted_worse += 1;
         }
     }
 
@@ -300,7 +261,7 @@ pub fn anneal_from<R: Rng + ?Sized>(
     // incremental delta-evaluation state: each proposal below costs
     // O(S · affected subchannels) instead of a clone plus a full O(T·S)
     // re-evaluation.
-    let mut state = ChainState::from_initial(scenario, initial, config.batch_width);
+    let mut state = ChainState::from_initial(scenario, initial);
 
     let mut epochs: u64 = 0;
     let mut trace = config.record_trace.then(SearchTrace::default);
@@ -483,40 +444,6 @@ mod tests {
         // 2 * 0.5^k <= 1e-3 → k >= log2(2000) ≈ 10.97 → 11 epochs.
         assert_eq!(out.epochs, 11);
         assert_eq!(out.proposals, 11 * 30);
-    }
-
-    #[test]
-    fn batched_widths_are_deterministic_and_count_every_candidate() {
-        let sc = scenario(5, 2, 2, 1e-10);
-        let kernel = NeighborhoodKernel::new();
-        for k in [1usize, 4, 8] {
-            let cfg = quick_config()
-                .with_cooling(Cooling::Geometric { alpha: 0.5 })
-                .with_batch_width(k);
-            let a = anneal(&sc, &cfg, &kernel, &mut StdRng::seed_from_u64(21));
-            let b = anneal(&sc, &cfg, &kernel, &mut StdRng::seed_from_u64(21));
-            assert_eq!(a.assignment, b.assignment, "k={k}");
-            assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "k={k}");
-            assert_eq!(a.proposals, b.proposals, "k={k}");
-            // Every scored candidate is a proposal: 11 geometric epochs of
-            // 30 steps, K candidates each.
-            assert_eq!(a.proposals, 11 * 30 * k as u64, "k={k}");
-            a.assignment.verify_feasible(&sc).unwrap();
-        }
-    }
-
-    #[test]
-    fn wider_batches_keep_solution_quality() {
-        // The batched walk is a different (equally valid) trajectory; on
-        // good channels it must still land on a positive-utility schedule.
-        let sc = scenario(6, 3, 2, 1e-10);
-        let kernel = NeighborhoodKernel::new();
-        for k in [4usize, 8] {
-            let cfg = quick_config().with_batch_width(k);
-            let out = anneal(&sc, &cfg, &kernel, &mut StdRng::seed_from_u64(2));
-            assert!(out.objective > 0.0, "k={k} got {}", out.objective);
-            out.assignment.verify_feasible(&sc).unwrap();
-        }
     }
 
     #[test]

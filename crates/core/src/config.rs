@@ -342,22 +342,6 @@ pub struct TtsaConfig {
     /// which the cap is reached, keeping the best solution found. `None`
     /// (the paper's setting) runs the full schedule down to `T_min`.
     pub proposal_budget: Option<u64>,
-    /// Candidate moves drawn and speculatively scored per proposal step
-    /// (the batched-Metropolis path): `K` candidates are drawn in a fixed
-    /// order against the incumbent, all `K` are scored through the
-    /// vectorized delta path without mutating the state, and selection
-    /// walks them sequentially — the first Metropolis acceptance wins.
-    /// `1` (the default) reproduces Algorithm 1's one-proposal-at-a-time
-    /// RNG stream verbatim. Each step counts `K` proposals against the
-    /// epoch's work and any anytime budget.
-    #[serde(default = "default_batch_width")]
-    pub batch_width: usize,
-}
-
-/// Serde default for [`TtsaConfig::batch_width`]: configurations written
-/// before the batched path existed deserialize to the legacy width 1.
-fn default_batch_width() -> usize {
-    1
 }
 
 impl TtsaConfig {
@@ -380,7 +364,6 @@ impl TtsaConfig {
             seed: 0,
             record_trace: false,
             proposal_budget: None,
-            batch_width: default_batch_width(),
         }
     }
 
@@ -429,13 +412,6 @@ impl TtsaConfig {
     /// Caps the total number of neighborhood proposals (anytime mode).
     pub fn with_proposal_budget(mut self, budget: u64) -> Self {
         self.proposal_budget = Some(budget);
-        self
-    }
-
-    /// Sets the speculative batch width `K` (candidates scored per
-    /// proposal step; `1` is the legacy one-at-a-time path).
-    pub fn with_batch_width(mut self, k: usize) -> Self {
-        self.batch_width = k;
         self
     }
 
@@ -497,12 +473,6 @@ impl TtsaConfig {
                 "anytime budget must allow at least one proposal",
             ));
         }
-        if self.batch_width == 0 {
-            return Err(Error::invalid(
-                "batch_width",
-                "must draw at least one candidate per step",
-            ));
-        }
         Ok(())
     }
 }
@@ -532,24 +502,8 @@ mod tests {
                 max_count_factor: 1.75,
             }
         );
-        assert_eq!(c.batch_width, 1, "the paper proposes one move at a time");
         assert!(c.validate().is_ok());
         assert_eq!(TtsaConfig::default(), c);
-    }
-
-    #[test]
-    fn batch_width_validates_and_defaults_through_serde() {
-        let base = TtsaConfig::paper_default();
-        assert!(base.with_batch_width(0).validate().is_err());
-        assert!(base.with_batch_width(8).validate().is_ok());
-        assert_eq!(base.with_batch_width(4).batch_width, 4);
-        // Configurations serialized before the field existed still load.
-        let json = serde_json::to_string(&base).unwrap();
-        let legacy_json = json.replace(",\"batch_width\":1", "");
-        assert_ne!(legacy_json, json, "field must serialize to be stripped");
-        let legacy: TtsaConfig = serde_json::from_str(&legacy_json).unwrap();
-        assert_eq!(legacy, base);
-        assert_eq!(legacy.batch_width, 1);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use moves::{MoveKind, MoveMix, NeighborhoodKernel};
 pub use power::{solve_with_power_control, PowerControlConfig, PowerControlOutcome};
 pub use shard::{
     cluster_external, halo_totals, publish_halo_delta, resolve_sharded, solve_sharded, Descent,
-    Partition, Reconcile, ShardConfig, ShardOutcome, ShardRun, ShardSolver, ShardStats,
+    Partition, ShardConfig, ShardOutcome, ShardRun, ShardSolver, ShardStats,
     DESCENT_IMPROVEMENT_FLOOR,
 };
 pub use solver::TsajsSolver;

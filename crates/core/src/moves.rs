@@ -151,30 +151,6 @@ impl NeighborhoodKernel {
         }
     }
 
-    /// Draws `k` candidate moves in a fixed order against the same
-    /// decision, replacing the contents of `out` (cleared first, so a
-    /// pre-reserved scratch vector never reallocates).
-    ///
-    /// The draw order is the batched-proposal determinism contract:
-    /// candidate `i` consumes exactly the draws [`propose_move`] would
-    /// have consumed for it, independent of what the scorer later does
-    /// with the batch, and `k == 1` is exactly one `propose_move` draw.
-    ///
-    /// [`propose_move`]: Self::propose_move
-    pub fn propose_batch<R: Rng + ?Sized>(
-        &self,
-        scenario: &Scenario,
-        current: &Assignment,
-        k: usize,
-        out: &mut Vec<MoveDesc>,
-        rng: &mut R,
-    ) {
-        out.clear();
-        for _ in 0..k {
-            out.push(self.propose_move(scenario, current, rng).0);
-        }
-    }
-
     fn pick_other_user<R: Rng + ?Sized>(
         &self,
         scenario: &Scenario,
@@ -430,26 +406,6 @@ mod tests {
             x = next;
         }
         assert!(saw_eviction, "eviction path was never exercised");
-    }
-
-    #[test]
-    fn batch_draws_match_sequential_proposals() {
-        let sc = scenario(6, 3, 2);
-        let kernel = NeighborhoodKernel::new();
-        let x = Assignment::all_local(&sc);
-        for k in [1usize, 4, 8] {
-            let mut batch_rng = StdRng::seed_from_u64(17);
-            let mut seq_rng = StdRng::seed_from_u64(17);
-            let mut batch = Vec::with_capacity(k);
-            kernel.propose_batch(&sc, &x, k, &mut batch, &mut batch_rng);
-            assert_eq!(batch.len(), k);
-            for mv in &batch {
-                let (expected, _) = kernel.propose_move(&sc, &x, &mut seq_rng);
-                assert_eq!(mv, &expected, "k={k}");
-            }
-            // Both paths left their streams at the same point.
-            assert_eq!(batch_rng.gen::<u64>(), seq_rng.gen::<u64>());
-        }
     }
 
     #[test]

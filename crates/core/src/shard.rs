@@ -17,32 +17,23 @@
 //!    in cluster order *before* any work is dispatched, and each cluster's
 //!    search depends only on its own stream, so the result is bit-identical
 //!    at any worker count.
-//! 3. **Halo reconciliation** ([`ShardRun::sweep`]) — two interchangeable
-//!    reconcilers ([`Reconcile`]):
-//!
-//!    - [`Reconcile::Pipelined`] (the default): a Jacobi-with-aging epoch.
-//!      Every cluster descends against an epoch-stamped snapshot of the
-//!      external field taken from a running per-`(subchannel, server)`
-//!      totals exchange, concurrently on the scoped worker pool. Changed
-//!      clusters publish their halo *delta* into the exchange through a
-//!      double-buffered contribution pair, in cluster index order at the
-//!      epoch barrier. **Aging** skips the visit of any cluster that is at
-//!      a local optimum (`settled`) and whose snapshot drifted less than
-//!      [`ShardConfig::stale_threshold`] since its last descent — so
-//!      steady clusters stop paying the per-visit resync + full
-//!      neighborhood re-scan long before the city converges.
-//!    - [`Reconcile::Sequential`]: the PR-9 Gauss–Seidel sweep, kept
-//!      bit-compatible — clusters are revisited sequentially in index
-//!      order against a freshly recomputed external; cluster `c+1` sees
-//!      cluster `c`'s updated schedule within the same sweep.
-//! 4. **Convergence** — sequential runs converge when a full sweep changes
-//!    no cluster's schedule. Pipelined runs additionally require a
-//!    **certification epoch**: once an epoch with skips changes nothing,
-//!    the next epoch forces every cluster to descend against its exact
-//!    current snapshot, and only a change-free certification epoch marks
-//!    the run converged. Both reconcilers therefore end at a Nash fixed
-//!    point of the decomposition (every cluster at a local optimum *given*
-//!    the others), or stop at [`ShardConfig::max_sweeps`].
+//! 3. **Halo reconciliation** ([`ShardRun::sweep`]) — a Jacobi-with-aging
+//!    epoch. Every cluster descends against an epoch-stamped snapshot of
+//!    the external field taken from a running per-`(subchannel, server)`
+//!    totals exchange, concurrently on the scoped worker pool. Changed
+//!    clusters publish their halo *delta* into the exchange through a
+//!    double-buffered contribution pair, in cluster index order at the
+//!    epoch barrier. **Aging** skips the visit of any cluster that is at a
+//!    local optimum (`settled`) and whose snapshot drifted less than
+//!    [`ShardConfig::stale_threshold`] since its last descent — so steady
+//!    clusters stop paying the per-visit resync + full neighborhood
+//!    re-scan long before the city converges.
+//! 4. **Convergence** — once an epoch with skips changes nothing, the next
+//!    epoch is a **certification epoch** that forces every cluster to
+//!    descend against its exact current snapshot, and only a change-free
+//!    certification epoch marks the run converged. The run therefore ends
+//!    at a Nash fixed point of the decomposition (every cluster at a local
+//!    optimum *given* the others), or stops at [`ShardConfig::max_sweeps`].
 //! 5. **Warm re-solves** ([`ShardRun::warm`], [`resolve_sharded`],
 //!    [`ShardSolver::resolve_from`]) — a churned population re-solve
 //!    reuses the previous outcome's [`Partition`] (server clusters are
@@ -73,12 +64,12 @@
 //! is a pure function of `(geometry, cluster_size, seed)`, per-cluster
 //! search seeds are derived in cluster order before dispatch, the worker
 //! pool pins cluster `i` to worker `i mod W` and collects into indexed
-//! slots, and the reconciliation sweeps are RNG-free. The pipelined epoch
-//! keeps the same contract: eligibility is decided by the coordinator
-//! before dispatch, every visit reads only its own cluster's state plus
-//! the epoch-frozen exchange snapshot, and all deltas are published at
-//! the barrier in cluster index order — so the worker count changes
-//! *when* a cluster is descended, never *what* it computes.
+//! slots, and the reconciliation epochs are RNG-free: eligibility is
+//! decided by the coordinator before dispatch, every visit reads only its
+//! own cluster's state plus the epoch-frozen exchange snapshot, and all
+//! deltas are published at the barrier in cluster index order — so the
+//! worker count changes *when* a cluster is descended, never *what* it
+//! computes.
 
 use crate::annealing::AnnealOutcome;
 use crate::config::{InitialTemperature, TemperingConfig, TtsaConfig, DEFAULT_REFRESH_TEMPERATURE};
@@ -93,27 +84,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// Which halo reconciler [`ShardRun::sweep`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Reconcile {
-    /// PR-9 Gauss–Seidel: clusters revisited sequentially in index order
-    /// against a freshly recomputed external field. Kept bit-compatible
-    /// as the regression baseline.
-    Sequential,
-    /// Jacobi-with-aging epochs on the scoped worker pool: concurrent
-    /// descents against epoch-stamped exchange snapshots, delta publishes
-    /// at deterministic barriers, staleness-gated visit skips, and a
-    /// mandatory change-free certification epoch before convergence.
-    Pipelined,
-}
-
-impl Default for Reconcile {
-    /// Defaults to [`Reconcile::Pipelined`].
-    fn default() -> Self {
-        Self::Pipelined
-    }
-}
-
 /// Configuration of the sharded engine.
 ///
 /// Use [`ShardConfig::paper_default`] and the `with_*` builders, mirroring
@@ -124,8 +94,8 @@ impl Default for Reconcile {
 pub struct ShardConfig {
     /// Maximum number of servers per cluster.
     pub cluster_size: usize,
-    /// Hard cap on halo-reconciliation sweeps (epochs in pipelined mode,
-    /// including the certification epoch).
+    /// Hard cap on halo-reconciliation epochs, including the certification
+    /// epoch.
     pub max_sweeps: usize,
     /// Shard seed: drives the partition rotation and every per-cluster
     /// search seed.
@@ -141,11 +111,9 @@ pub struct ShardConfig {
     /// than the floor but whose interference externality would otherwise
     /// keep two neighboring clusters trading the same user forever (a
     /// block-coordinate limit cycle — the sweep cap exists for exactly
-    /// that case). Both reconcilers honor it identically.
+    /// that case).
     pub descent_floor: f64,
-    /// Which halo reconciler to run.
-    pub reconcile: Reconcile,
-    /// Pipelined aging gate: a settled cluster skips its epoch visit while
+    /// Aging gate: a settled cluster skips its epoch visit while
     /// its external snapshot has drifted by less than this fraction of the
     /// largest halo magnitude since its last descent. The certification
     /// epoch ignores it, so the threshold trades intermediate visits, not
@@ -177,7 +145,6 @@ impl ShardConfig {
             seed: 0,
             descent_budget: 200_000,
             descent_floor: DESCENT_IMPROVEMENT_FLOOR,
-            reconcile: Reconcile::Pipelined,
             stale_threshold: 1e-3,
             warm_budget: 20_000,
             warm_halo_threshold: 0.05,
@@ -216,13 +183,7 @@ impl ShardConfig {
         self
     }
 
-    /// Selects the halo reconciler.
-    pub fn with_reconcile(mut self, reconcile: Reconcile) -> Self {
-        self.reconcile = reconcile;
-        self
-    }
-
-    /// Sets the pipelined aging (staleness) gate.
+    /// Sets the aging (staleness) gate.
     pub fn with_stale_threshold(mut self, threshold: f64) -> Self {
         self.stale_threshold = threshold;
         self
@@ -519,7 +480,7 @@ fn own_contribution_into(
 
 /// Publishes one cluster's halo delta into the exchange totals:
 /// `totals += next − previous`, entrywise, returning the largest absolute
-/// entry of the delta. This is the barrier-time half of the pipelined
+/// entry of the delta. This is the barrier-time half of the reconciler's
 /// double buffer — allocation-free, so the counting-allocator gate in
 /// `crates/core/tests/shard_alloc_free.rs` can pin the publish cycle.
 pub fn publish_halo_delta(totals: &mut [f64], previous: &[f64], next: &[f64]) -> f64 {
@@ -536,15 +497,15 @@ pub fn publish_halo_delta(totals: &mut [f64], previous: &[f64], next: &[f64]) ->
 
 /// One non-empty cluster's solving state: the subset scenario (whose
 /// `external_rx` is refreshed before every visit) and the local↔global id
-/// maps, plus the persistent per-cluster exchange state the pipelined
-/// reconciler ages between epochs.
+/// maps, plus the persistent per-cluster exchange state the reconciler
+/// ages between epochs.
 struct ClusterWork {
     /// Index into the partition's cluster list.
     index: usize,
     scenario: Scenario,
     users: Vec<UserId>,
     servers: Vec<ServerId>,
-    /// Current local schedule (the source of truth between pipelined
+    /// Current local schedule (the source of truth between reconciliation
     /// epochs; re-merged into the global decision at the barrier).
     local: Assignment,
     /// This cluster's halo contribution currently folded into the
@@ -619,9 +580,9 @@ pub struct ShardOutcome {
     /// Reconciliation sweeps (epochs) executed, excluding the cold shard
     /// solve.
     pub sweeps: usize,
-    /// Whether the run reached a fixed point (for pipelined runs,
-    /// including a change-free certification epoch), as opposed to
-    /// hitting [`ShardConfig::max_sweeps`].
+    /// Whether the run reached a fixed point (a change-free
+    /// certification epoch), as opposed to hitting
+    /// [`ShardConfig::max_sweeps`].
     pub converged: bool,
     /// Total proposals across cluster solves and descent sweeps.
     pub proposals: u64,
@@ -684,12 +645,11 @@ impl ShardOutcome {
 /// A stepping handle over a sharded solve: construction runs the parallel
 /// cold shard phase ([`ShardRun::new`]) or the warm patch-and-refresh
 /// phase ([`ShardRun::warm`]), each [`sweep`](Self::sweep) runs one
-/// reconciliation pass of the configured [`Reconcile`] mode, and
-/// [`finish`](Self::finish) re-scores the merged schedule monolithically
-/// ([`finish_fast`](Self::finish_fast) skips the resync for timing
-/// loops). [`solve_sharded`]/[`resolve_sharded`] drive it to convergence;
-/// the property suite steps it manually to audit the halos between
-/// sweeps.
+/// reconciliation epoch, and [`finish`](Self::finish) re-scores the
+/// merged schedule monolithically ([`finish_fast`](Self::finish_fast)
+/// skips the resync for timing loops). [`solve_sharded`] /
+/// [`resolve_sharded`] drive it to convergence; the property suite steps
+/// it manually to audit the halos between sweeps.
 pub struct ShardRun<'a> {
     scenario: &'a Scenario,
     config: ShardConfig,
@@ -702,8 +662,8 @@ pub struct ShardRun<'a> {
     totals: Vec<f64>,
     sweeps: usize,
     converged: bool,
-    /// Pipelined only: the next epoch is a certification epoch (every
-    /// cluster descends, no aging skips).
+    /// The next epoch is a certification epoch (every cluster descends,
+    /// no aging skips).
     certifying: bool,
     proposals: u64,
     /// Largest exchange delta of the last sweep, relative to the largest
@@ -1146,86 +1106,7 @@ impl<'a> ShardRun<'a> {
         self.last_residual
     }
 
-    /// Runs one reconciliation pass of the configured [`Reconcile`] mode.
-    /// Returns whether another pass is needed; `false` marks the run
-    /// converged.
-    ///
-    /// # Errors
-    ///
-    /// Propagates halo installation and warm-start failures (none occur
-    /// for states produced by [`ShardRun::new`] / [`ShardRun::warm`]).
-    pub fn sweep(&mut self) -> Result<bool, Error> {
-        match self.config.reconcile {
-            Reconcile::Sequential => self.sequential_sweep(),
-            Reconcile::Pipelined => self.pipelined_sweep(),
-        }
-    }
-
-    /// The PR-9 Gauss–Seidel sweep: every non-empty cluster, in index
-    /// order, gets the current cross-cluster halo freshly recomputed and
-    /// installed, then runs the deterministic first-improvement descent.
-    /// Bit-compatible with the PR-9 engine; the exchange bookkeeping on
-    /// top is observational only.
-    fn sequential_sweep(&mut self) -> Result<bool, Error> {
-        if self.converged {
-            return Ok(false);
-        }
-        let scale = halo_scale(&self.totals);
-        let mut max_delta = 0.0f64;
-        let mut changed = false;
-        for wi in 0..self.works.len() {
-            let ext = cluster_external(
-                self.scenario,
-                &self.partition,
-                self.works[wi].index,
-                &self.global,
-            );
-            let work = &mut self.works[wi];
-            install_external(work, &ext, self.scenario.num_servers())?;
-            let local = local_assignment(work, &self.global)?;
-            let mut inc = IncrementalObjective::new(&work.scenario, local)?;
-            let outcome = descent(
-                &mut inc,
-                self.config.descent_budget,
-                self.config.descent_floor,
-            );
-            self.proposals += outcome.spent;
-            work.last_obj = inc.current();
-            work.settled = !outcome.exhausted;
-            if outcome.changed {
-                changed = true;
-                work.local = inc.into_assignment();
-                for &u in &work.users {
-                    self.global.release(u);
-                }
-                for (ul, sl, j) in work.local.offloaded() {
-                    self.global
-                        .assign(work.users[ul.index()], work.servers[sl.index()], j)
-                        .expect("cluster servers are disjoint");
-                }
-                own_contribution_into(
-                    self.scenario,
-                    &work.users,
-                    &work.local,
-                    &mut work.contrib_next,
-                );
-                max_delta = max_delta.max(publish_halo_delta(
-                    &mut self.totals,
-                    &work.contrib,
-                    &work.contrib_next,
-                ));
-                std::mem::swap(&mut work.contrib, &mut work.contrib_next);
-            }
-        }
-        self.sweeps += 1;
-        self.last_residual = max_delta / scale;
-        if !changed {
-            self.converged = true;
-        }
-        Ok(changed)
-    }
-
-    /// One pipelined Jacobi-with-aging epoch:
+    /// Runs one pipelined Jacobi-with-aging reconciliation epoch:
     ///
     /// 1. **Snapshot** (coordinator) — every cluster's external is read
     ///    off the exchange (`totals − own contribution`, clamped at 0
@@ -1242,10 +1123,17 @@ impl<'a> ShardRun<'a> {
     ///    contribution delta into the exchange via the double buffer.
     ///
     /// Convergence requires a change-free **certification epoch** (no
-    /// aging skips): epochs that skipped anyone only schedule one, so
-    /// the fixed point the sequential mode guarantees is certified, not
-    /// assumed.
-    fn pipelined_sweep(&mut self) -> Result<bool, Error> {
+    /// aging skips): epochs that skipped anyone only schedule one, so the
+    /// fixed point is certified, not assumed.
+    ///
+    /// Returns whether another epoch is needed; `false` marks the run
+    /// converged.
+    ///
+    /// # Errors
+    ///
+    /// Propagates halo installation failures (none occur for states
+    /// produced by [`ShardRun::new`] / [`ShardRun::warm`]).
+    pub fn sweep(&mut self) -> Result<bool, Error> {
         if self.converged {
             return Ok(false);
         }
@@ -1566,7 +1454,7 @@ fn install_snapshot(work: &mut ClusterWork) -> Result<(), Error> {
     work.scenario.set_external_rx(Some(buf))
 }
 
-/// One pipelined epoch visit: install the frozen snapshot, descend, and
+/// One epoch visit: install the frozen snapshot, descend, and
 /// stage the results (`changed`/`spent`/`settled`/`last_obj`, the
 /// refreshed contribution, the aging reference) for the barrier. Reads
 /// nothing outside its own cluster's state, which is what makes the
@@ -1633,7 +1521,7 @@ pub struct Descent {
     /// Proposals spent.
     pub spent: u64,
     /// Whether the budget ran out before a full improvement-free pass —
-    /// i.e. the state may *not* be a local optimum. The pipelined aging
+    /// i.e. the state may *not* be a local optimum. The reconciler's aging
     /// gate only ever skips clusters that ended unexhausted (`settled`).
     pub exhausted: bool,
 }
@@ -2125,32 +2013,24 @@ mod tests {
     }
 
     #[test]
-    fn both_reconcilers_converge_and_pass_the_audit() {
+    fn reconciliation_converges_and_passes_the_audit() {
         let sc = scenario(12, 4, 2);
-        for mode in [Reconcile::Sequential, Reconcile::Pipelined] {
-            let out = solve_sharded(&sc, &quick_config().with_reconcile(mode), 1).unwrap();
-            out.assignment.verify_feasible(&sc).unwrap();
-            assert!(out.converged, "{mode:?} must reach a fixed point");
-            assert!(out.objective > 0.0);
-            assert!(
-                out.halo_residual <= 1e-9,
-                "{mode:?} residual {}",
-                out.halo_residual
-            );
-            assert_eq!(
-                out.sweep_residual, 0.0,
-                "{mode:?}: the last sweep of a converged run publishes no delta"
-            );
-        }
+        let out = solve_sharded(&sc, &quick_config(), 1).unwrap();
+        out.assignment.verify_feasible(&sc).unwrap();
+        assert!(out.converged, "must reach a fixed point");
+        assert!(out.objective > 0.0);
+        assert!(out.halo_residual <= 1e-9, "residual {}", out.halo_residual);
+        assert_eq!(
+            out.sweep_residual, 0.0,
+            "the last sweep of a converged run publishes no delta"
+        );
     }
 
     #[test]
     fn pipelined_is_bit_identical_across_worker_counts() {
         let sc = scenario(14, 6, 2);
         for seed in [11u64, 23, 47] {
-            let cfg = quick_config()
-                .with_seed(seed)
-                .with_reconcile(Reconcile::Pipelined);
+            let cfg = quick_config().with_seed(seed);
             let base = solve_sharded(&sc, &cfg, 1).unwrap();
             for workers in [2usize, 8] {
                 let other = solve_sharded(&sc, &cfg, workers).unwrap();
@@ -2165,19 +2045,17 @@ mod tests {
     #[test]
     fn warm_from_empty_previous_is_bit_identical_to_cold() {
         let sc = scenario(12, 4, 2);
-        for mode in [Reconcile::Sequential, Reconcile::Pipelined] {
-            let cfg = quick_config().with_seed(23).with_reconcile(mode);
-            let cold = solve_sharded(&sc, &cfg, 2).unwrap();
-            let empty = ShardOutcome::empty(&sc, &cfg).unwrap();
-            let map = vec![None; sc.num_users()];
-            let warm = resolve_sharded(&sc, &cfg, 2, &empty, &map).unwrap();
-            assert_eq!(cold.assignment, warm.assignment, "{mode:?}");
-            assert_eq!(cold.objective.to_bits(), warm.objective.to_bits());
-            assert_eq!(cold.proposals, warm.proposals);
-            assert_eq!(cold.sweeps, warm.sweeps);
-            assert_eq!(warm.reused_clusters, 0);
-            assert_eq!(warm.resolved_clusters, cold.resolved_clusters);
-        }
+        let cfg = quick_config().with_seed(23);
+        let cold = solve_sharded(&sc, &cfg, 2).unwrap();
+        let empty = ShardOutcome::empty(&sc, &cfg).unwrap();
+        let map = vec![None; sc.num_users()];
+        let warm = resolve_sharded(&sc, &cfg, 2, &empty, &map).unwrap();
+        assert_eq!(cold.assignment, warm.assignment);
+        assert_eq!(cold.objective.to_bits(), warm.objective.to_bits());
+        assert_eq!(cold.proposals, warm.proposals);
+        assert_eq!(cold.sweeps, warm.sweeps);
+        assert_eq!(warm.reused_clusters, 0);
+        assert_eq!(warm.resolved_clusters, cold.resolved_clusters);
     }
 
     #[test]

@@ -307,7 +307,7 @@ fn run<'a, R: Rng + ?Sized>(
                 None => initial_solution(scenario, base.initial_solution, &mut rung_rng),
             };
             Some(Replica {
-                state: ChainState::from_initial(scenario, initial, base.batch_width),
+                state: ChainState::from_initial(scenario, initial),
                 rng: rung_rng,
                 temperature: t0 / tcfg.ladder_ratio.powi((k - 1 - i) as i32),
                 round_stats: EpochStats::default(),

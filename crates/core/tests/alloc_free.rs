@@ -1,9 +1,13 @@
-//! Heap-allocation regression gate for the search hot loop.
+//! Heap-allocation regression gate for the search hot loops.
 //!
-//! The propose → apply → commit/undo cycle is what TTSA and the
-//! tempering engine execute tens of thousands of times per solve, so a
-//! single stray allocation per proposal dominates the wall-clock budget.
-//! This test installs a counting global allocator, warms the loop up
+//! Two cycles run tens of thousands of times per solve, so a single
+//! stray allocation per proposal dominates the wall-clock budget:
+//!
+//! - propose → apply → commit/undo, the evaluator's mutation path;
+//! - propose → `score` → apply + commit on accept, the step that the TTSA
+//!   chain and every tempering replica run.
+//!
+//! This test installs a counting global allocator, warms each loop up
 //! until every scratch buffer has reached its steady-state capacity,
 //! then asserts that 10 000 further proposals allocate nothing at all.
 //!
@@ -85,6 +89,27 @@ fn step(
     }
 }
 
+/// One solver step, shaped exactly like the TTSA epoch body: draw a
+/// move, price it without mutating the state, and apply + commit it only
+/// when it improves or passes the Metropolis test at a fixed
+/// temperature.
+fn solver_step(
+    scenario: &Scenario,
+    kernel: &NeighborhoodKernel,
+    inc: &mut IncrementalObjective<'_>,
+    current_obj: &mut f64,
+    rng: &mut StdRng,
+) {
+    let (mv, _) = kernel.propose_move(scenario, inc.assignment(), rng);
+    let candidate = inc.score(&mv);
+    let delta = candidate - *current_obj;
+    if delta > 0.0 || (delta * 2.0).exp() > rng.gen::<f64>() {
+        inc.apply(&mv);
+        inc.commit();
+        *current_obj = candidate;
+    }
+}
+
 #[test]
 fn the_hot_loop_performs_zero_heap_allocations() {
     let scenario = scenario(12, 3, 4);
@@ -124,5 +149,26 @@ fn the_hot_loop_performs_zero_heap_allocations() {
         delta, 0,
         "the propose/apply/commit-or-undo loop heap-allocated {delta} \
          times over 10000 proposals; the hot loop must be allocation-free"
+    );
+
+    // The solver step on a fresh walk: warm up the pending-move
+    // machinery, then count.
+    let mut rng = StdRng::seed_from_u64(11);
+    let initial = mec_system::Assignment::all_local(&scenario);
+    let mut inc = IncrementalObjective::new(&scenario, initial).unwrap();
+    let mut current_obj = inc.current();
+    for _ in 0..2_000 {
+        solver_step(&scenario, &kernel, &mut inc, &mut current_obj, &mut rng);
+    }
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..10_000 {
+        solver_step(&scenario, &kernel, &mut inc, &mut current_obj, &mut rng);
+    }
+    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        delta, 0,
+        "the propose/score/accept loop heap-allocated {delta} times over \
+         10000 proposals; the solver step must be allocation-free"
     );
 }

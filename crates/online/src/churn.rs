@@ -3,8 +3,8 @@
 //! The engine does not care *how* churn events are produced — it drains
 //! whatever the configured [`ChurnProcess`] yields, in time order. The
 //! stock implementation replays a precomputed
-//! [`ChurnTrace`](mec_workloads::ChurnTrace) (typically from
-//! [`PoissonChurn`](mec_workloads::PoissonChurn)); custom processes
+//! [`mec_workloads::ChurnTrace`] (typically from
+//! [`mec_workloads::PoissonChurn`]); custom processes
 //! (deterministic schedules, trace files, diurnal rates) just implement
 //! the trait.
 
@@ -73,7 +73,7 @@ impl ChurnProcess for TraceChurn {
 /// every later inter-arrival gap is drawn at the new rate (the pending
 /// gap is rescaled proportionally). Departures are exponential sojourns
 /// scheduled at each arrival, exactly like
-/// [`PoissonChurn`](mec_workloads::PoissonChurn).
+/// [`mec_workloads::PoissonChurn`].
 ///
 /// Runs are deterministic functions of `(parameters, seed, the times at
 /// which `scale_rate` is called)` — the engine calls it at epoch

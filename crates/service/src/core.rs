@@ -23,9 +23,9 @@
 //!    rest — this is the admission-control half of `GreedyAdmit`),
 //! 2. let the [`TierController`] pick a quality tier from backlog depth
 //!    and batch age,
-//! 3. rebuild the [`Scenario`] at the survivors' positions with a
-//!    per-batch shadowing seed and *patch* the previous assignment onto
-//!    the new population ([`Assignment::patched`]),
+//! 3. rebuild the [`Scenario`](mec_system::Scenario) at the survivors'
+//!    positions with a per-batch shadowing seed and *patch* the previous
+//!    assignment onto the new population ([`Assignment::patched`]),
 //! 4. re-solve at the tier's budget — warm tempered ladder, reduced warm
 //!    anneal, greedy admission with no solve at all, or (when a
 //!    full-quality batch covers a city-scale population) the sharded

@@ -1,8 +1,9 @@
 //! Incremental (delta) evaluation of `J*(X)` for search hot loops.
 //!
-//! [`Evaluator::objective_with`] recomputes the whole objective from
-//! scratch: `O(T·S)` for the received-power totals plus `O(T)` for the
-//! cost sums, for every candidate. But a neighborhood move touches at
+//! [`Evaluator::objective_with`](crate::Evaluator::objective_with)
+//! recomputes the whole objective from scratch: `O(T·S)` for the
+//! received-power totals plus `O(T)` for the cost sums, for every
+//! candidate. But a neighborhood move touches at
 //! most four `(server, subchannel)` slots, and `J*(X)` decomposes into
 //! sums whose terms depend only on local state:
 //!
@@ -42,7 +43,7 @@
 //! bit-identical to `apply` + [`current`](IncrementalObjective::current).
 //! Search loops score first and only `apply`+`commit` accepted moves, so
 //! a rejected proposal costs pure arithmetic: no assignment mutation, no
-//! journaling, no undo. This is the batched-proposal fast path of the
+//! journaling, no undo. This is the proposal fast path of the
 //! TTSA/tempering/local-search/hJTORA engines. The commonest shape, a
 //! local user taking a slot (evicting its occupant), touches one server
 //! and one subchannel; it is priced by one straight-line recipe, which
@@ -907,8 +908,8 @@ impl IncrementalObjective<'_> {
     /// log. Any pending uncommitted move is committed first, exactly as
     /// `apply` would.
     ///
-    /// This is the batched-proposal fast path: search loops score K
-    /// candidates (pure arithmetic — no journaling, no assignment writes,
+    /// This is the proposal fast path: search loops score each
+    /// candidate (pure arithmetic — no journaling, no assignment writes,
     /// no undo) and only `apply` + [`commit`](Self::commit) an accepted
     /// one. The replay performs the same floating-point operations in the
     /// same order as `apply`: per-op benefit/Λ updates and Γ retirements

@@ -8,11 +8,9 @@ use serde::{Deserialize, Serialize};
 /// Historically a closed `Quick`/`Full` enum; now an open effort record so
 /// scenario specs and CLI flags can define their own levels. The old
 /// variant syntax keeps compiling through the [`Preset::Quick`] /
-/// [`Preset::Full`] associated constants, and the old accessor methods
-/// remain as deprecated shims over the now-public fields. Named presets
-/// also point at their corpus spec under `scenarios/`, so
-/// `--preset quick` and `--scenario scenarios/preset_quick.toml` describe
-/// the same run.
+/// [`Preset::Full`] associated constants. Named presets also point at
+/// their corpus spec under `scenarios/`, so `--preset quick` and
+/// `--scenario scenarios/preset_quick.toml` describe the same run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Preset {
     /// Stable lookup name (`"quick"`, `"full"`, or `"custom"`).
@@ -74,18 +72,6 @@ impl Preset {
             "full" => Some("scenarios/preset_full.toml"),
             _ => None,
         }
-    }
-
-    /// Number of Monte-Carlo trials per configuration.
-    #[deprecated(note = "read the `trials` field directly")]
-    pub fn trials(self) -> usize {
-        self.trials
-    }
-
-    /// TTSA termination temperature (`T_min`).
-    #[deprecated(note = "read the `ttsa_min_temperature` field directly")]
-    pub fn ttsa_min_temperature(self) -> f64 {
-        self.ttsa_min_temperature
     }
 }
 

@@ -8,15 +8,8 @@
 //! If one of these fails after an *intentional* model change, update the
 //! constants — and say so in the changelog, because `BENCH_shard.json`
 //! and the EXPERIMENTS.md shard table shift with them.
-//!
-//! Changelog: with the pipelined Jacobi-with-aging reconciler landing as
-//! the default (`Reconcile::Pipelined`), the original Gauss–Seidel pins
-//! are kept verbatim under an explicit `.with_reconcile(Sequential)` and
-//! a second pin set covers the pipelined default. The U = 10 000 run is
-//! bit-identical under both reconcilers (the proposal-budgeted cold
-//! solves converge before sweep order matters), so that pin is unchanged.
 
-use tsajs::{Reconcile, TemperingConfig};
+use tsajs::TemperingConfig;
 use tsajs_mec::prelude::*;
 
 const TOL: f64 = 1e-9;
@@ -31,58 +24,46 @@ fn quick_shard(seed: u64) -> ShardConfig {
 /// End-to-end pins for the sharded solver on three independent seeds at
 /// U = 90 (the paper's dense regime, 3 clusters of 3 servers): covers
 /// the partition rotation, each cluster's tempered stream, the halo
-/// reconciliation sweeps in both modes, and the monolithic re-score.
+/// reconciliation epochs, and the monolithic re-score.
 #[test]
 fn shard_seeded_runs_are_pinned() {
-    // (seed, sequential utility, pipelined utility, offloaded) — the
-    // offload count happens to agree between modes on all three seeds.
+    // (seed, utility, offloaded)
     #[allow(clippy::excessive_precision)]
-    let pins: [(u64, f64, f64, usize); 3] = [
-        (11, 19.491_944_321_857_239_69, 19.502_865_325_773_498_74, 26),
-        (23, 15.731_608_454_524_694_81, 15.724_348_432_938_290_54, 22),
-        (47, 18.796_525_103_210_719_01, 18.795_061_863_959_809_05, 26),
+    let pins: [(u64, f64, usize); 3] = [
+        (11, 19.502_865_325_773_498_74, 26),
+        (23, 15.724_348_432_938_290_54, 22),
+        (47, 18.795_061_863_959_809_05, 26),
     ];
-    for (seed, sequential, pipelined, offloaded) in pins {
-        for (mode, expected) in [
-            (Reconcile::Sequential, sequential),
-            (Reconcile::Pipelined, pipelined),
-        ] {
-            run_pin(seed, mode, expected, offloaded);
-        }
-    }
-}
-
-fn run_pin(seed: u64, mode: Reconcile, expected: f64, offloaded: usize) {
-    {
+    for (seed, expected, offloaded) in pins {
         let params = ExperimentParams::paper_default()
             .with_users(90)
             .with_workload(Cycles::from_mega(2000.0));
         let sc = ScenarioGenerator::new(params).generate(seed).unwrap();
-        let mut solver = ShardSolver::new(quick_shard(seed).with_reconcile(mode));
+        let mut solver = ShardSolver::new(quick_shard(seed));
         let solution = solver.solve(&sc).unwrap();
         assert!(
             (solution.utility - expected).abs() < TOL,
-            "shard seed {seed} ({mode:?}) moved: {} (expected {expected})",
+            "shard seed {seed} moved: {} (expected {expected})",
             solution.utility
         );
         assert_eq!(
             solution.assignment.num_offloaded(),
             offloaded,
-            "shard seed {seed} ({mode:?}) offload count moved"
+            "shard seed {seed} offload count moved"
         );
         solution.assignment.verify_feasible(&sc).unwrap();
         let stats = solver.last_stats().expect("stats recorded");
         assert_eq!(stats.clusters, 3, "seed {seed} cluster count moved");
         assert!(
             stats.halo_residual <= TOL,
-            "seed {seed} ({mode:?}) halo accounting broke: {}",
+            "seed {seed} halo accounting broke: {}",
             stats.halo_residual
         );
         // The reported utility is the monolithic resync, bit for bit.
         let recomputed = Evaluator::new(&sc).objective(&solution.assignment);
         assert!(
             (solution.utility - recomputed).abs() <= TOL * recomputed.abs().max(1.0),
-            "seed {seed} ({mode:?}): reported {} vs monolithic {recomputed}",
+            "seed {seed}: reported {} vs monolithic {recomputed}",
             solution.utility
         );
     }
