@@ -77,7 +77,10 @@ struct Metrics {
     pr1_incremental_delta: f64,
     incremental_delta: f64,
     score_path: f64,
+    bound_path: f64,
     solver_step: f64,
+    /// Share of the timed solver steps that the bound settled unpriced.
+    settled_share: f64,
     aos_scalar: f64,
     soa_scalar: f64,
     soa_chunked: f64,
@@ -93,7 +96,9 @@ fn measure(scenario: &Scenario, reps: u32, iters: u64) -> Metrics {
         pr1_incremental_delta: inf,
         incremental_delta: inf,
         score_path: inf,
+        bound_path: inf,
         solver_step: inf,
+        settled_share: 0.0,
         aos_scalar: inf,
         soa_scalar: inf,
         soa_chunked: inf,
@@ -113,6 +118,9 @@ fn measure(scenario: &Scenario, reps: u32, iters: u64) -> Metrics {
     let mut rng_delta = StdRng::seed_from_u64(7);
     let mut inc_score = IncrementalObjective::new(scenario, x.clone()).expect("feasible");
     let mut rng_score = StdRng::seed_from_u64(7);
+    let mut inc_bound = IncrementalObjective::new(scenario, x.clone()).expect("feasible");
+    let mut rng_bound = StdRng::seed_from_u64(7);
+    let (mut steps, mut settled) = (0u64, 0u64);
     let mut inc_step = IncrementalObjective::new(scenario, x.clone()).expect("feasible");
     let mut current_step = inc_step.current();
     let mut rng_step = StdRng::seed_from_u64(7);
@@ -200,15 +208,32 @@ fn measure(scenario: &Scenario, reps: u32, iters: u64) -> Metrics {
             black_box(inc_score.score(&mv));
         }));
 
-        // The solver's full step: propose, score, and apply + commit
-        // only an accepted move, so the walk advances like the real
-        // annealing loop. The Metropolis factor is fixed so the accept
-        // rate stays representative rather than temperature-swept.
+        // A proposal the bound settles: propose, then bound the move's
+        // objective change without a single `log2` Γ refresh.
+        m.bound_path = m.bound_path.min(time_ns(iters, || {
+            let (mv, _) = kernel.propose_move(scenario, inc_bound.assignment(), &mut rng_bound);
+            black_box(inc_bound.bound(&mv));
+        }));
+
+        // The solver's full gated step: propose and bound; a move that
+        // cannot improve draws its Metropolis uniform at once and is
+        // rejected unpriced when the bound already loses to it; any
+        // other move is scored, and only an accepted move is applied +
+        // committed, so the walk advances like the real annealing loop.
+        // The Metropolis factor is fixed so the accept rate stays
+        // representative rather than temperature-swept.
         m.solver_step = m.solver_step.min(time_ns(iters, || {
             let (mv, _) = kernel.propose_move(scenario, inc_step.assignment(), &mut rng_step);
+            steps += 1;
+            let bound = inc_step.bound(&mv);
+            let uniform = (bound < 0.0).then(|| rng_step.gen::<f64>());
+            if uniform.is_some_and(|r| r > 0.0 && (bound * 2.0).exp() * (1.0 + 1e-12) <= r) {
+                settled += 1;
+                return;
+            }
             let candidate = inc_step.score(&mv);
             let delta = candidate - current_step;
-            if delta > 0.0 || (delta * 2.0).exp() > rng_step.gen::<f64>() {
+            if delta > 0.0 || (delta * 2.0).exp() > uniform.unwrap_or_else(|| rng_step.gen()) {
                 inc_step.apply(&mv);
                 inc_step.commit();
                 current_step = candidate;
@@ -267,6 +292,7 @@ fn measure(scenario: &Scenario, reps: u32, iters: u64) -> Metrics {
         );
     }
 
+    m.settled_share = settled as f64 / steps as f64;
     m
 }
 
@@ -314,7 +340,9 @@ fn main() {
     let pr1_incremental = agg(|m| m.pr1_incremental_delta);
     let incremental = agg(|m| m.incremental_delta);
     let score = agg(|m| m.score_path);
+    let bound_path = agg(|m| m.bound_path);
     let solver_step = agg(|m| m.solver_step);
+    let settled_share = agg(|m| m.settled_share);
     let aos = agg(|m| m.aos_scalar);
     let soa = agg(|m| m.soa_scalar);
     let chunked = agg(|m| m.soa_chunked);
@@ -329,10 +357,15 @@ fn main() {
         ("pr1_incremental_delta", pr1_incremental),
         ("incremental_delta", incremental),
         ("score_path", score),
+        ("bound_path", bound_path),
         ("solver_step", solver_step),
     ] {
         println!("{name:<22} {ns:>12.1}");
     }
+    println!(
+        "solver_step: the bound settled {:.1} % of the proposals unpriced",
+        100.0 * settled_share
+    );
 
     println!("\nlayout ablation (Γ row-op, ns per user-row of S servers):");
     println!("{:<22} {:>12}", "layout", "ns/row");
@@ -373,7 +406,9 @@ fn main() {
          \"cloning_proposal\": {cloning},\n    \
          \"pr1_incremental_delta\": {pr1_incremental},\n    \
          \"incremental_delta\": {incremental},\n    \
-         \"score_path\": {score},\n    \"solver_step\": {solver_step}\n  }},\n  \
+         \"score_path\": {score},\n    \"bound_path\": {bound_path},\n    \
+         \"solver_step\": {solver_step}\n  }},\n  \
+         \"solver_step_settled_share\": {settled_share},\n  \
          \"layout_ns_per_row\": {{\n    \"aos_scalar\": {aos},\n    \
          \"soa_scalar\": {soa},\n    \"soa_chunked\": {chunked}\n  }},\n  \
          \"pr1_recorded_baseline_ns\": {PR1_RECORDED_NS},\n  \

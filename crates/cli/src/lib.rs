@@ -2395,7 +2395,7 @@ mod tests {
         let value: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(value["passed"], serde_json::Value::Bool(true));
         assert_eq!(value["seeds"].as_u64(), Some(2));
-        assert_eq!(value["invariants"].as_array().unwrap().len(), 12);
+        assert_eq!(value["invariants"].as_array().unwrap().len(), 13);
         // The --out file carries the same report.
         let file = std::fs::read_to_string(&report_path).unwrap();
         assert_eq!(text.trim_end(), file);

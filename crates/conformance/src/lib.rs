@@ -140,6 +140,7 @@ pub fn run_conformance(config: &ConformanceConfig) -> VerdictReport {
     let mut kkt = InvariantVerdict::new("kkt_allocation_eq22");
     let mut bounds = InvariantVerdict::new("user_benefit_bounds_eq10");
     let mut incremental = InvariantVerdict::new("incremental_vs_resync");
+    let mut move_bound = InvariantVerdict::new("move_bound_dominance");
     let mut order = InvariantVerdict::new("solver_partial_order");
     let mut threads = InvariantVerdict::new("tempering_thread_independence");
     let mut shard = InvariantVerdict::new("shard_equivalence");
@@ -163,6 +164,10 @@ pub fn run_conformance(config: &ConformanceConfig) -> VerdictReport {
         incremental.record(
             seed,
             oracle.check_incremental_walk(&scenario, seed, config.moves_per_walk),
+        );
+        move_bound.record(
+            seed,
+            oracle.check_move_bound(&scenario, seed, config.moves_per_walk),
         );
         if i % config.differential_stride.max(1) == 0 {
             order.record(
@@ -226,6 +231,7 @@ pub fn run_conformance(config: &ConformanceConfig) -> VerdictReport {
             kkt,
             bounds,
             incremental,
+            move_bound,
             order,
             threads,
             shard,
@@ -278,6 +284,6 @@ mod tests {
         let report = run_conformance(&ConformanceConfig::smoke().with_seeds(2).with_base_seed(7));
         assert_eq!(report.seeds, 2);
         assert_eq!(report.base_seed, 7);
-        assert_eq!(report.invariants.len(), 12);
+        assert_eq!(report.invariants.len(), 13);
     }
 }

@@ -17,13 +17,21 @@
 //!   sequences, [`IncrementalObjective`] must agree with a fresh
 //!   [`Evaluator`] to within the configured tolerance, and undo must be
 //!   bit-exact.
+//! * **Move-bound dominance** — the log2-free bound the search loops
+//!   gate pricing on ([`IncrementalObjective::bound`]) never falls below
+//!   the exact change a move prices at (Eqs. 3, 23, 24), so the gate can
+//!   only ever skip rejections.
 
 use crate::fuzz;
+use mec_radio::ChannelGains;
 use mec_system::{
-    kkt_allocation, optimal_lambda_cost, Assignment, Evaluator, IncrementalObjective, Scenario,
+    kkt_allocation, optimal_lambda_cost, Assignment, Evaluator, IncrementalObjective, MoveDesc,
+    Scenario,
 };
+use mec_types::{ServerId, SubchannelId, UserId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tsajs::shard::{descent, DESCENT_IMPROVEMENT_FLOOR};
 
 /// The oracle's tolerance knob. All residuals are relative (normalized
 /// by the magnitude of the quantity under test, floored at 1).
@@ -308,6 +316,155 @@ impl Oracle {
             ));
         }
         Ok(worst)
+    }
+
+    /// Soundness of the move bound the search loops gate pricing on. On
+    /// the scenario — with a random halo (`external_rx`) installed on
+    /// even seeds, as a shard cluster sees one — a walk of `moves`
+    /// [`fuzz::random_move`] moves, then one full scan of the shard
+    /// descent's neighborhood (every release, every slot take, every swap
+    /// of two occupied slots), must price no move above its
+    /// [`IncrementalObjective::bound`] (slot takes through
+    /// [`IncrementalObjective::bound_take`]). The gated [`descent`] then
+    /// runs from that state: it must not lose objective and must count
+    /// its bound-settled candidates within its spent budget. Finally the
+    /// state with one user's links cut (a non-finite state) must bound
+    /// every move at `+∞`.
+    ///
+    /// The bound carries its own rounding slack, so there is no
+    /// tolerance: a passing check reports a zero residual.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first move priced above its bound.
+    pub fn check_move_bound(
+        &self,
+        scenario: &Scenario,
+        seed: u64,
+        moves: usize,
+    ) -> Result<f64, String> {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xb0_0d);
+        let mut scenario = scenario.clone();
+        if seed.is_multiple_of(2) {
+            let ext = (0..scenario.num_subchannels() * scenario.num_servers())
+                .map(|_| 10.0_f64.powf(rng.gen_range(-14.0..-10.0)))
+                .collect();
+            scenario
+                .set_external_rx(Some(ext))
+                .map_err(|e| format!("halo rejected: {e}"))?;
+        }
+        let start = fuzz::assignment(&scenario, 0.7, seed ^ 0x9e37_79b9_7f4a_7c15);
+        let mut inc = IncrementalObjective::new(&scenario, start)
+            .map_err(|e| format!("incremental state rejected a feasible start: {e}"))?;
+        for step in 0..moves {
+            let mv = fuzz::random_move(inc.assignment(), &scenario, &mut rng);
+            bound_dominates(&mut inc, &mv).map_err(|e| format!("walk step {step}: {e}"))?;
+            let _ = inc.apply(&mv);
+            inc.commit();
+        }
+
+        let n = scenario.num_subchannels();
+        let slots: Vec<(ServerId, SubchannelId)> = scenario
+            .server_ids()
+            .flat_map(|s| SubchannelId::all(n).map(move |j| (s, j)))
+            .collect();
+        for u in scenario.user_ids() {
+            let from = inc.assignment().slot(u);
+            if from.is_some() {
+                let release = MoveDesc::relocate(inc.assignment(), u, None);
+                bound_dominates(&mut inc, &release).map_err(|e| format!("scan: {e}"))?;
+            }
+            for &(s, j) in slots.iter().filter(|&&slot| from != Some(slot)) {
+                let delta = inc.score_take(u, s, j) - inc.current();
+                let bound = inc.bound_take(u, s, j);
+                if bound < delta {
+                    return Err(format!(
+                        "scan: {u} taking ({s}, {j}) prices at {delta:e}, above its bound {bound:e}"
+                    ));
+                }
+            }
+        }
+        for (p, &(s1, j1)) in slots.iter().enumerate() {
+            for &(s2, j2) in &slots[p + 1..] {
+                let occupants = (
+                    inc.assignment().occupant(s1, j1),
+                    inc.assignment().occupant(s2, j2),
+                );
+                if let (Some(a), Some(b)) = occupants {
+                    let swap = MoveDesc::swap(inc.assignment(), a, b);
+                    bound_dominates(&mut inc, &swap).map_err(|e| format!("scan: {e}"))?;
+                }
+            }
+        }
+        let before = inc.current();
+        let outcome = descent(&mut inc, 100_000, DESCENT_IMPROVEMENT_FLOOR);
+        if inc.current() < before || outcome.bounded > outcome.spent {
+            return Err(format!(
+                "gated descent went from {before} to {} with {} of {} candidates settled",
+                inc.current(),
+                outcome.bounded,
+                outcome.spent
+            ));
+        }
+
+        // Cut user 0's links and offload it: its Γ term is non-finite, so
+        // the objective is −∞ and every move must bound at +∞.
+        let dead = ChannelGains::from_fn(
+            scenario.num_users(),
+            scenario.num_servers(),
+            n,
+            |u, s, j| {
+                if u.index() == 0 {
+                    0.0
+                } else {
+                    scenario.gains().gain(u, s, j)
+                }
+            },
+        )
+        .and_then(|gains| {
+            Scenario::new(
+                scenario.users().to_vec(),
+                scenario.servers().to_vec(),
+                *scenario.ofdma(),
+                gains,
+                scenario.noise(),
+            )
+        })
+        .map_err(|e| format!("cut-link scenario rejected: {e}"))?;
+        let mut x = inc.assignment().clone();
+        if !x.is_offloaded(UserId::new(0)) {
+            let (s, j) = slots[0];
+            x.assign_evicting(UserId::new(0), s, j)
+                .map_err(|e| format!("offloading the cut user failed: {e}"))?;
+        }
+        let mut cut = IncrementalObjective::new(&dead, x)
+            .map_err(|e| format!("incremental state rejected the cut-link start: {e}"))?;
+        if cut.current() != f64::NEG_INFINITY {
+            return Err(format!("cut-link state scores {}, not −∞", cut.current()));
+        }
+        for _ in 0..moves.min(16) {
+            let mv = fuzz::random_move(cut.assignment(), &dead, &mut rng);
+            let bound = cut.bound(&mv);
+            if bound != f64::INFINITY {
+                return Err(format!("non-finite state bounds {mv:?} at {bound}, not +∞"));
+            }
+        }
+        Ok(0.0)
+    }
+}
+
+/// Checks `bound(mv) ≥ score(mv) − current()` on a finite state (the
+/// fuzzed scenarios have no dead links, so every walked state is
+/// finite).
+fn bound_dominates(inc: &mut IncrementalObjective<'_>, mv: &MoveDesc) -> Result<(), String> {
+    let delta = inc.score(mv) - inc.current();
+    let bound = inc.bound(mv);
+    if bound >= delta {
+        Ok(())
+    } else {
+        Err(format!(
+            "{mv:?} prices at {delta:e}, above its bound {bound:e}"
+        ))
     }
 }
 

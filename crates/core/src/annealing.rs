@@ -137,21 +137,34 @@ impl<'a> ChainState<'a> {
 pub(crate) struct EpochStats {
     pub(crate) accepted_worse: u32,
     pub(crate) accepted_better: u32,
+    /// Proposals the bound ruled out without pricing them.
+    pub(crate) bounded: u32,
 }
+
+/// Relative margin on `exp(b/T)` in the bound gate of [`run_epoch`]: it
+/// absorbs the rounding of `b/T` and of `exp`, so `exp(b/T)·(1 + margin)`
+/// dominates the `exp(ΔJ/T)` of any move whose change is at most `b`.
+const EXP_MARGIN: f64 = 1e-12;
 
 /// Runs one temperature epoch (Algorithm 1, lines 9-25):
 /// `config.inner_iterations` proposal steps at `temperature`, followed by
 /// the epoch-boundary drift-control resync.
 ///
-/// Each step draws one neighbor, prices it through the speculative
-/// [`IncrementalObjective::score`] path (which replays the apply-path
-/// arithmetic bit-exactly without touching the state, so a rejected move
-/// costs no mutation, journaling or undo) and judges it: an improving
-/// move is accepted outright, otherwise one uniform is drawn for the
-/// Metropolis test (lines 20-22). Only an accepted move is applied and
-/// committed. This draw order — one move proposal, then a uniform only on
-/// the Metropolis branch — is the seeded-trajectory contract shared by
-/// the single chain and every tempering replica.
+/// Each step draws one neighbor and first bounds its objective change
+/// with [`IncrementalObjective::bound`] (no `log2` refresh). A negative
+/// bound means the move cannot improve, so the Metropolis uniform `r`
+/// the step would draw anyway (lines 20-22) is drawn at once, and the
+/// move is rejected unpriced when `r > 0` and `exp(b/T)` (with a rounding
+/// margin) cannot beat `r`. Every other move is priced through the
+/// speculative [`IncrementalObjective::score`] path (which replays the
+/// apply-path arithmetic bit-exactly without touching the state) and
+/// judged: an improving move is accepted outright, otherwise against the
+/// same uniform, drawn now if it was not drawn yet. Only an accepted move
+/// is applied and committed, so the gate settles rejections only. The
+/// draw order — one move proposal, then a uniform only for a move that
+/// does not improve — is the seeded-trajectory contract shared by the
+/// single chain and every tempering replica, and the gate keeps it bit
+/// for bit.
 pub(crate) fn run_epoch<R: Rng + ?Sized>(
     scenario: &Scenario,
     config: &TtsaConfig,
@@ -163,8 +176,16 @@ pub(crate) fn run_epoch<R: Rng + ?Sized>(
     let mut stats = EpochStats::default();
     for _ in 0..config.inner_iterations {
         let (mv, _) = kernel.propose_move(scenario, state.inc.assignment(), rng);
-        let candidate_obj = state.inc.score(&mv);
         state.proposals += 1;
+        debug_assert_eq!(state.current_obj.to_bits(), state.inc.current().to_bits());
+        let bound = state.inc.bound(&mv);
+        let uniform = (bound < 0.0).then(|| rng.gen::<f64>());
+        if uniform.is_some_and(|r| r > 0.0 && (bound / temperature).exp() * (1.0 + EXP_MARGIN) <= r)
+        {
+            stats.bounded += 1;
+            continue;
+        }
+        let candidate_obj = state.inc.score(&mv);
         let delta = candidate_obj - state.current_obj;
         if delta > 0.0 {
             state.inc.apply(&mv);
@@ -175,7 +196,7 @@ pub(crate) fn run_epoch<R: Rng + ?Sized>(
                 state.best.clone_from(state.inc.assignment());
                 state.best_obj = state.current_obj;
             }
-        } else if (delta / temperature).exp() > rng.gen::<f64>() {
+        } else if (delta / temperature).exp() > uniform.unwrap_or_else(|| rng.gen::<f64>()) {
             // Metropolis acceptance of a worsening move (line 20-22).
             state.inc.apply(&mv);
             state.inc.commit();
@@ -293,6 +314,7 @@ pub fn anneal_from<R: Rng + ?Sized>(
                 accepted_worse: stats.accepted_worse,
                 accepted_better: stats.accepted_better,
                 trigger_fired,
+                bounded: stats.bounded,
             });
         }
     }

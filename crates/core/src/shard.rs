@@ -1518,12 +1518,15 @@ pub const DESCENT_IMPROVEMENT_FLOOR: f64 = 1e-12;
 pub struct Descent {
     /// Whether any move was accepted.
     pub changed: bool,
-    /// Proposals spent.
+    /// Proposals spent, counting the candidates the bound settled.
     pub spent: u64,
     /// Whether the budget ran out before a full improvement-free pass —
     /// i.e. the state may *not* be a local optimum. The reconciler's aging
     /// gate only ever skips clusters that ended unexhausted (`settled`).
     pub exhausted: bool,
+    /// Candidates skipped unpriced because their bound ruled out an
+    /// improvement above the floor (a subset of `spent`).
+    pub bounded: u64,
 }
 
 /// Deterministic, RNG-free first-improvement descent over TTSA's
@@ -1538,15 +1541,23 @@ pub struct Descent {
 /// point stable under floating-point drift; see
 /// [`ShardConfig::descent_floor`] for the limit-cycle damping use.
 ///
-/// Slot takes are priced with [`IncrementalObjective::score_take`], so a
-/// [`MoveDesc`] is built only for the other shapes and for an accepted
-/// move. The loop reuses the incremental state's buffers only, so at a
-/// fixed point it allocates nothing — the counting-allocator gate in
+/// Every candidate is bounded first ([`IncrementalObjective::bound`],
+/// no `log2` refresh) and priced only when its bound clears the
+/// acceptance threshold `floor · max(|current|, 1)`; a skipped candidate
+/// could not have been accepted, and it still counts toward the budget,
+/// so the decisions, `spent` and `exhausted` are those of pricing every
+/// candidate. Slot takes are bounded and priced straight-line
+/// ([`IncrementalObjective::bound_take`],
+/// [`IncrementalObjective::score_take`]), so a [`MoveDesc`] is built
+/// only for the other shapes and for an accepted move. The loop reuses
+/// the incremental state's buffers only, so at a fixed point it
+/// allocates nothing — the counting-allocator gate in
 /// `tests/shard_alloc_free.rs` pins that for both floors.
 pub fn descent(inc: &mut IncrementalObjective<'_>, budget: u64, floor: f64) -> Descent {
     let scenario = inc.scenario();
     let mut current = inc.current();
     let mut spent: u64 = 0;
+    let mut bounded: u64 = 0;
     let mut changed = false;
     let mut exhausted = false;
     let mut improved = true;
@@ -1567,13 +1578,30 @@ pub fn descent(inc: &mut IncrementalObjective<'_>, budget: u64, floor: f64) -> D
                     break 'descent;
                 }
                 let from = inc.assignment().slot(u);
-                let candidate = match target {
-                    _ if from == target => continue,
-                    None => inc.score(&MoveDesc::relocate(inc.assignment(), u, None)),
-                    Some((s, j)) => inc.score_take(u, s, j),
-                };
+                if from == target {
+                    continue;
+                }
                 spent += 1;
-                if candidate - current > floor * current.abs().max(1.0) {
+                debug_assert_eq!(current.to_bits(), inc.current().to_bits());
+                let threshold = floor * current.abs().max(1.0);
+                let candidate = match target {
+                    None => {
+                        let mv = MoveDesc::relocate(inc.assignment(), u, None);
+                        if inc.bound(&mv) <= threshold {
+                            bounded += 1;
+                            continue;
+                        }
+                        inc.score(&mv)
+                    }
+                    Some((s, j)) => {
+                        if inc.bound_take(u, s, j) <= threshold {
+                            bounded += 1;
+                            continue;
+                        }
+                        inc.score_take(u, s, j)
+                    }
+                };
+                if candidate - current > threshold {
                     let mv = match target {
                         None => MoveDesc::relocate(inc.assignment(), u, None),
                         Some((s, j)) => MoveDesc::relocate_evicting(inc.assignment(), u, s, j),
@@ -1605,9 +1633,14 @@ pub fn descent(inc: &mut IncrementalObjective<'_>, budget: u64, floor: f64) -> D
                 if mv.is_noop() {
                     continue;
                 }
-                let candidate = inc.score(&mv);
                 spent += 1;
-                if candidate - current > floor * current.abs().max(1.0) {
+                let threshold = floor * current.abs().max(1.0);
+                if inc.bound(&mv) <= threshold {
+                    bounded += 1;
+                    continue;
+                }
+                let candidate = inc.score(&mv);
+                if candidate - current > threshold {
                     inc.apply(&mv);
                     inc.commit();
                     current = candidate;
@@ -1623,11 +1656,13 @@ pub fn descent(inc: &mut IncrementalObjective<'_>, budget: u64, floor: f64) -> D
         changed,
         spent,
         exhausted: exhausted || (improved && spent >= budget),
+        bounded,
     }
 }
 
 /// Runs the sharded engine to convergence (or the sweep cap): cold shard
-/// phase, Gauss–Seidel halo sweeps, monolithic re-score.
+/// phase, pipelined Jacobi-with-aging reconcile epochs
+/// ([`ShardRun::sweep`]), monolithic re-score.
 ///
 /// `workers` caps the cluster-solve pool (resolve it with
 /// [`mec_types::effective_parallelism`]); it never affects the result.

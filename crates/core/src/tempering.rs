@@ -84,6 +84,7 @@ impl Replica<'_> {
             );
             stats.accepted_worse += s.accepted_worse;
             stats.accepted_better += s.accepted_better;
+            stats.bounded += s.bounded;
             apply_cooling(
                 base.cooling,
                 max_count,
@@ -252,10 +253,12 @@ fn coordinate_round<'a>(
     if let Some(trace) = trace {
         let mut worse = 0;
         let mut better = 0;
+        let mut bounded = 0;
         for slot in replicas.iter() {
             let rep = slot.as_ref().expect("replica slot filled");
             worse += rep.round_stats.accepted_worse;
             better += rep.round_stats.accepted_better;
+            bounded += rep.round_stats.bounded;
         }
         let coldest = replicas[0].as_ref().expect("replica slot filled");
         trace.epochs.push(EpochRecord {
@@ -265,6 +268,7 @@ fn coordinate_round<'a>(
             accepted_worse: worse,
             accepted_better: better,
             trigger_fired: swaps_accepted > 0,
+            bounded,
         });
     }
 }

@@ -18,6 +18,13 @@ pub struct EpochRecord {
     /// Whether the threshold trigger fired at the end of this epoch
     /// (fast cooling applied).
     pub trigger_fired: bool,
+    /// Proposals of this epoch that the move bound ruled out without
+    /// pricing them ([`IncrementalObjective::bound`]); `0` in traces
+    /// recorded before the bound existed.
+    ///
+    /// [`IncrementalObjective::bound`]: mec_system::IncrementalObjective::bound
+    #[serde(default)]
+    pub bounded: u32,
 }
 
 /// The full per-epoch history of one annealing run (recorded only when
@@ -52,18 +59,19 @@ impl SearchTrace {
     /// Renders the trace as CSV (one row per epoch), ready for plotting.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
-            "epoch,temperature,current_objective,best_objective,accepted_worse,accepted_better,trigger_fired\n",
+            "epoch,temperature,current_objective,best_objective,accepted_worse,accepted_better,trigger_fired,bounded\n",
         );
         for (i, e) in self.epochs.iter().enumerate() {
             out.push_str(&format!(
-                "{},{},{},{},{},{},{}\n",
+                "{},{},{},{},{},{},{},{}\n",
                 i,
                 e.temperature,
                 e.current_objective,
                 e.best_objective,
                 e.accepted_worse,
                 e.accepted_better,
-                e.trigger_fired
+                e.trigger_fired,
+                e.bounded
             ));
         }
         out
@@ -82,6 +90,7 @@ mod tests {
             accepted_worse: 3,
             accepted_better: 2,
             trigger_fired: fired,
+            bounded: 7,
         }
     }
 
@@ -100,6 +109,14 @@ mod tests {
     }
 
     #[test]
+    fn records_without_a_bounded_count_deserialize_to_zero() {
+        let old = r#"{"temperature":3.0,"current_objective":0.9,"best_objective":1.0,"accepted_worse":3,"accepted_better":2,"trigger_fired":false}"#;
+        let e: EpochRecord = serde_json::from_str(old).unwrap();
+        assert_eq!(e.bounded, 0);
+        assert_eq!(e.accepted_worse, 3);
+    }
+
+    #[test]
     fn csv_has_one_row_per_epoch_plus_header() {
         let mut trace = SearchTrace::default();
         trace.epochs.push(record(3.0, 1.0, false));
@@ -108,7 +125,8 @@ mod tests {
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("epoch,temperature"));
-        assert!(lines[2].ends_with("true"));
+        assert!(lines[0].ends_with(",trigger_fired,bounded"));
+        assert!(lines[2].ends_with("true,7"));
         assert!(lines[1].starts_with("0,3,"));
     }
 }

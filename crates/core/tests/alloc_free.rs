@@ -4,8 +4,9 @@
 //! stray allocation per proposal dominates the wall-clock budget:
 //!
 //! - propose → apply → commit/undo, the evaluator's mutation path;
-//! - propose → `score` → apply + commit on accept, the step that the TTSA
-//!   chain and every tempering replica run.
+//! - propose → `bound` → `score` (only when the bound cannot settle the
+//!   move) → apply + commit on accept, the gated step that the TTSA chain
+//!   and every tempering replica run.
 //!
 //! This test installs a counting global allocator, warms each loop up
 //! until every scratch buffer has reached its steady-state capacity,
@@ -89,25 +90,34 @@ fn step(
     }
 }
 
-/// One solver step, shaped exactly like the TTSA epoch body: draw a
-/// move, price it without mutating the state, and apply + commit it only
-/// when it improves or passes the Metropolis test at a fixed
-/// temperature.
+/// One solver step, shaped exactly like the gated TTSA epoch body at a
+/// fixed temperature: draw a move and bound it; for a move that cannot
+/// improve, draw the Metropolis uniform at once and reject it unpriced
+/// when the bound already loses to it; otherwise price it without
+/// mutating the state and apply + commit it only when it improves or
+/// passes the Metropolis test. Returns whether the bound settled the
+/// move.
 fn solver_step(
     scenario: &Scenario,
     kernel: &NeighborhoodKernel,
     inc: &mut IncrementalObjective<'_>,
     current_obj: &mut f64,
     rng: &mut StdRng,
-) {
+) -> bool {
     let (mv, _) = kernel.propose_move(scenario, inc.assignment(), rng);
+    let bound = inc.bound(&mv);
+    let uniform = (bound < 0.0).then(|| rng.gen::<f64>());
+    if uniform.is_some_and(|r| r > 0.0 && (bound * 2.0).exp() * (1.0 + 1e-12) <= r) {
+        return true;
+    }
     let candidate = inc.score(&mv);
     let delta = candidate - *current_obj;
-    if delta > 0.0 || (delta * 2.0).exp() > rng.gen::<f64>() {
+    if delta > 0.0 || (delta * 2.0).exp() > uniform.unwrap_or_else(|| rng.gen::<f64>()) {
         inc.apply(&mv);
         inc.commit();
         *current_obj = candidate;
     }
+    false
 }
 
 #[test]
@@ -162,13 +172,25 @@ fn the_hot_loop_performs_zero_heap_allocations() {
     }
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let mut settled = 0u32;
     for _ in 0..10_000 {
-        solver_step(&scenario, &kernel, &mut inc, &mut current_obj, &mut rng);
+        settled += u32::from(solver_step(
+            &scenario,
+            &kernel,
+            &mut inc,
+            &mut current_obj,
+            &mut rng,
+        ));
     }
     let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
     assert_eq!(
         delta, 0,
-        "the propose/score/accept loop heap-allocated {delta} times over \
-         10000 proposals; the solver step must be allocation-free"
+        "the propose/bound/score/accept loop heap-allocated {delta} times \
+         over 10000 proposals; the solver step must be allocation-free"
+    );
+    assert!(
+        settled > 0 && settled < 10_000,
+        "the counted steps must exercise both the bound-settled and the \
+         priced branch ({settled} of 10000 settled)"
     );
 }

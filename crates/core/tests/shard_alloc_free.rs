@@ -1,15 +1,17 @@
 //! Heap-allocation regression gate for the shard engine's per-cluster
 //! proposal loop.
 //!
-//! A Gauss–Seidel reconciliation sweep runs [`tsajs::shard::descent`]
-//! once per cluster, and a city-scale solve runs many sweeps — so a stray
-//! allocation inside the descent's score/apply/commit cycle multiplies
-//! across the whole metro. This test installs a counting global
-//! allocator, drives the descent to its fixed point (where scratch
-//! buffers have reached steady-state capacity), then asserts that a full
-//! re-scan of the neighborhood at the fixed point allocates nothing —
-//! at the reconcile floor and at floor 0.0, where the same scan runs as
-//! the tempering quench.
+//! A pipelined Jacobi-with-aging reconcile epoch runs
+//! [`tsajs::shard::descent`] once per visited cluster, and a city-scale
+//! solve runs many epochs — so a stray allocation inside the descent's
+//! bound/score/apply/commit cycle multiplies across the whole metro. This
+//! test installs a counting global allocator, drives the descent to its
+//! fixed point (where scratch buffers have reached steady-state
+//! capacity), then asserts that a full re-scan of the neighborhood at the
+//! fixed point allocates nothing — at the reconcile floor and at floor
+//! 0.0, where the same scan runs as the tempering quench. Every
+//! candidate is bounded before it is priced, and the quench re-scan must
+//! settle some through the bound, so the gated path is the one counted.
 //!
 //! It must stay the only `#[test]` in this binary: the libtest harness
 //! runs tests on worker threads whose setup allocates, so a sibling test
@@ -99,8 +101,12 @@ fn the_descent_loop_performs_zero_heap_allocations_at_fixed_point() {
     assert!(!outcome.changed, "fixed point must be stable");
     assert!(
         outcome.spent > 0,
-        "the pass still scores the full neighborhood"
+        "the pass still scans the full neighborhood"
     );
+    // Identical users on uniform links leave every co-channel occupant
+    // enough Γ to relieve that the bound settles nothing here: each
+    // candidate is bounded, then priced.
+    assert!(outcome.bounded <= outcome.spent);
     assert_eq!(
         delta, 0,
         "the per-cluster descent loop heap-allocated {delta} times over {} \
@@ -126,6 +132,10 @@ fn the_descent_loop_performs_zero_heap_allocations_at_fixed_point() {
     let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
     assert!(!outcome.changed, "the quench's fixed point must be stable");
     assert!(outcome.spent > 0);
+    assert!(
+        outcome.bounded > 0 && outcome.bounded <= outcome.spent,
+        "the quench re-scan must run through the bound gate"
+    );
     assert_eq!(
         delta, 0,
         "the scan heap-allocated {delta} times over {} proposals as the \

@@ -50,6 +50,21 @@
 //! [`score_take`](IncrementalObjective::score_take) exposes without a
 //! [`MoveDesc`] and `score` routes that shape through.
 //!
+//! ## Bound-gated pricing
+//!
+//! Most proposals a search makes are rejected, and an exact price pays
+//! one `log2` Γ refresh per co-channel occupant of every touched
+//! subchannel. [`bound`](IncrementalObjective::bound) (and its
+//! straight-line take form [`bound_take`](IncrementalObjective::bound_take))
+//! returns a sound upper bound on `score(mv) − current()` with no Γ
+//! refresh at all: it relaxes away interference the way
+//! `mec_baselines::upper_bound` does, charging each arrival only its
+//! noise-only uplink floor and crediting every current co-channel
+//! occupant's whole Γ term. The TTSA step and the shard descent bound
+//! each candidate first and price only the ones the bound cannot rule
+//! out, so the gate settles rejections only and never changes a
+//! decision.
+//!
 //! ## Exactness and drift
 //!
 //! `undo` restores state *bit-exactly*. Expensive per-slot refreshes
@@ -390,6 +405,12 @@ pub struct IncrementalObjective<'a> {
     /// Scratch `(Γ numerator, SINR)` pairs for [`score`](Self::score)'s
     /// split Γ fold — gathered call-free, consumed by the `log2` pass.
     score_fold: Vec<(f64, f64)>,
+    /// Noise-only uplink floors Γ⁰ for [`bound`](Self::bound), one per
+    /// `wgain` entry, filled on first use (`0.0` = not yet computed).
+    /// Empty until the first bound, so a state that never bounds pays
+    /// nothing for it, and empty for good when the table would exceed
+    /// [`FLOOR_TABLE_MAX`] entries.
+    floors: Vec<f64>,
 }
 
 impl<'a> IncrementalObjective<'a> {
@@ -451,6 +472,7 @@ impl<'a> IncrementalObjective<'a> {
             log: MoveLog::with_capacity(servers, stride),
             score_totals: Vec::with_capacity(MAX_MOVE_OPS * stride),
             score_fold: Vec::with_capacity(stride),
+            floors: Vec::new(),
         };
         inc.resync();
         Ok(inc)
@@ -930,22 +952,7 @@ impl IncrementalObjective<'_> {
     /// overlay replay below.
     pub fn score(&mut self, mv: &MoveDesc) -> f64 {
         self.commit();
-        let take = match mv.ops[..mv.len()] {
-            [Some(PrimOp::Assign {
-                user,
-                server,
-                subchannel,
-            })] => Some((user, server, subchannel)),
-            [Some(PrimOp::Release { user: victim }), Some(PrimOp::Assign {
-                user,
-                server,
-                subchannel,
-            })] if victim != user && self.x.occupant(server, subchannel) == Some(victim) => {
-                Some((user, server, subchannel))
-            }
-            _ => None,
-        };
-        if let Some((user, server, subchannel)) = take {
+        if let Some((user, server, subchannel)) = self.take_shape(mv) {
             return self.price_take(user, server, subchannel);
         }
         // Local replicas of the scalar sums `apply` updates in place.
@@ -1298,7 +1305,252 @@ impl IncrementalObjective<'_> {
             gain_sum - gamma_sum - lambda_sum
         }
     }
+
+    /// A sound upper bound on the objective change
+    /// [`score`](Self::score)`(mv) − `[`current`](Self::current)`()`,
+    /// computed without a single `log2` Γ refresh. With `A` the users the
+    /// move's `Assign` ops place, `D` the users its `Release` ops remove
+    /// and `T` the subchannels it touches:
+    ///
+    /// `ΔJ ≤ Σ_{a∈A} (g_a − Γ⁰_a) − Σ_{d∈D} g_d + Σ_{w on T} Γ_w − ΔΛ + slack`
+    ///
+    /// where `g` is the net gain of offloading, `Γ⁰_a` the arrival's
+    /// noise-only uplink floor (interference is never negative, Eq. 3),
+    /// `Γ_w` the cached Γ term of every current occupant of a touched
+    /// subchannel (a leaver's term vanishes, a stayer's new term is still
+    /// `≥ 0`), and `ΔΛ` the exact Eq. 23 change on the touched servers.
+    /// The slack absorbs the rounding of the bound and of the score path;
+    /// DESIGN.md §5 states the argument.
+    ///
+    /// The only `log2` the bound can pay is an arrival's floor, which
+    /// depends on the scenario alone and is cached per `(user, server,
+    /// subchannel)` after its first use (see `FLOOR_TABLE_MAX` for the
+    /// size limit).
+    ///
+    /// The bound is `+∞` for an empty move and on a non-finite state, and
+    /// `−∞` when an arrival's floor is non-finite (zero SNR prices the
+    /// move at `−∞` exactly). A local user taking a slot is bounded by the
+    /// same straight-line recipe as [`bound_take`](Self::bound_take). The
+    /// move must have been built by a [`MoveDesc`] constructor against the
+    /// current assignment (releases first, each from the user's committed
+    /// slot). Any pending uncommitted move is committed first, as in
+    /// `score`.
+    pub fn bound(&mut self, mv: &MoveDesc) -> f64 {
+        self.commit();
+        if mv.is_empty() || self.nonfinite > 0 {
+            return f64::INFINITY;
+        }
+        if let Some((user, server, subchannel)) = self.take_shape(mv) {
+            return self.take_bound(user, server, subchannel);
+        }
+        let mut gain = 0.0;
+        let mut floors = 0.0;
+        // Σ of the magnitudes the bound adds on top of the three sums.
+        let mut magnitude = 0.0;
+        let mut touched: [Option<SubchannelId>; MAX_MOVE_OPS] = [None; MAX_MOVE_OPS];
+        // `(server, Σ√η change, user-count change)` per touched server.
+        let mut steps: [(usize, f64, i64); MAX_MOVE_OPS] = [(usize::MAX, 0.0, 0); MAX_MOVE_OPS];
+        let mut step = |si: usize, sqrt_eta: f64, count: i64| {
+            let slot = steps
+                .iter()
+                .position(|&(s, _, _)| s == si || s == usize::MAX)
+                .expect("a move touches at most MAX_MOVE_OPS servers");
+            steps[slot] = (si, steps[slot].1 + sqrt_eta, steps[slot].2 + count);
+        };
+        let mut assigned = false;
+        for op in mv.ops() {
+            let (user, server, subchannel, sign) = match op {
+                PrimOp::Release { user } => {
+                    debug_assert!(!assigned, "constructors release before they assign");
+                    let (s, j) = self
+                        .x
+                        .slot(user)
+                        .expect("MoveDesc releases an offloaded user");
+                    (user, s, j, -1)
+                }
+                PrimOp::Assign {
+                    user,
+                    server,
+                    subchannel,
+                } => {
+                    assigned = true;
+                    let floor = self.noise_floor(user, server, subchannel);
+                    if !floor.is_finite() {
+                        return f64::NEG_INFINITY;
+                    }
+                    floors += floor;
+                    magnitude += floor;
+                    (user, server, subchannel, 1)
+                }
+            };
+            let u = user.index();
+            let g = self.coeffs.gain_const[u];
+            gain += f64::from(sign) * g;
+            magnitude += g.abs();
+            step(
+                server.index(),
+                f64::from(sign) * self.coeffs.sqrt_eta[u],
+                i64::from(sign),
+            );
+            if !touched.contains(&Some(subchannel)) {
+                let free = touched.iter().position(Option::is_none);
+                touched[free.expect("a move touches at most MAX_MOVE_OPS subchannels")] =
+                    Some(subchannel);
+            }
+        }
+        let mut lambda = 0.0;
+        for &(si, d_sum, d_count) in steps.iter().take_while(|s| s.0 != usize::MAX) {
+            let sum = self.sum_sqrt_eta[si];
+            // Same empty-server pin to exactly zero as `leave`.
+            let after = if i64::from(self.users_on[si]) + d_count == 0 {
+                0.0
+            } else {
+                sum + d_sum
+            };
+            let after = lambda_term_from(after, self.capacity[si]);
+            lambda += after - lambda_term_from(sum, self.capacity[si]);
+            magnitude += after;
+        }
+        let relief: f64 = touched.iter().flatten().map(|&j| self.relief(j)).sum();
+        self.slack_bound(gain - floors + relief - lambda, magnitude)
+    }
+
+    /// [`bound`](Self::bound) for `user` taking the slot `(server,
+    /// subchannel)` and evicting its occupant — the bound of
+    /// `MoveDesc::relocate_evicting(..)` without building the move, the
+    /// systematic scan's dominant candidate. A local `user` is bounded
+    /// straight-line (one touched server, one touched subchannel); an
+    /// offloaded `user` falls back to the general bound, as in
+    /// [`score_take`](Self::score_take).
+    pub fn bound_take(&mut self, user: UserId, server: ServerId, subchannel: SubchannelId) -> f64 {
+        if self.x.is_offloaded(user) {
+            let mv = MoveDesc::relocate_evicting(&self.x, user, server, subchannel);
+            return self.bound(&mv);
+        }
+        self.commit();
+        if self.nonfinite > 0 {
+            return f64::INFINITY;
+        }
+        self.take_bound(user, server, subchannel)
+    }
+
+    /// The straight-line bound of local `user` taking `(server,
+    /// subchannel)` from its occupant, if any, on a committed finite
+    /// state: the general bound's terms with the single touched server
+    /// and subchannel resolved statically.
+    fn take_bound(&mut self, user: UserId, server: ServerId, subchannel: SubchannelId) -> f64 {
+        debug_assert!(!self.x.is_offloaded(user), "a take moves a local user");
+        let floor = self.noise_floor(user, server, subchannel);
+        if !floor.is_finite() {
+            return f64::NEG_INFINITY;
+        }
+        let (u, si) = (user.index(), server.index());
+        let capacity = self.capacity[si];
+        let sum = self.sum_sqrt_eta[si];
+        let mut gain = self.coeffs.gain_const[u];
+        let mut magnitude = gain.abs() + floor;
+        let mut after = sum + self.coeffs.sqrt_eta[u];
+        if let Some(v) = self.x.occupant(server, subchannel) {
+            let v = v.index();
+            let g = self.coeffs.gain_const[v];
+            gain -= g;
+            magnitude += g.abs();
+            // Same empty-server pin to exactly zero as `leave`.
+            after = if self.users_on[si] == 1 {
+                self.coeffs.sqrt_eta[u]
+            } else {
+                sum - self.coeffs.sqrt_eta[v] + self.coeffs.sqrt_eta[u]
+            };
+        }
+        let after = lambda_term_from(after, capacity);
+        let lambda = after - lambda_term_from(sum, capacity);
+        magnitude += after;
+        self.slack_bound(gain - floor + self.relief(subchannel) - lambda, magnitude)
+    }
+
+    /// The take a move describes, if it is `[Assign]` or `[Release
+    /// occupant, Assign]` for a local user — the shape that
+    /// [`score`](Self::score) and [`bound`](Self::bound) handle
+    /// straight-line.
+    fn take_shape(&self, mv: &MoveDesc) -> Option<(UserId, ServerId, SubchannelId)> {
+        match mv.ops[..mv.len()] {
+            [Some(PrimOp::Assign {
+                user,
+                server,
+                subchannel,
+            })] => Some((user, server, subchannel)),
+            [Some(PrimOp::Release { user: victim }), Some(PrimOp::Assign {
+                user,
+                server,
+                subchannel,
+            })] if victim != user && self.x.occupant(server, subchannel) == Some(victim) => {
+                Some((user, server, subchannel))
+            }
+            _ => None,
+        }
+    }
+
+    /// Γ⁰: the noise-only uplink floor of `user` transmitting at
+    /// `(server, subchannel)` — Eq. 24's uplink term at zero interference,
+    /// the value `mec_baselines::upper_bound` relaxes every slot to. It
+    /// depends on the scenario only, so each entry costs one `log2` once:
+    /// the first bound allocates the `floors` table, unless it would hold
+    /// more than [`FLOOR_TABLE_MAX`] entries, in which case every floor is
+    /// computed on demand.
+    #[inline]
+    fn noise_floor(&mut self, user: UserId, server: ServerId, subchannel: SubchannelId) -> f64 {
+        if self.floors.is_empty() && self.wgain.len() <= FLOOR_TABLE_MAX {
+            self.floors = vec![0.0; self.wgain.len()];
+        }
+        let u = user.index();
+        let at = self.wgain_base(u, subchannel.index()) + server.index();
+        match self.floors.get_mut(at) {
+            Some(cached) if *cached != 0.0 => *cached,
+            slot => {
+                let signal = self.wgain[at];
+                let floor = gamma_term_from(self.coeffs.gamma_num[u], signal, signal, self.noise);
+                if let Some(slot) = slot {
+                    *slot = floor;
+                }
+                floor
+            }
+        }
+    }
+
+    /// Σ of the cached Γ terms of every current occupant of subchannel
+    /// `j` — the most a move touching `j` can relieve them by.
+    #[inline]
+    fn relief(&self, j: SubchannelId) -> f64 {
+        self.x.occupants_on(j)[..self.capacity.len()]
+            .iter()
+            .flatten()
+            .map(|w| self.gamma_of[w.index()])
+            .sum()
+    }
+
+    /// Adds the rounding slack to a bound: [`BOUND_SLACK`] relative to
+    /// the three maintained sums plus `magnitude`, the magnitudes of the
+    /// terms the bound adds on top of them.
+    #[inline]
+    fn slack_bound(&self, bound: f64, magnitude: f64) -> f64 {
+        let scale =
+            1.0 + self.gain_sum.abs() + self.gamma_sum.abs() + self.lambda_sum.abs() + magnitude;
+        bound + BOUND_SLACK * scale
+    }
 }
+
+/// Relative rounding slack of [`IncrementalObjective::bound`]: orders of
+/// magnitude above the few ulps the bound and the score path each round
+/// by, far below any objective change a search could act on.
+const BOUND_SLACK: f64 = 1e-9;
+
+/// Largest Γ⁰ table (entries, 8 bytes each) a state keeps: 32 KB, so a
+/// ladder of 8 tempering replicas adds at most 256 KB. The paper's
+/// U = 90, S = 9, N = 3 state needs 3 240 entries and a two-server city
+/// cluster slice 12 per user. A replica at the service's U = 300,
+/// S = 36, N = 3 would need 32 400 (259 KB each), so such states compute
+/// their floors on demand rather than grow the process's memory.
+const FLOOR_TABLE_MAX: usize = 4_096;
 
 /// One overlaid per-user slot write of a speculative score:
 /// `(user, its post-op slot)`.
@@ -1821,6 +2073,97 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Asserts `bound ≥ score − current` for `mv` on the current state.
+    fn assert_dominates(inc: &mut IncrementalObjective<'_>, mv: &MoveDesc, what: &str) {
+        let delta = inc.score(mv) - inc.current();
+        let bound = inc.bound(mv);
+        assert!(
+            bound >= delta || (delta.is_nan() && bound == f64::INFINITY),
+            "{what}: bound {bound} below delta {delta} for {mv:?}"
+        );
+    }
+
+    #[test]
+    fn bound_dominates_score_for_every_shape_and_take() {
+        // Four users on two servers and two subchannels, a quarter of the
+        // links dead (zero gain), with and without a halo: every random
+        // move shape from fresh and walked states, and every take.
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed + 900);
+            let gains = ChannelGains::from_fn(4, 2, 2, |_, _, _| {
+                if rng.gen_bool(0.25) {
+                    0.0
+                } else {
+                    10.0_f64.powf(rng.gen_range(-13.0..-9.0))
+                }
+            })
+            .unwrap();
+            let mut sc = Scenario::new(
+                vec![UserSpec::paper_default_with_workload(Cycles::from_mega(2000.0)).unwrap(); 4],
+                vec![ServerProfile::paper_default(); 2],
+                OfdmaConfig::new(Hertz::from_mega(20.0), 2).unwrap(),
+                gains,
+                Watts::new(1e-13),
+            )
+            .unwrap();
+            if seed % 2 == 1 {
+                sc.set_external_rx(Some((0..4).map(|i| 1e-12 * (1.0 + i as f64)).collect()))
+                    .unwrap();
+            }
+            let mut inc = IncrementalObjective::new(&sc, random_assignment(&sc, seed)).unwrap();
+            for step in 0..40 {
+                let what = format!("seed {seed} step {step}");
+                let mv = random_move(&sc, inc.assignment(), &mut rng);
+                assert_dominates(&mut inc, &mv, &what);
+                for (u, s, j) in
+                    (0..4).flat_map(|u| (0..2).flat_map(move |s| (0..2).map(move |j| (u, s, j))))
+                {
+                    let (u, s, j) = (UserId::new(u), ServerId::new(s), SubchannelId::new(j));
+                    let take = MoveDesc::relocate_evicting(inc.assignment(), u, s, j);
+                    assert_dominates(&mut inc, &take, &what);
+                    assert_eq!(
+                        inc.bound_take(u, s, j).to_bits(),
+                        inc.bound(&take).to_bits()
+                    );
+                }
+                if !inc.current().is_finite() {
+                    assert_eq!(inc.bound(&mv), f64::INFINITY, "{what}: non-finite state");
+                }
+                assert_eq!(inc.bound(&MoveDesc::noop()), f64::INFINITY);
+                inc.apply(&mv);
+                inc.commit();
+            }
+        }
+    }
+
+    #[test]
+    fn floor_table_is_kept_for_small_states_only() {
+        // 48 users × 4 subchannels × 24 servers: a table above the cap,
+        // so every floor is computed on demand — and still sound.
+        let sc = random_scenario(5, 48, 24, 4);
+        let mut inc = IncrementalObjective::new(&sc, random_assignment(&sc, 6)).unwrap();
+        assert!(inc.wgain.len() > FLOOR_TABLE_MAX);
+        for u in 0..3 {
+            for s in 0..24 {
+                let (u, s, j) = (UserId::new(u), ServerId::new(s), SubchannelId::new(s % 4));
+                let take = MoveDesc::relocate_evicting(inc.assignment(), u, s, j);
+                assert_dominates(&mut inc, &take, "large state");
+            }
+        }
+        assert!(inc.floors.is_empty());
+
+        let sc = random_scenario(5, 6, 2, 2);
+        let mut inc = IncrementalObjective::new(&sc, Assignment::all_local(&sc)).unwrap();
+        assert!(
+            inc.floors.is_empty(),
+            "a state that never bounds keeps no table"
+        );
+        let (u, s, j) = (UserId::new(0), ServerId::new(1), SubchannelId::new(1));
+        let first = inc.bound_take(u, s, j);
+        assert_eq!(inc.floors.len(), inc.wgain.len());
+        assert_eq!(first.to_bits(), inc.bound_take(u, s, j).to_bits());
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   exhaustively, over free and occupied slots and zero-gain users;
 //! * `undo()` after `apply()` restores the objective bit-exactly;
 //! * the maintained sums track the reference evaluator within `1e-9`
-//!   relative over long committed walks (the documented drift bound).
+//!   relative over long committed walks (the documented drift bound);
+//! * `bound(mv)` and `bound_take(u, s, j)` never fall below the priced
+//!   change `score − current`, for every move shape the constructors
+//!   build and every slot take.
 
 use mec_radio::{ChannelGains, OfdmaConfig};
 use mec_system::{simd, UserSpec};
@@ -100,6 +103,13 @@ fn random_move(scenario: &Scenario, x: &Assignment, rng: &mut StdRng) -> MoveDes
             }
         }
     }
+}
+
+/// Whether a move bound covers a priced change. `−∞ − (−∞)` (a move
+/// between two non-finite states) is NaN, which only the `+∞` bound of a
+/// non-finite state may cover.
+fn dominates(bound: f64, delta: f64) -> bool {
+    bound >= delta || (delta.is_nan() && bound == f64::INFINITY)
 }
 
 proptest! {
@@ -270,6 +280,75 @@ proptest! {
                 current,
                 reference
             );
+        }
+    }
+
+    /// The move bound is sound: for every move shape the constructors
+    /// build (releases, evicting and plain relocations, swaps) and every
+    /// `(user, slot)` take — over local and offloaded users, free and
+    /// occupied slots, a quarter of the links dead, with and without a
+    /// halo, from the fresh build and from walked states — the bound is at
+    /// least `score(mv) − current()`, and it is `+∞` on a non-finite
+    /// state.
+    #[test]
+    fn bound_dominates_every_move_and_take(
+        seed in 0u64..1_000_000,
+        users in 2usize..10,
+        servers in 1usize..7,
+        subs in 1usize..4,
+        halo in 0u8..2,
+    ) {
+        let sc = with_halo(random_scenario(seed, users, servers, subs, 0.25), seed, halo == 1);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xb0d);
+        let mut inc =
+            IncrementalObjective::new(&sc, random_assignment(&sc, seed.wrapping_add(7))).unwrap();
+        for sweep in 0..3 {
+            // Walk (accepting every move, so non-finite states occur too),
+            // checking each random move on the way.
+            for _ in 0..40 * sweep {
+                let mv = random_move(&sc, inc.assignment(), &mut rng);
+                let delta = inc.score(&mv) - inc.current();
+                let bound = inc.bound(&mv);
+                prop_assert!(dominates(bound, delta), "walk {:?}: bound {} < {}", mv, bound, delta);
+                inc.apply(&mv);
+                inc.commit();
+            }
+            let finite = inc.current().is_finite();
+            let mut moves: Vec<MoveDesc> = Vec::new();
+            for u in sc.user_ids() {
+                moves.push(MoveDesc::relocate(inc.assignment(), u, None));
+                for v in sc.user_ids() {
+                    moves.push(MoveDesc::swap(inc.assignment(), u, v));
+                }
+                for s in sc.server_ids() {
+                    if let Some(j) = inc.assignment().free_subchannel(s) {
+                        moves.push(MoveDesc::relocate(inc.assignment(), u, Some((s, j))));
+                    }
+                }
+            }
+            for mv in &moves {
+                let delta = inc.score(mv) - inc.current();
+                let bound = inc.bound(mv);
+                prop_assert!(dominates(bound, delta), "{:?}: bound {} < {}", mv, bound, delta);
+                if !finite || mv.is_empty() {
+                    prop_assert_eq!(bound, f64::INFINITY);
+                }
+            }
+            for u in sc.user_ids() {
+                for s in sc.server_ids() {
+                    for j in SubchannelId::all(subs) {
+                        let delta = inc.score_take(u, s, j) - inc.current();
+                        let bound = inc.bound_take(u, s, j);
+                        prop_assert!(
+                            dominates(bound, delta),
+                            "{:?} takes ({:?}, {:?}): bound {} < {}",
+                            u, s, j, bound, delta
+                        );
+                        let mv = MoveDesc::relocate_evicting(inc.assignment(), u, s, j);
+                        prop_assert_eq!(bound.to_bits(), inc.bound(&mv).to_bits());
+                    }
+                }
+            }
         }
     }
 

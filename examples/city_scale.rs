@@ -11,7 +11,8 @@
 //! solved end to end with the sharded engine (`ShardSolver`). The
 //! generator stores subchannel-shared blocked gains, the partitioner
 //! clusters the cells, every cluster cold-solves in parallel, and
-//! Gauss–Seidel halo sweeps reconcile cross-cluster interference. The
+//! pipelined Jacobi-with-aging epochs reconcile cross-cluster
+//! interference. The
 //! reported objective is the monolithic resync, so what prints is the
 //! true city-wide `J*(X)`.
 //!

@@ -1,0 +1,96 @@
+//! The bound gate of the TTSA step, seen from its traces: the per-epoch
+//! `bounded` count (proposals ruled out without pricing) stays within
+//! the proposals made, the bound does settle proposals on a
+//! paper-default instance, and recording the trace never changes a
+//! seeded decision, for the single chain and for tempering.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use tsajs_mec::prelude::*;
+use tsajs_mec::tsajs::annealing::AnnealOutcome;
+use tsajs_mec::tsajs::{anneal, temper, NeighborhoodKernel, TemperingConfig};
+
+fn paper_instance(seed: u64) -> Scenario {
+    ScenarioGenerator::new(ExperimentParams::paper_default())
+        .generate(seed)
+        .unwrap()
+}
+
+fn ttsa() -> TtsaConfig {
+    TtsaConfig::paper_default().with_min_temperature(1e-4)
+}
+
+fn tempering() -> TemperingConfig {
+    TemperingConfig::paper_default()
+        .with_replicas(3)
+        .with_rounds(6)
+}
+
+fn run_ttsa(scenario: &Scenario, config: &TtsaConfig, seed: u64) -> AnnealOutcome {
+    let mut rng = StdRng::seed_from_u64(seed);
+    anneal(scenario, config, &NeighborhoodKernel::new(), &mut rng)
+}
+
+fn run_tempering(scenario: &Scenario, config: &TtsaConfig, seed: u64) -> AnnealOutcome {
+    let mut rng = StdRng::seed_from_u64(seed);
+    temper(
+        scenario,
+        &tempering(),
+        config,
+        &NeighborhoodKernel::new(),
+        &mut rng,
+        1,
+    )
+}
+
+fn bounded(outcome: &AnnealOutcome) -> u64 {
+    let trace = outcome.trace.as_ref().expect("trace requested");
+    trace.epochs.iter().map(|e| u64::from(e.bounded)).sum()
+}
+
+#[test]
+fn bounded_counts_stay_within_proposals_and_settle_on_paper_instances() {
+    for seed in [3u64, 17] {
+        let scenario = paper_instance(seed);
+        let config = ttsa().with_trace();
+        let chain = run_ttsa(&scenario, &config, seed);
+        let settled = bounded(&chain);
+        assert!(settled > 0, "seed {seed}: the bound settled nothing");
+        assert!(
+            settled <= chain.proposals,
+            "seed {seed}: {settled} > {}",
+            chain.proposals
+        );
+        let trace = chain.trace.as_ref().unwrap();
+        for e in &trace.epochs {
+            assert!(e.bounded as usize <= config.inner_iterations);
+        }
+
+        let tempered = run_tempering(&scenario, &config, seed);
+        let settled = bounded(&tempered);
+        assert!(settled > 0, "seed {seed}: no rung settled a proposal");
+        assert!(
+            settled <= tempered.proposals,
+            "seed {seed}: {settled} > {}",
+            tempered.proposals
+        );
+    }
+}
+
+#[test]
+fn tracing_leaves_every_decision_bit_identical() {
+    for seed in [5u64, 29] {
+        let scenario = paper_instance(seed);
+        let plain = ttsa();
+        let traced = plain.with_trace();
+        for run in [run_ttsa, run_tempering] {
+            let a = run(&scenario, &plain, seed);
+            let b = run(&scenario, &traced, seed);
+            assert!(a.trace.is_none() && b.trace.is_some());
+            assert_eq!(a.assignment, b.assignment, "seed {seed}");
+            assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "seed {seed}");
+            assert_eq!(a.proposals, b.proposals, "seed {seed}");
+            assert_eq!(a.epochs, b.epochs, "seed {seed}");
+        }
+    }
+}

@@ -110,7 +110,7 @@ proptest! {
         prop_assert_eq!(&p, &Partition::build(&scenario, cluster_size, seed).unwrap());
     }
 
-    /// After every Gauss–Seidel sweep, the halo each cluster saw plus the
+    /// After every reconcile epoch, the halo each cluster saw plus the
     /// contribution its own users emit re-derives the global totals of a
     /// fresh recomputation, per (subchannel, server) entry.
     #[test]
