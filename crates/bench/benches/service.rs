@@ -86,6 +86,9 @@ fn main() {
             .map(|p| p.snapshot_reads)
             .unwrap_or(0)
     );
+    if outcome.report.ceiling_reached {
+        println!("every doubling above the search's rate_hi was sustained: a lower bound");
+    }
 
     let out = std::env::var("TSAJS_BENCH_OUT").unwrap_or_else(|_| "BENCH_service.json".to_string());
     let json = serde_json::to_string_pretty(&outcome.report).expect("serialize report");

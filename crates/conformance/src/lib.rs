@@ -141,6 +141,7 @@ pub fn run_conformance(config: &ConformanceConfig) -> VerdictReport {
     let mut bounds = InvariantVerdict::new("user_benefit_bounds_eq10");
     let mut incremental = InvariantVerdict::new("incremental_vs_resync");
     let mut move_bound = InvariantVerdict::new("move_bound_dominance");
+    let mut null_move = InvariantVerdict::new("null_move_identity");
     let mut order = InvariantVerdict::new("solver_partial_order");
     let mut threads = InvariantVerdict::new("tempering_thread_independence");
     let mut shard = InvariantVerdict::new("shard_equivalence");
@@ -168,6 +169,10 @@ pub fn run_conformance(config: &ConformanceConfig) -> VerdictReport {
         move_bound.record(
             seed,
             oracle.check_move_bound(&scenario, seed, config.moves_per_walk),
+        );
+        null_move.record(
+            seed,
+            oracle.check_null_move(&scenario, seed, config.moves_per_walk),
         );
         if i % config.differential_stride.max(1) == 0 {
             order.record(
@@ -232,6 +237,7 @@ pub fn run_conformance(config: &ConformanceConfig) -> VerdictReport {
             bounds,
             incremental,
             move_bound,
+            null_move,
             order,
             threads,
             shard,
@@ -284,6 +290,6 @@ mod tests {
         let report = run_conformance(&ConformanceConfig::smoke().with_seeds(2).with_base_seed(7));
         assert_eq!(report.seeds, 2);
         assert_eq!(report.base_seed, 7);
-        assert_eq!(report.invariants.len(), 13);
+        assert_eq!(report.invariants.len(), 14);
     }
 }

@@ -1630,7 +1630,7 @@ pub fn descent(inc: &mut IncrementalObjective<'_>, budget: u64, floor: f64) -> D
                     continue;
                 };
                 let mv = MoveDesc::swap(inc.assignment(), a, b);
-                if mv.is_noop() {
+                if mv.is_empty() {
                     continue;
                 }
                 spent += 1;

@@ -85,6 +85,7 @@ impl Replica<'_> {
             stats.accepted_worse += s.accepted_worse;
             stats.accepted_better += s.accepted_better;
             stats.bounded += s.bounded;
+            stats.null += s.null;
             apply_cooling(
                 base.cooling,
                 max_count,
@@ -254,11 +255,13 @@ fn coordinate_round<'a>(
         let mut worse = 0;
         let mut better = 0;
         let mut bounded = 0;
+        let mut null = 0;
         for slot in replicas.iter() {
             let rep = slot.as_ref().expect("replica slot filled");
             worse += rep.round_stats.accepted_worse;
             better += rep.round_stats.accepted_better;
             bounded += rep.round_stats.bounded;
+            null += rep.round_stats.null;
         }
         let coldest = replicas[0].as_ref().expect("replica slot filled");
         trace.epochs.push(EpochRecord {
@@ -269,6 +272,7 @@ fn coordinate_round<'a>(
             accepted_better: better,
             trigger_fired: swaps_accepted > 0,
             bounded,
+            null,
         });
     }
 }

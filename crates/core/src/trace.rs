@@ -25,6 +25,12 @@ pub struct EpochRecord {
     /// [`IncrementalObjective::bound`]: mec_system::IncrementalObjective::bound
     #[serde(default)]
     pub bounded: u32,
+    /// Null moves (empty proposals, e.g. a swap of two local users) of
+    /// this epoch, settled without pricing them. On a finite state each
+    /// is also an accepted worse move, so it feeds the threshold trigger;
+    /// `0` in traces recorded before the count existed.
+    #[serde(default)]
+    pub null: u32,
 }
 
 /// The full per-epoch history of one annealing run (recorded only when
@@ -59,11 +65,11 @@ impl SearchTrace {
     /// Renders the trace as CSV (one row per epoch), ready for plotting.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
-            "epoch,temperature,current_objective,best_objective,accepted_worse,accepted_better,trigger_fired,bounded\n",
+            "epoch,temperature,current_objective,best_objective,accepted_worse,accepted_better,trigger_fired,bounded,null\n",
         );
         for (i, e) in self.epochs.iter().enumerate() {
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{}\n",
+                "{},{},{},{},{},{},{},{},{}\n",
                 i,
                 e.temperature,
                 e.current_objective,
@@ -71,7 +77,8 @@ impl SearchTrace {
                 e.accepted_worse,
                 e.accepted_better,
                 e.trigger_fired,
-                e.bounded
+                e.bounded,
+                e.null
             ));
         }
         out
@@ -91,6 +98,7 @@ mod tests {
             accepted_better: 2,
             trigger_fired: fired,
             bounded: 7,
+            null: 2,
         }
     }
 
@@ -113,6 +121,7 @@ mod tests {
         let old = r#"{"temperature":3.0,"current_objective":0.9,"best_objective":1.0,"accepted_worse":3,"accepted_better":2,"trigger_fired":false}"#;
         let e: EpochRecord = serde_json::from_str(old).unwrap();
         assert_eq!(e.bounded, 0);
+        assert_eq!(e.null, 0);
         assert_eq!(e.accepted_worse, 3);
     }
 
@@ -125,8 +134,8 @@ mod tests {
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("epoch,temperature"));
-        assert!(lines[0].ends_with(",trigger_fired,bounded"));
-        assert!(lines[2].ends_with("true,7"));
+        assert!(lines[0].ends_with(",trigger_fired,bounded,null"));
+        assert!(lines[2].ends_with("true,7,2"));
         assert!(lines[1].starts_with("0,3,"));
     }
 }

@@ -87,6 +87,7 @@ use crate::coefficients::CoefficientBlocks;
 use crate::scenario::Scenario;
 use crate::simd;
 use mec_types::{Error, ServerId, SubchannelId, UserId};
+use std::fmt;
 
 /// One primitive mutation of an [`Assignment`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,17 +112,113 @@ pub enum PrimOp {
 /// (a swap of two offloaded users: two releases plus two assigns).
 pub const MAX_MOVE_OPS: usize = 4;
 
+/// Bits of a packed op word that hold the user index (the low bits).
+const USER_BITS: u32 = 32;
+/// Bits of a packed op word that hold the server index, above the user.
+const SERVER_BITS: u32 = 20;
+/// Bits of a packed op word that hold the subchannel index, above the
+/// server; the one bit left on top marks an `Assign`.
+const SUBCHANNEL_BITS: u32 = 11;
+const SERVER_SHIFT: u32 = USER_BITS;
+const SUBCHANNEL_SHIFT: u32 = USER_BITS + SERVER_BITS;
+const ASSIGN_BIT: u64 = 1 << (USER_BITS + SERVER_BITS + SUBCHANNEL_BITS);
+
+/// Most users a [`MoveDesc`] can address (user indices take 32 bits of
+/// a packed op); [`Scenario::new`] rejects larger populations.
+pub(crate) const MAX_PACKED_USERS: u64 = 1 << USER_BITS;
+/// Most servers a [`MoveDesc`] can address (20 bits of a packed op).
+pub(crate) const MAX_PACKED_SERVERS: u64 = 1 << SERVER_BITS;
+/// Most subchannels a [`MoveDesc`] can address (11 bits of a packed op).
+pub(crate) const MAX_PACKED_SUBCHANNELS: u64 = 1 << SUBCHANNEL_BITS;
+
+/// Checks that every id of a `users × servers × subchannels` geometry
+/// fits a packed [`MoveDesc`] op, naming the first count that does not.
+pub(crate) fn check_packed_geometry(
+    users: usize,
+    servers: usize,
+    subchannels: usize,
+) -> Result<(), Error> {
+    for (name, count, max) in [
+        ("U", users, MAX_PACKED_USERS),
+        ("S", servers, MAX_PACKED_SERVERS),
+        ("N", subchannels, MAX_PACKED_SUBCHANNELS),
+    ] {
+        if count as u64 > max {
+            return Err(Error::invalid(
+                name,
+                format!("{count} exceeds the {max} a packed move can address"),
+            ));
+        }
+    }
+    Ok(())
+}
+
+impl PrimOp {
+    /// The op as one word: the user in the low 32 bits, then the server
+    /// (20 bits) and the subchannel (11 bits) of an `Assign`, and the top
+    /// bit set for an `Assign`. A `Release` is its user index alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id does not fit its field.
+    #[inline]
+    fn pack(self) -> u64 {
+        let (user, server, subchannel, assign) = match self {
+            PrimOp::Assign {
+                user,
+                server,
+                subchannel,
+            } => (user, server.index(), subchannel.index(), ASSIGN_BIT),
+            PrimOp::Release { user } => (user, 0, 0, 0),
+        };
+        let (u, s, j) = (user.index() as u64, server as u64, subchannel as u64);
+        assert!(
+            u < MAX_PACKED_USERS && s < MAX_PACKED_SERVERS && j < MAX_PACKED_SUBCHANNELS,
+            "op ids beyond the packed range: user {u}, server {s}, subchannel {j}"
+        );
+        assign | (j << SUBCHANNEL_SHIFT) | (s << SERVER_SHIFT) | u
+    }
+
+    /// Decodes a word written by [`pack`](Self::pack).
+    #[inline]
+    fn unpack(word: u64) -> Self {
+        let user = UserId::new((word & (MAX_PACKED_USERS - 1)) as usize);
+        if word & ASSIGN_BIT == 0 {
+            return PrimOp::Release { user };
+        }
+        PrimOp::Assign {
+            user,
+            server: ServerId::new(((word >> SERVER_SHIFT) & (MAX_PACKED_SERVERS - 1)) as usize),
+            subchannel: SubchannelId::new(
+                ((word >> SUBCHANNEL_SHIFT) & (MAX_PACKED_SUBCHANNELS - 1)) as usize,
+            ),
+        }
+    }
+}
+
 /// A compact, allocation-free description of one neighborhood move: a
 /// sequence of at most [`MAX_MOVE_OPS`] primitive operations that is
 /// valid when applied in order against the assignment it was built for.
 ///
+/// Each op is stored as one packed word (see DESIGN.md §5, "The settled
+/// path"), so a move is 40 bytes and every proposal builds and copies
+/// it cheaply; [`ops`](Self::ops) decodes them. Unused words stay zero,
+/// so equal op sequences compare equal.
+///
 /// Constructors take the current assignment so the op sequence respects
 /// the mid-sequence invariants (`Assign` targets a free slot and a local
 /// user, `Release` targets an offloaded user).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct MoveDesc {
-    ops: [Option<PrimOp>; MAX_MOVE_OPS],
+    ops: [u64; MAX_MOVE_OPS],
     len: u8,
+}
+
+impl fmt::Debug for MoveDesc {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("MoveDesc ")?;
+        f.debug_list().entries(self.ops()).finish()
+    }
 }
 
 impl MoveDesc {
@@ -134,20 +231,22 @@ impl MoveDesc {
     ///
     /// # Panics
     ///
-    /// Panics if the move already holds [`MAX_MOVE_OPS`] ops.
+    /// Panics if the move already holds [`MAX_MOVE_OPS`] ops, or if an id
+    /// does not fit the packed word ([`Scenario::new`] rejects geometries
+    /// that could produce one).
+    #[inline]
     pub fn push(&mut self, op: PrimOp) {
         let i = self.len as usize;
         assert!(i < MAX_MOVE_OPS, "a move holds at most {MAX_MOVE_OPS} ops");
-        self.ops[i] = Some(op);
+        self.ops[i] = op.pack();
         self.len += 1;
     }
 
     /// The ops, in application order.
     pub fn ops(&self) -> impl Iterator<Item = PrimOp> + '_ {
-        self.ops
+        self.ops[..self.len()]
             .iter()
-            .take(self.len as usize)
-            .map(|op| op.expect("ops below len are set"))
+            .map(|&word| PrimOp::unpack(word))
     }
 
     /// Number of primitive ops.
@@ -158,11 +257,6 @@ impl MoveDesc {
     /// Whether the move changes nothing.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Whether the move changes nothing (alias of [`is_empty`](Self::is_empty)).
-    pub fn is_noop(&self) -> bool {
-        self.is_empty()
     }
 
     /// Moves `user` to `target` (`None` = back to local execution),
@@ -390,6 +484,13 @@ pub struct IncrementalObjective<'a> {
     signal_of: Vec<f64>,
     /// Whether a user's Γ term is non-finite (zero SINR ⇒ `+∞` cost).
     gamma_bad: Vec<bool>,
+    /// Per subchannel, Σ of its occupants' cached Γ terms in server
+    /// order: the relief the bounds credit. Rebuilt by `resync` and, for
+    /// the rows a move touched, by `commit` after the Γ flush, with the
+    /// same scan, so it equals a fresh scan bit for bit. Nothing else
+    /// writes Γ between commits: `apply` buffers or journals, `undo`
+    /// restores, and `bound` commits first.
+    relief: Vec<f64>,
     /// `Σ_{u∈U_s} √η_u` per server.
     sum_sqrt_eta: Vec<f64>,
     users_on: Vec<u32>,
@@ -462,6 +563,7 @@ impl<'a> IncrementalObjective<'a> {
             gamma_of: vec![0.0; users],
             signal_of: vec![0.0; users],
             gamma_bad: vec![false; users],
+            relief: vec![0.0; num_sub],
             sum_sqrt_eta: vec![0.0; servers],
             users_on: vec![0; servers],
             gain_sum: 0.0,
@@ -599,6 +701,9 @@ impl<'a> IncrementalObjective<'a> {
                 self.gamma_bad[u.index()] = true;
                 self.nonfinite += 1;
             }
+        }
+        for j in 0..self.num_sub {
+            self.relief[j] = self.scan_relief(j);
         }
 
         self.lambda_sum = 0.0;
@@ -902,7 +1007,8 @@ impl<'a> IncrementalObjective<'a> {
     }
 
     /// Accepts the last applied move, flushing its buffered totals and Γ
-    /// writes into the persistent arrays. A no-op without a pending move
+    /// writes into the persistent arrays and rescanning the relief sums
+    /// of the subchannels it touched. A no-op without a pending move
     /// (`undo` and `discard` leave the log empty, so there is nothing to
     /// clear — every speculative score starts with this check).
     pub fn commit(&mut self) {
@@ -917,6 +1023,10 @@ impl<'a> IncrementalObjective<'a> {
         for &(u, term, bad) in &self.log.new_gammas {
             self.gamma_of[u] = term;
             self.gamma_bad[u] = bad;
+        }
+        for k in 0..self.log.touched_subs.len() {
+            let j = self.log.touched_subs[k];
+            self.relief[j] = self.scan_relief(j);
         }
         self.log.discard();
     }
@@ -1411,7 +1521,11 @@ impl IncrementalObjective<'_> {
             lambda += after - lambda_term_from(sum, self.capacity[si]);
             magnitude += after;
         }
-        let relief: f64 = touched.iter().flatten().map(|&j| self.relief(j)).sum();
+        let relief: f64 = touched
+            .iter()
+            .flatten()
+            .map(|j| self.relief[j.index()])
+            .sum();
         self.slack_bound(gain - floors + relief - lambda, magnitude)
     }
 
@@ -1465,7 +1579,8 @@ impl IncrementalObjective<'_> {
         let after = lambda_term_from(after, capacity);
         let lambda = after - lambda_term_from(sum, capacity);
         magnitude += after;
-        self.slack_bound(gain - floor + self.relief(subchannel) - lambda, magnitude)
+        let relief = self.relief[subchannel.index()];
+        self.slack_bound(gain - floor + relief - lambda, magnitude)
     }
 
     /// The take a move describes, if it is `[Assign]` or `[Release
@@ -1473,20 +1588,27 @@ impl IncrementalObjective<'_> {
     /// [`score`](Self::score) and [`bound`](Self::bound) handle
     /// straight-line.
     fn take_shape(&self, mv: &MoveDesc) -> Option<(UserId, ServerId, SubchannelId)> {
-        match mv.ops[..mv.len()] {
-            [Some(PrimOp::Assign {
-                user,
-                server,
-                subchannel,
-            })] => Some((user, server, subchannel)),
-            [Some(PrimOp::Release { user: victim }), Some(PrimOp::Assign {
-                user,
-                server,
-                subchannel,
-            })] if victim != user && self.x.occupant(server, subchannel) == Some(victim) => {
+        let (release, take) = match mv.ops[..mv.len()] {
+            [take] => (None, take),
+            [release, take] => (Some(release), take),
+            _ => return None,
+        };
+        let PrimOp::Assign {
+            user,
+            server,
+            subchannel,
+        } = PrimOp::unpack(take)
+        else {
+            return None;
+        };
+        match release.map(PrimOp::unpack) {
+            None => Some((user, server, subchannel)),
+            Some(PrimOp::Release { user: victim })
+                if victim != user && self.x.occupant(server, subchannel) == Some(victim) =>
+            {
                 Some((user, server, subchannel))
             }
-            _ => None,
+            Some(_) => None,
         }
     }
 
@@ -1518,10 +1640,11 @@ impl IncrementalObjective<'_> {
     }
 
     /// Σ of the cached Γ terms of every current occupant of subchannel
-    /// `j` — the most a move touching `j` can relieve them by.
-    #[inline]
-    fn relief(&self, j: SubchannelId) -> f64 {
-        self.x.occupants_on(j)[..self.capacity.len()]
+    /// `j`, in server order — the most a move touching `j` can relieve
+    /// them by. [`resync`](Self::resync) and [`commit`](Self::commit)
+    /// store it per subchannel in `relief`, which the bounds read.
+    fn scan_relief(&self, j: usize) -> f64 {
+        self.x.occupants_on(SubchannelId::new(j))[..self.capacity.len()]
             .iter()
             .flatten()
             .map(|w| self.gamma_of[w.index()])
@@ -2164,6 +2287,127 @@ mod tests {
         let first = inc.bound_take(u, s, j);
         assert_eq!(inc.floors.len(), inc.wgain.len());
         assert_eq!(first.to_bits(), inc.bound_take(u, s, j).to_bits());
+    }
+
+    #[test]
+    fn packed_ops_round_trip_at_the_edges_of_the_id_range() {
+        let users = [0, 1, MAX_PACKED_USERS as usize - 1];
+        let servers = [0, 1, MAX_PACKED_SERVERS as usize - 1];
+        let subchannels = [0, 1, MAX_PACKED_SUBCHANNELS as usize - 1];
+        for &u in &users {
+            let release = PrimOp::Release {
+                user: UserId::new(u),
+            };
+            assert_eq!(PrimOp::unpack(release.pack()), release);
+            for &s in &servers {
+                for &j in &subchannels {
+                    let assign = PrimOp::Assign {
+                        user: UserId::new(u),
+                        server: ServerId::new(s),
+                        subchannel: SubchannelId::new(j),
+                    };
+                    assert_eq!(PrimOp::unpack(assign.pack()), assign);
+                    let mut mv = MoveDesc::noop();
+                    mv.push(release);
+                    mv.push(assign);
+                    assert_eq!(mv.ops().collect::<Vec<_>>(), [release, assign]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the packed range")]
+    fn pushing_an_op_beyond_the_packed_range_panics() {
+        MoveDesc::noop().push(PrimOp::Assign {
+            user: UserId::new(0),
+            server: ServerId::new(0),
+            subchannel: SubchannelId::new(MAX_PACKED_SUBCHANNELS as usize),
+        });
+    }
+
+    #[test]
+    fn a_move_is_at_most_forty_bytes_and_prints_its_ops() {
+        assert!(std::mem::size_of::<MoveDesc>() <= 40);
+        let mut mv = MoveDesc::noop();
+        mv.push(PrimOp::Release {
+            user: UserId::new(7),
+        });
+        let printed = format!("{mv:?}");
+        assert!(printed.starts_with("MoveDesc [Release"), "{printed}");
+        assert!(printed.contains('7'), "{printed}");
+        assert_eq!(format!("{:?}", MoveDesc::noop()), "MoveDesc []");
+    }
+
+    #[test]
+    fn scenarios_beyond_the_packed_range_are_rejected() {
+        assert!(check_packed_geometry(1 << 32, 1 << 20, 1 << 11).is_ok());
+        for (users, servers, subchannels, name) in [
+            ((1 << 32) + 1, 1, 1, "U"),
+            (1, (1 << 20) + 1, 1, "S"),
+            (1, 1, (1 << 11) + 1, "N"),
+        ] {
+            match check_packed_geometry(users, servers, subchannels) {
+                Err(Error::InvalidParameter { name: got, .. }) => assert_eq!(got, name),
+                other => panic!("{name}: {other:?}"),
+            }
+        }
+        let build = |subchannels: usize| {
+            Scenario::new(
+                vec![UserSpec::paper_default_with_workload(Cycles::from_mega(2000.0)).unwrap()],
+                vec![ServerProfile::paper_default()],
+                OfdmaConfig::new(Hertz::from_mega(20.0), subchannels).unwrap(),
+                ChannelGains::uniform(1, 1, subchannels, 1e-10).unwrap(),
+                Watts::new(1e-13),
+            )
+        };
+        assert!(build(MAX_PACKED_SUBCHANNELS as usize).is_ok());
+        assert!(matches!(
+            build(MAX_PACKED_SUBCHANNELS as usize + 1),
+            Err(Error::InvalidParameter { name: "N", .. })
+        ));
+    }
+
+    /// Asserts every stored relief sum equals a fresh scan bit for bit.
+    fn assert_relief_is_a_fresh_scan(inc: &IncrementalObjective<'_>, what: &str) {
+        for j in 0..inc.num_sub {
+            assert_eq!(
+                inc.relief[j].to_bits(),
+                inc.scan_relief(j).to_bits(),
+                "{what}: subchannel {j}"
+            );
+        }
+    }
+
+    #[test]
+    fn relief_sums_match_a_fresh_scan_over_random_walks() {
+        for seed in 0..3 {
+            let mut sc = random_scenario(seed, 9, 3, 3);
+            if seed == 1 {
+                sc.set_external_rx(Some((0..9).map(|i| 1e-12 * (1.0 + i as f64)).collect()))
+                    .unwrap();
+            }
+            let mut rng = StdRng::seed_from_u64(seed + 300);
+            let mut inc = IncrementalObjective::new(&sc, random_assignment(&sc, seed + 5)).unwrap();
+            assert_relief_is_a_fresh_scan(&inc, "fresh build");
+            for step in 0..120 {
+                let mv = random_move(&sc, inc.assignment(), &mut rng);
+                inc.apply(&mv);
+                match rng.gen_range(0..3) {
+                    0 => inc.undo(),
+                    1 => inc.commit(),
+                    // `bound` commits the pending move before it reads.
+                    _ => {
+                        let next = random_move(&sc, inc.assignment(), &mut rng);
+                        let _ = inc.bound(&next);
+                    }
+                }
+                if step % 40 == 39 {
+                    inc.resync();
+                }
+                assert_relief_is_a_fresh_scan(&inc, &format!("seed {seed} step {step}"));
+            }
+        }
     }
 
     #[test]

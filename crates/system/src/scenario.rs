@@ -71,8 +71,10 @@ impl Scenario {
     ///
     /// * [`Error::DimensionMismatch`] if the gain tensor does not match the
     ///   user/server/subchannel counts.
-    /// * [`Error::InvalidParameter`] if there are no users or servers, or
-    ///   the noise power is non-positive.
+    /// * [`Error::InvalidParameter`] if there are no users or servers,
+    ///   the noise power is non-positive, or a count exceeds what a
+    ///   packed [`MoveDesc`](crate::MoveDesc) can address (2³² users,
+    ///   2²⁰ servers, 2¹¹ subchannels).
     pub fn new(
         users: Vec<UserSpec>,
         servers: Vec<ServerProfile>,
@@ -110,6 +112,11 @@ impl Scenario {
                 actual: gains.num_subchannels(),
             });
         }
+        crate::incremental::check_packed_geometry(
+            users.len(),
+            servers.len(),
+            ofdma.num_subchannels(),
+        )?;
 
         let local_costs: Vec<LocalCost> =
             users.iter().map(|u| u.task.local_cost(&u.device)).collect();

@@ -1,14 +1,16 @@
-//! The bound gate of the TTSA step, seen from its traces: the per-epoch
-//! `bounded` count (proposals ruled out without pricing) stays within
-//! the proposals made, the bound does settle proposals on a
-//! paper-default instance, and recording the trace never changes a
-//! seeded decision, for the single chain and for tempering.
+//! The settled TTSA step, seen from its traces: the per-epoch `bounded`
+//! count (proposals ruled out without pricing) stays within the
+//! proposals made, the bound does settle proposals on a paper-default
+//! instance, null moves are settled unpriced and counted as accepted
+//! worse moves, the totals that feed the threshold trigger are pinned,
+//! and recording the trace never changes a seeded decision, for the
+//! single chain and for tempering.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tsajs_mec::prelude::*;
 use tsajs_mec::tsajs::annealing::AnnealOutcome;
-use tsajs_mec::tsajs::{anneal, temper, NeighborhoodKernel, TemperingConfig};
+use tsajs_mec::tsajs::{anneal, temper, EpochRecord, NeighborhoodKernel, TemperingConfig};
 
 fn paper_instance(seed: u64) -> Scenario {
     ScenarioGenerator::new(ExperimentParams::paper_default())
@@ -43,9 +45,14 @@ fn run_tempering(scenario: &Scenario, config: &TtsaConfig, seed: u64) -> AnnealO
     )
 }
 
-fn bounded(outcome: &AnnealOutcome) -> u64 {
+/// Σ of one per-epoch count over a traced outcome.
+fn total(outcome: &AnnealOutcome, count: impl Fn(&EpochRecord) -> u32) -> u64 {
     let trace = outcome.trace.as_ref().expect("trace requested");
-    trace.epochs.iter().map(|e| u64::from(e.bounded)).sum()
+    trace.epochs.iter().map(|e| u64::from(count(e))).sum()
+}
+
+fn bounded(outcome: &AnnealOutcome) -> u64 {
+    total(outcome, |e| e.bounded)
 }
 
 #[test]
@@ -92,5 +99,56 @@ fn tracing_leaves_every_decision_bit_identical() {
             assert_eq!(a.proposals, b.proposals, "seed {seed}");
             assert_eq!(a.epochs, b.epochs, "seed {seed}");
         }
+    }
+}
+
+#[test]
+fn null_moves_are_settled_as_accepted_worse_moves() {
+    for seed in [3u64, 17] {
+        let scenario = paper_instance(seed);
+        let config = ttsa().with_trace();
+        for run in [run_ttsa, run_tempering] {
+            let outcome = run(&scenario, &config, seed);
+            assert!(outcome.objective.is_finite());
+            let trace = outcome.trace.as_ref().unwrap();
+            for (i, e) in trace.epochs.iter().enumerate() {
+                assert!(
+                    e.null <= e.accepted_worse,
+                    "seed {seed} epoch {i}: {} null moves, {} accepted worse",
+                    e.null,
+                    e.accepted_worse
+                );
+            }
+            assert!(total(&outcome, |e| e.null) > 0, "seed {seed}: no null move");
+        }
+    }
+}
+
+/// Totals of the single chain on paper instances, captured before null
+/// moves were settled ahead of the bound and before the exp-free
+/// rejection: `(seed, epochs, proposals, Σ accepted_worse,
+/// Σ accepted_better, Σ bounded, objective bits)`. Every shortcut of the
+/// settled step keeps each decision, so these never move.
+const SETTLED_STEP_PINS: [(u64, u64, u64, u64, u64, u64, u64); 2] = [
+    (3, 295, 8_850, 980, 245, 7_235, 0x4010_5b04_403f_27e3),
+    (17, 300, 9_000, 901, 308, 7_198, 0x4012_a11c_6524_e3db),
+];
+
+#[test]
+fn settled_step_totals_are_pinned() {
+    for (seed, epochs, proposals, worse, better, settled, bits) in SETTLED_STEP_PINS {
+        let scenario = paper_instance(seed);
+        let chain = run_ttsa(&scenario, &ttsa().with_trace(), seed);
+        assert_eq!(chain.epochs, epochs, "seed {seed}");
+        assert_eq!(chain.proposals, proposals, "seed {seed}");
+        assert_eq!(total(&chain, |e| e.accepted_worse), worse, "seed {seed}");
+        assert_eq!(total(&chain, |e| e.accepted_better), better, "seed {seed}");
+        assert_eq!(bounded(&chain), settled, "seed {seed}");
+        assert_eq!(
+            chain.objective.to_bits(),
+            bits,
+            "seed {seed}: {}",
+            chain.objective
+        );
     }
 }
