@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mec_mobility::RandomWaypoint;
 use mec_system::Evaluator;
 use mec_types::{Seconds, UserId};
-use mec_workloads::{ExperimentParams, ScenarioGenerator};
+use mec_workloads::{epoch_seed, ExperimentParams, ScenarioGenerator, CHAIN_STREAM};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tsajs::{anneal, anneal_from, NeighborhoodKernel, ResolveMode, TtsaConfig};
@@ -35,7 +35,7 @@ fn bench_online_resolve(c: &mut Criterion) {
         .expect("epoch-k scenario");
     let base = TtsaConfig::paper_default();
     let kernel = NeighborhoodKernel::new();
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0x5851_F42D_4C95_7F2D);
+    let mut rng = StdRng::seed_from_u64(SEED ^ CHAIN_STREAM);
     let prev = anneal(&prev_scenario, &base, &kernel, &mut rng);
 
     // Epoch k+1: survivors move 10 s of pedestrian motion; 10% of the
@@ -53,10 +53,7 @@ fn bench_online_resolve(c: &mut Criterion) {
         motion.remove_user(fresh);
     }
     let next_scenario = generator
-        .generate_at(
-            &positions,
-            SEED.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        )
+        .generate_at(&positions, epoch_seed(SEED, 0))
         .expect("epoch-k+1 scenario");
     let patched = prev
         .assignment
@@ -65,9 +62,9 @@ fn bench_online_resolve(c: &mut Criterion) {
     let refresh = ResolveMode::warm(3_000).refresh_config(&base);
 
     // Report the utility gap once, outside the timed loops.
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0x5851_F42D_4C95_7F2D);
+    let mut rng = StdRng::seed_from_u64(SEED ^ CHAIN_STREAM);
     let cold_outcome = anneal(&next_scenario, &base, &kernel, &mut rng);
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0x5851_F42D_4C95_7F2D);
+    let mut rng = StdRng::seed_from_u64(SEED ^ CHAIN_STREAM);
     let warm_outcome = anneal_from(&next_scenario, &refresh, &kernel, &mut rng, patched.clone());
     let evaluator = Evaluator::new(&next_scenario);
     eprintln!(
@@ -89,13 +86,13 @@ fn bench_online_resolve(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("cold_u90_churn10", |b| {
         b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(SEED ^ 0x5851_F42D_4C95_7F2D);
+            let mut rng = StdRng::seed_from_u64(SEED ^ CHAIN_STREAM);
             anneal(&next_scenario, &base, &kernel, &mut rng)
         })
     });
     group.bench_function("warm_u90_churn10", |b| {
         b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(SEED ^ 0x5851_F42D_4C95_7F2D);
+            let mut rng = StdRng::seed_from_u64(SEED ^ CHAIN_STREAM);
             anneal_from(&next_scenario, &refresh, &kernel, &mut rng, patched.clone())
         })
     });

@@ -1,7 +1,12 @@
 //! TTSA configuration (the constants of Algorithm 1, line 3–4, made
 //! tunable).
 
+use crate::annealing::{anneal, anneal_from, AnnealOutcome};
+use crate::moves::NeighborhoodKernel;
+use crate::tempering::temper_from;
+use mec_system::{Assignment, Scenario};
 use mec_types::Error;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Default restart temperature for warm-started refreshes: low enough
@@ -98,6 +103,47 @@ impl ResolveMode {
             } => base
                 .with_proposal_budget(refresh_budget)
                 .with_initial_temperature(InitialTemperature::Fixed(refresh_temperature)),
+        }
+    }
+
+    /// Re-solves one epoch under this mode: the dispatch every epoch
+    /// driver shares.
+    ///
+    /// * [`Cold`](Self::Cold), or no `warm` start: a full [`anneal`] with
+    ///   `base`.
+    /// * [`WarmStart`](Self::WarmStart): one chain refreshed from `warm`
+    ///   under [`refresh_config`](Self::refresh_config).
+    /// * [`WarmTempered`](Self::WarmTempered): the same refresh spent by
+    ///   a shortened ladder on up to `workers` threads, every replica
+    ///   starting from `warm` ([`temper_from`]; its result does not depend
+    ///   on `workers`).
+    ///
+    /// # Panics
+    ///
+    /// As the search it runs, if `base` or the mode fails `validate()`.
+    pub fn resolve<R: Rng + ?Sized>(
+        &self,
+        scenario: &Scenario,
+        base: &TtsaConfig,
+        kernel: &NeighborhoodKernel,
+        rng: &mut R,
+        workers: usize,
+        warm: Option<Assignment>,
+    ) -> AnnealOutcome {
+        match (self, warm) {
+            (ResolveMode::Cold, _) | (_, None) => anneal(scenario, base, kernel, rng),
+            (ResolveMode::WarmStart { .. }, Some(warm)) => {
+                anneal_from(scenario, &self.refresh_config(base), kernel, rng, warm)
+            }
+            (ResolveMode::WarmTempered { tempering, .. }, Some(warm)) => temper_from(
+                scenario,
+                tempering,
+                &self.refresh_config(base),
+                kernel,
+                rng,
+                workers,
+                warm,
+            ),
         }
     }
 }

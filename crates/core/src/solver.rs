@@ -438,6 +438,63 @@ mod tests {
     }
 
     #[test]
+    fn resolve_dispatches_on_the_mode_and_the_warm_start() {
+        use crate::config::{ResolveMode, TemperingConfig};
+        use crate::{anneal, anneal_from, temper_from, NeighborhoodKernel};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let sc = scenario(6);
+        let base = quick();
+        let kernel = NeighborhoodKernel::new();
+        let rng = || StdRng::seed_from_u64(3);
+        let warm = TsajsSolver::new(quick().with_seed(5))
+            .solve(&sc)
+            .unwrap()
+            .assignment;
+        let key = |o: crate::annealing::AnnealOutcome| (o.assignment, o.objective.to_bits());
+        let cold = key(anneal(&sc, &base, &kernel, &mut rng()));
+        let warm_start = ResolveMode::warm(200);
+        let tempered = ResolveMode::WarmTempered {
+            refresh_budget: 200,
+            refresh_temperature: 0.05,
+            tempering: TemperingConfig::paper_default().with_replicas(2),
+        };
+        for mode in [ResolveMode::Cold, warm_start, tempered] {
+            // No warm start, or the cold mode: a full anneal from scratch.
+            let resolved = mode.resolve(&sc, &base, &kernel, &mut rng(), 2, None);
+            assert_eq!(key(resolved), cold);
+        }
+        let resolved =
+            ResolveMode::Cold.resolve(&sc, &base, &kernel, &mut rng(), 2, Some(warm.clone()));
+        assert_eq!(key(resolved), cold);
+        let refresh = warm_start.refresh_config(&base);
+        assert_eq!(
+            key(warm_start.resolve(&sc, &base, &kernel, &mut rng(), 2, Some(warm.clone()))),
+            key(anneal_from(
+                &sc,
+                &refresh,
+                &kernel,
+                &mut rng(),
+                warm.clone()
+            ))
+        );
+        let ladder = TemperingConfig::paper_default().with_replicas(2);
+        let refresh = tempered.refresh_config(&base);
+        assert_eq!(
+            key(tempered.resolve(&sc, &base, &kernel, &mut rng(), 2, Some(warm.clone()))),
+            key(temper_from(
+                &sc,
+                &ladder,
+                &refresh,
+                &kernel,
+                &mut rng(),
+                1,
+                warm
+            ))
+        );
+    }
+
+    #[test]
     fn tempered_warm_start_routes_through_the_short_ladder() {
         let sc = scenario(6);
         let warm = TsajsSolver::new(quick().with_seed(5))

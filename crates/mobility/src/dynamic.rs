@@ -1,9 +1,9 @@
 //! Dynamic re-scheduling: move, regenerate channels, re-solve, repeat.
 
 use crate::waypoint::RandomWaypoint;
-use mec_system::{Assignment, Solver};
-use mec_types::{Error, Seconds, ServerId, UserId};
-use mec_workloads::{ExperimentParams, ScenarioGenerator};
+use mec_system::{Assignment, Scenario, Solver};
+use mec_types::{effective_parallelism, Error, Seconds, ServerId, UserId};
+use mec_workloads::{epoch_seed, ExperimentParams, ScenarioGenerator, CHAIN_STREAM};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -135,95 +135,28 @@ impl DynamicSimulation {
     where
         F: Fn(u64) -> Box<dyn Solver>,
     {
-        let layout = self.generator.layout()?;
-        let mut reports = Vec::with_capacity(epochs);
-        let mut previous_assignment: Option<Assignment> = None;
-        let mut previous_nearest: Option<Vec<ServerId>> = None;
-
-        for _ in 0..epochs {
-            let epoch_seed = if self.mobility.redraw_shadowing {
-                self.seed
-                    .wrapping_add(1 + self.epoch as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            } else {
-                self.seed
-            };
-            let scenario = self
-                .generator
-                .generate_at(self.model.positions(), epoch_seed)?;
-            let mut solver = make_solver(epoch_seed);
-            let solution = solver.solve(&scenario)?;
-
-            let nearest: Vec<ServerId> = self
-                .model
-                .positions()
-                .iter()
-                .map(|p| layout.nearest_station(*p))
-                .collect();
-            let handovers = previous_nearest
-                .as_ref()
-                .map(|prev| prev.iter().zip(&nearest).filter(|(a, b)| a != b).count())
-                .unwrap_or(0);
-            let reassignments = previous_assignment
-                .as_ref()
-                .map(|prev| {
-                    (0..scenario.num_users())
-                        .filter(|i| {
-                            prev.slot(UserId::new(*i)) != solution.assignment.slot(UserId::new(*i))
-                        })
-                        .count()
-                })
-                .unwrap_or(0);
-
-            reports.push(EpochReport {
-                epoch: self.epoch,
-                utility: solution.utility,
-                num_offloaded: solution.assignment.num_offloaded(),
-                handovers,
-                reassignments,
-                proposals: solution.stats.iterations,
-            });
-            previous_assignment = Some(solution.assignment);
-            previous_nearest = Some(nearest);
-
-            self.model
-                .step(&layout, self.mobility.epoch_duration, &mut self.rng);
-            self.epoch += 1;
-        }
-        Ok(History { epochs: reports })
+        self.run_epochs(epochs, |scenario, shadowing_seed, _| {
+            let solution = make_solver(shadowing_seed).solve(scenario)?;
+            Ok((
+                solution.assignment,
+                solution.utility,
+                solution.stats.iterations,
+            ))
+        })
     }
 
-    /// Runs `epochs` epochs with **incremental re-scheduling**: the first
-    /// epoch solves from scratch with `base` (the full schedule), every
-    /// later epoch warm-starts TTSA from the previous decision under a
-    /// tight `refresh_budget` of proposals — the cheap periodic refresh an
-    /// operator would run between full re-optimizations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration, scenario-generation and solver errors.
-    pub fn run_incremental(
-        &mut self,
-        epochs: usize,
-        base: tsajs::TtsaConfig,
-        refresh_budget: u64,
-    ) -> Result<History, Error> {
-        self.run_ttsa(epochs, base, tsajs::ResolveMode::warm(refresh_budget))
-    }
-
-    /// The shared TTSA epoch loop behind both dynamic paths: every epoch
-    /// re-solves under `mode` — [`ResolveMode::Cold`] anneals from scratch
-    /// (the cold-solve fallback), [`ResolveMode::WarmStart`] seeds the
-    /// chain from the previous epoch's decision under a tight refresh
-    /// budget at a low fixed restart temperature (the first epoch is
-    /// always a cold solve; there is nothing to warm-start from).
+    /// Runs `epochs` epochs re-solved with TTSA under `mode`:
+    /// [`ResolveMode::Cold`] anneals every epoch from scratch with `base`;
+    /// the warm modes seed each epoch's refresh with the previous epoch's
+    /// decision under a tight proposal budget at a low fixed restart
+    /// temperature. The first epoch is always a cold solve; there is
+    /// nothing to warm-start from.
     ///
     /// # Errors
     ///
     /// Propagates configuration, scenario-generation and solver errors.
     ///
     /// [`ResolveMode::Cold`]: tsajs::ResolveMode::Cold
-    /// [`ResolveMode::WarmStart`]: tsajs::ResolveMode::WarmStart
     pub fn run_ttsa(
         &mut self,
         epochs: usize,
@@ -232,51 +165,47 @@ impl DynamicSimulation {
     ) -> Result<History, Error> {
         base.validate()?;
         mode.validate()?;
-        let layout = self.generator.layout()?;
         let kernel = tsajs::NeighborhoodKernel::new();
-        let mut chain_rng = StdRng::seed_from_u64(self.seed ^ 0x5851_F42D_4C95_7F2D);
+        let mut chain_rng = StdRng::seed_from_u64(self.seed ^ CHAIN_STREAM);
+        let workers = effective_parallelism(None);
+        self.run_epochs(epochs, |scenario, _, previous| {
+            let outcome = mode.resolve(
+                scenario,
+                &base,
+                &kernel,
+                &mut chain_rng,
+                workers,
+                previous.cloned(),
+            );
+            Ok((outcome.assignment, outcome.objective, outcome.proposals))
+        })
+    }
+
+    /// The epoch loop behind [`run`](Self::run) and
+    /// [`run_ttsa`](Self::run_ttsa): regenerate the scenario at the current
+    /// positions, let `solve(scenario, shadowing seed, previous decision)`
+    /// return `(decision, utility, proposals)`, count handovers and
+    /// reassignments, report, and move the users.
+    fn run_epochs<F>(&mut self, epochs: usize, mut solve: F) -> Result<History, Error>
+    where
+        F: FnMut(&Scenario, u64, Option<&Assignment>) -> Result<(Assignment, f64, u64), Error>,
+    {
+        let layout = self.generator.layout()?;
         let mut reports = Vec::with_capacity(epochs);
         let mut previous: Option<Assignment> = None;
         let mut previous_nearest: Option<Vec<ServerId>> = None;
 
         for _ in 0..epochs {
-            let epoch_seed = if self.mobility.redraw_shadowing {
-                self.seed
-                    .wrapping_add(1 + self.epoch as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            let shadowing_seed = if self.mobility.redraw_shadowing {
+                epoch_seed(self.seed, self.epoch as u64)
             } else {
                 self.seed
             };
             let scenario = self
                 .generator
-                .generate_at(self.model.positions(), epoch_seed)?;
-            let outcome = match (mode, previous.as_ref()) {
-                (tsajs::ResolveMode::Cold, _) | (_, None) => {
-                    tsajs::anneal(&scenario, &base, &kernel, &mut chain_rng)
-                }
-                (tsajs::ResolveMode::WarmStart { .. }, Some(warm)) => {
-                    // A refresh is fine-tuning, not a fresh search: start
-                    // cold (low fixed temperature) so the budget is spent
-                    // improving the inherited schedule instead of
-                    // scrambling it.
-                    let refresh = mode.refresh_config(&base);
-                    tsajs::anneal_from(&scenario, &refresh, &kernel, &mut chain_rng, warm.clone())
-                }
-                (tsajs::ResolveMode::WarmTempered { tempering, .. }, Some(warm)) => {
-                    // The same refresh contract, spent by a shortened
-                    // tempering ladder seeded from the inherited schedule.
-                    let refresh = mode.refresh_config(&base);
-                    tsajs::temper_from(
-                        &scenario,
-                        &tempering,
-                        &refresh,
-                        &kernel,
-                        &mut chain_rng,
-                        mec_types::effective_parallelism(None),
-                        warm.clone(),
-                    )
-                }
-            };
+                .generate_at(self.model.positions(), shadowing_seed)?;
+            let (assignment, utility, proposals) =
+                solve(&scenario, shadowing_seed, previous.as_ref())?;
 
             let nearest: Vec<ServerId> = self
                 .model
@@ -292,22 +221,20 @@ impl DynamicSimulation {
                 .as_ref()
                 .map(|prev| {
                     (0..scenario.num_users())
-                        .filter(|i| {
-                            prev.slot(UserId::new(*i)) != outcome.assignment.slot(UserId::new(*i))
-                        })
+                        .filter(|i| prev.slot(UserId::new(*i)) != assignment.slot(UserId::new(*i)))
                         .count()
                 })
                 .unwrap_or(0);
 
             reports.push(EpochReport {
                 epoch: self.epoch,
-                utility: outcome.objective,
-                num_offloaded: outcome.assignment.num_offloaded(),
+                utility,
+                num_offloaded: assignment.num_offloaded(),
                 handovers,
                 reassignments,
-                proposals: outcome.proposals,
+                proposals,
             });
-            previous = Some(outcome.assignment);
+            previous = Some(assignment);
             previous_nearest = Some(nearest);
             self.model
                 .step(&layout, self.mobility.epoch_duration, &mut self.rng);
@@ -430,7 +357,9 @@ mod tests {
     fn incremental_rescheduling_is_cheap_after_the_first_epoch() {
         let base = tsajs::TtsaConfig::paper_default().with_min_temperature(1e-3);
         let mut sim = DynamicSimulation::new(params(), MobilityConfig::pedestrian(), 9).unwrap();
-        let history = sim.run_incremental(5, base, 120).unwrap();
+        let history = sim
+            .run_ttsa(5, base, tsajs::ResolveMode::warm(120))
+            .unwrap();
         assert_eq!(history.epochs.len(), 5);
         let cold = history.epochs[0].proposals;
         for e in &history.epochs[1..] {
@@ -448,8 +377,8 @@ mod tests {
     fn incremental_tracks_churn_and_rejects_zero_budget() {
         let base = tsajs::TtsaConfig::paper_default().with_min_temperature(1e-2);
         let mut sim = DynamicSimulation::new(params(), MobilityConfig::vehicular(), 4).unwrap();
-        assert!(sim.run_incremental(2, base, 0).is_err());
-        let history = sim.run_incremental(3, base, 60).unwrap();
+        assert!(sim.run_ttsa(2, base, tsajs::ResolveMode::warm(0)).is_err());
+        let history = sim.run_ttsa(3, base, tsajs::ResolveMode::warm(60)).unwrap();
         assert_eq!(history.epochs[0].reassignments, 0, "no predecessor");
         for e in &history.epochs {
             assert!(e.reassignments <= 8);
@@ -459,18 +388,11 @@ mod tests {
     #[test]
     fn run_ttsa_cold_and_warm_share_one_code_path() {
         let base = tsajs::TtsaConfig::paper_default().with_min_temperature(1e-2);
-        // Warm mode through run_ttsa is exactly run_incremental.
         let warm_direct = {
             let mut sim =
                 DynamicSimulation::new(params(), MobilityConfig::pedestrian(), 7).unwrap();
             sim.run_ttsa(4, base, tsajs::ResolveMode::warm(80)).unwrap()
         };
-        let warm_legacy = {
-            let mut sim =
-                DynamicSimulation::new(params(), MobilityConfig::pedestrian(), 7).unwrap();
-            sim.run_incremental(4, base, 80).unwrap()
-        };
-        assert_eq!(warm_direct, warm_legacy);
         // The cold fallback re-anneals every epoch: no epoch is cheaper
         // than the warm refreshes.
         let cold = {

@@ -5,7 +5,7 @@ use crate::dynamic::{DynamicSimulation, MobilityConfig};
 use mec_system::Solver;
 use mec_types::Error;
 use mec_workloads::{ExperimentParams, SampleStats, Table};
-use tsajs::{TsajsSolver, TtsaConfig};
+use tsajs::{ResolveMode, TsajsSolver, TtsaConfig};
 
 /// Configuration of the dynamics study.
 #[derive(Debug, Clone)]
@@ -98,7 +98,11 @@ pub fn run(config: &StudyConfig) -> Result<Vec<Table>, Error> {
 
         // Incremental refresh.
         let mut sim = DynamicSimulation::new(config.params, mobility, config.seed)?;
-        let history = sim.run_incremental(config.epochs, config.ttsa, config.refresh_budget)?;
+        let history = sim.run_ttsa(
+            config.epochs,
+            config.ttsa,
+            ResolveMode::warm(config.refresh_budget),
+        )?;
         summarize(label, "TSAJS (incremental)", &history, &mut table);
 
         // Greedy reference.

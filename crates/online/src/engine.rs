@@ -8,9 +8,9 @@
 //! 2. rebuild the epoch's [`Scenario`] at the survivors' current
 //!    positions and *patch* the previous [`Assignment`] onto the new
 //!    population ([`Assignment::patched`] — survivors keep their slots),
-//! 3. re-solve with TTSA: a warm-started refresh seeded from the patched
-//!    decision on the incremental evaluation path
-//!    ([`ResolveMode::WarmStart`]) or a full cold anneal
+//! 3. re-solve through [`ResolveMode::resolve`]: a warm refresh seeded
+//!    from the patched decision ([`ResolveMode::WarmStart`] or
+//!    [`ResolveMode::WarmTempered`]) or a full cold anneal
 //!    ([`ResolveMode::Cold`]),
 //! 4. score every active user against the SLA deadline and emit a
 //!    serializable [`OnlineEpochReport`].
@@ -24,14 +24,16 @@ use crate::churn::ChurnProcess;
 use crate::events::{EngineEvent, EventSchedule, TimedEvent};
 use crate::sla::{CompletedUser, SlaLog};
 use mec_mobility::RandomWaypoint;
-use mec_system::{Assignment, Evaluator, Scenario};
+use mec_system::{reassigned_survivors, survivor_map, Assignment, Evaluator, Scenario};
 use mec_topology::{NetworkLayout, Point2};
 use mec_types::{effective_parallelism, DeviceProfile, Error, Seconds, ServerId, Task, UserId};
-use mec_workloads::{ChurnEvent, ChurnEventKind, ExperimentParams, ScenarioGenerator};
+use mec_workloads::{
+    epoch_seed, ChurnEvent, ChurnEventKind, ExperimentParams, ScenarioGenerator, CHAIN_STREAM,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use tsajs::{anneal, anneal_from, temper_from, NeighborhoodKernel, ResolveMode, TtsaConfig};
+use tsajs::{NeighborhoodKernel, ResolveMode, TtsaConfig};
 
 /// User ids injected by flash-crowd events live in a high range so they
 /// can never collide with churn-process ids.
@@ -302,7 +304,7 @@ impl OnlineEngine {
             motion_rng,
             // Decorrelate the solver stream from the motion stream (the
             // same split `mec_mobility::dynamic` uses).
-            chain_rng: StdRng::seed_from_u64(seed ^ 0x5851_F42D_4C95_7F2D),
+            chain_rng: StdRng::seed_from_u64(seed ^ CHAIN_STREAM),
             kernel: NeighborhoodKernel::new(),
             clock_s: 0.0,
             epoch: 0,
@@ -534,10 +536,8 @@ impl OnlineEngine {
             }
         }
 
-        let epoch_seed = if self.config.redraw_shadowing {
-            self.seed
-                .wrapping_add(1 + self.epoch as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        let shadowing_seed = if self.config.redraw_shadowing {
+            epoch_seed(self.seed, self.epoch as u64)
         } else {
             self.seed
         };
@@ -560,91 +560,53 @@ impl OnlineEngine {
             self.last = None;
         } else {
             let generator = ScenarioGenerator::new(self.params.with_users(sched_ids.len()));
-            let scenario = generator.generate_at_subset(&positions, epoch_seed, &self.server_up)?;
+            let scenario =
+                generator.generate_at_subset(&positions, shadowing_seed, &self.server_up)?;
             // Patch the previous decision onto the new population:
             // survivors keep their `(s, j)` slots, arrivals start local,
             // departures free capacity.
-            let old_of_new: Option<Vec<Option<UserId>>> = self.prev.as_ref().map(|prev| {
-                sched_ids
-                    .iter()
-                    .map(|id| {
-                        prev.sched_ids
-                            .iter()
-                            .position(|old| old == id)
-                            .map(UserId::new)
-                    })
-                    .collect()
-            });
-            let patched = match (&self.prev, &old_of_new) {
-                (Some(prev), Some(map)) if prev.server_ids == cur_server_ids => {
-                    Some(prev.assignment.patched(map)?)
-                }
-                (Some(prev), Some(map)) => {
-                    // The server axis changed (outage or recovery):
-                    // re-home surviving slots by full-layout server id,
-                    // dropping users whose server left service.
-                    let mut remapped = Assignment::with_dims(
-                        sched_ids.len(),
-                        up_count,
-                        self.params.num_subchannels,
-                    );
-                    for (v, old) in map.iter().enumerate() {
-                        let Some(old) = old else { continue };
-                        let Some((s_old, j)) = prev.assignment.slot(*old) else {
-                            continue;
-                        };
-                        let full = prev.server_ids[s_old.index()];
-                        if let Some(s_new) = cur_server_ids.iter().position(|&f| f == full) {
-                            remapped.assign(UserId::new(v), ServerId::new(s_new), j)?;
+            let patched = match &self.prev {
+                Some(prev) => {
+                    let map = survivor_map(&prev.sched_ids, &sched_ids);
+                    let warm = if prev.server_ids == cur_server_ids {
+                        prev.assignment.patched(&map)?
+                    } else {
+                        // The server axis changed (outage or recovery):
+                        // re-home surviving slots by full-layout server
+                        // id, dropping users whose server left service.
+                        let mut remapped = Assignment::with_dims(
+                            sched_ids.len(),
+                            up_count,
+                            self.params.num_subchannels,
+                        );
+                        for (v, old) in map.iter().enumerate() {
+                            let Some(old) = old else { continue };
+                            let Some((s_old, j)) = prev.assignment.slot(*old) else {
+                                continue;
+                            };
+                            let full = prev.server_ids[s_old.index()];
+                            if let Some(s_new) = cur_server_ids.iter().position(|&f| f == full) {
+                                remapped.assign(UserId::new(v), ServerId::new(s_new), j)?;
+                            }
                         }
-                    }
-                    Some(remapped)
+                        remapped
+                    };
+                    Some((warm, map))
                 }
-                _ => None,
+                None => None,
             };
-            let warm_eligible = matches!(
-                self.config.mode,
-                ResolveMode::WarmStart { .. } | ResolveMode::WarmTempered { .. }
-            ) && patched.is_some();
-            let outcome = if warm_eligible {
-                let refresh = self.config.mode.refresh_config(&self.config.base);
-                let warm = patched.clone().expect("warm_eligible implies a patch");
-                if let ResolveMode::WarmTempered { tempering, .. } = self.config.mode {
-                    // A shortened warm ladder: every replica starts from
-                    // the patched schedule, the rung temperatures anchor
-                    // at the refresh temperature, and the refresh budget
-                    // bounds the whole ensemble (quench included).
-                    temper_from(
-                        &scenario,
-                        &tempering,
-                        &refresh,
-                        &self.kernel,
-                        &mut self.chain_rng,
-                        effective_parallelism(self.config.threads),
-                        warm,
-                    )
-                } else {
-                    anneal_from(&scenario, &refresh, &self.kernel, &mut self.chain_rng, warm)
-                }
-            } else {
-                anneal(
-                    &scenario,
-                    &self.config.base,
-                    &self.kernel,
-                    &mut self.chain_rng,
-                )
-            };
-            warm_started = warm_eligible;
-            reassignments = match (&patched, &old_of_new) {
-                (Some(patched), Some(map)) => (0..sched_ids.len())
-                    .filter(|&v| {
-                        map[v].is_some()
-                            && patched.slot(UserId::new(v))
-                                != outcome.assignment.slot(UserId::new(v))
-                    })
-                    .count(),
-                _ => 0,
-            };
+            let outcome = self.config.mode.resolve(
+                &scenario,
+                &self.config.base,
+                &self.kernel,
+                &mut self.chain_rng,
+                effective_parallelism(self.config.threads),
+                patched.as_ref().map(|(warm, _)| warm.clone()),
+            );
+            warm_started = patched.is_some() && self.config.mode != ResolveMode::Cold;
+            reassignments = patched.as_ref().map_or(0, |(warm, map)| {
+                reassigned_survivors(map, warm, &outcome.assignment)
+            });
 
             let evaluation = Evaluator::new(&scenario).evaluate(&outcome.assignment)?;
             for (v, &pi) in sched_pos.iter().enumerate() {

@@ -11,6 +11,7 @@ use crate::error::SpecError;
 use crate::schema::{ExpectSpec, ScenarioSpec};
 use mec_online::OnlineEpochReport;
 use mec_types::effective_parallelism;
+use mec_workloads::CHAIN_STREAM;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tsajs::{anneal, solve_sharded, NeighborhoodKernel, ShardConfig, TtsaConfig};
@@ -255,8 +256,8 @@ pub fn check_expectations(spec: &ScenarioSpec) -> Result<ExpectReport, SpecError
         } else {
             let config = TtsaConfig::paper_default().with_min_temperature(min_temperature);
             let kernel = NeighborhoodKernel::new();
-            // Same solver-stream decorrelation as the online engine.
-            let mut rng = StdRng::seed_from_u64(expect.seed ^ 0x5851_F42D_4C95_7F2D);
+            // Same solver-stream decorrelation as the epoch drivers.
+            let mut rng = StdRng::seed_from_u64(expect.seed ^ CHAIN_STREAM);
             let outcome = anneal(&scenario, &config, &kernel, &mut rng);
             (outcome.objective, outcome.assignment)
         };

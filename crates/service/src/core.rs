@@ -24,11 +24,13 @@
 //! 2. let the [`TierController`] pick a quality tier from backlog depth
 //!    and batch age,
 //! 3. rebuild the [`Scenario`](mec_system::Scenario) at the survivors'
-//!    positions with a per-batch shadowing seed and *patch* the previous
-//!    assignment onto the new population ([`Assignment::patched`]),
-//! 4. re-solve at the tier's budget — warm tempered ladder, reduced warm
-//!    anneal, greedy admission with no solve at all, or (when a
-//!    full-quality batch covers a city-scale population) the sharded
+//!    positions with a per-batch shadowing seed and *patch* the last
+//!    published assignment onto the new population
+//!    ([`mec_system::survivor_map`], [`Assignment::patched`]),
+//! 4. re-solve at the tier's budget — warm tempered ladder or reduced
+//!    warm anneal (both through [`tsajs::ResolveMode::resolve`]; the
+//!    first decision is cold), greedy admission with no solve at all, or
+//!    (when a full-quality batch covers a city-scale population) the sharded
 //!    engine: a cold [`tsajs::solve_sharded`] on the first city-scale
 //!    batch, then warm [`tsajs::resolve_sharded`] patches of the prior
 //!    sharded decision on consecutive ones,
@@ -39,25 +41,19 @@ use crate::batch::{Batch, BatchPolicy, MicroBatcher, RequestKind, ServiceRequest
 use crate::metrics::ServiceMetrics;
 use crate::snapshot::SnapshotCell;
 use crate::tier::{Tier, TierController, TierPolicy, TierTransition};
-use mec_system::{Assignment, Evaluator};
+use mec_system::{reassigned_survivors, survivor_map, Assignment, Evaluator};
 use mec_topology::{place_users_uniform, NetworkLayout, Point2};
 use mec_types::{effective_parallelism, Error, Seconds, UserId};
-use mec_workloads::{ExperimentParams, ScenarioGenerator};
+use mec_workloads::{epoch_seed, ExperimentParams, ScenarioGenerator, CHAIN_STREAM};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tsajs::{
-    anneal, anneal_from, resolve_sharded, solve_sharded, temper_from, InitialTemperature,
-    NeighborhoodKernel, ShardConfig, ShardOutcome, TemperingConfig, TtsaConfig,
-    DEFAULT_REFRESH_TEMPERATURE,
+    resolve_sharded, solve_sharded, NeighborhoodKernel, ResolveMode, ShardConfig, ShardOutcome,
+    TemperingConfig, TtsaConfig, DEFAULT_REFRESH_TEMPERATURE,
 };
 
-/// Epoch-seed stride shared with the online engine, so per-batch
-/// shadowing redraws decorrelate the same way per-epoch redraws do.
-const BATCH_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
-/// Solver-stream decorrelation constant (same as the online engine).
-const CHAIN_STREAM: u64 = 0x5851_F42D_4C95_7F2D;
 /// Position-stream decorrelation constant.
 const POSITION_STREAM: u64 = 0x94D0_49BB_1331_11EB;
 /// Shard-solver stream decorrelation constant: city-scale batches derive
@@ -187,14 +183,10 @@ impl ServiceConfig {
         self.batch.validate()?;
         self.tiers.validate()?;
         self.shard.validate()?;
+        self.mode(Tier::Full).validate()?;
+        self.mode(Tier::Shortened).validate()?;
         if self.city_scale_threshold == 0 {
             return Err(Error::invalid("city_scale_threshold", "must be at least 1"));
-        }
-        if self.full_budget == 0 || self.short_budget == 0 {
-            return Err(Error::invalid("budgets", "must be positive"));
-        }
-        if !self.refresh_temperature.is_finite() || self.refresh_temperature <= 0.0 {
-            return Err(Error::invalid("refresh_temperature", "must be positive"));
         }
         if !self.deadline.as_secs().is_finite() || self.deadline.as_secs() <= 0.0 {
             return Err(Error::invalid("deadline", "must be positive"));
@@ -205,10 +197,22 @@ impl ServiceConfig {
         Ok(())
     }
 
-    fn refresh(&self, budget: u64) -> TtsaConfig {
-        self.base
-            .with_proposal_budget(budget)
-            .with_initial_temperature(InitialTemperature::Fixed(self.refresh_temperature))
+    /// The warm re-solve a [`Tier::Full`] batch (a tempered ladder at
+    /// `full_budget`) or a [`Tier::Shortened`] one (a single chain at
+    /// `short_budget`) runs, both from `refresh_temperature`.
+    fn mode(&self, tier: Tier) -> ResolveMode {
+        if tier == Tier::Shortened {
+            ResolveMode::WarmStart {
+                refresh_budget: self.short_budget,
+                refresh_temperature: self.refresh_temperature,
+            }
+        } else {
+            ResolveMode::WarmTempered {
+                refresh_budget: self.full_budget,
+                refresh_temperature: self.refresh_temperature,
+                tempering: self.tempering,
+            }
+        }
     }
 }
 
@@ -338,7 +342,6 @@ pub struct SchedulerCore {
     chain_rng: StdRng,
     position_rng: StdRng,
     users: Vec<ServiceUser>,
-    prev: Option<(Vec<u64>, Assignment)>,
     /// The last sharded decision, kept only across *consecutive*
     /// city-scale batches so the next one can warm re-solve from it.
     shard_prior: Option<ShardOutcome>,
@@ -385,7 +388,6 @@ impl SchedulerCore {
             kernel: NeighborhoodKernel::new(),
             config,
             users: Vec::new(),
-            prev: None,
             shard_prior: None,
             metrics: ServiceMetrics::default(),
             log: Vec::new(),
@@ -567,32 +569,27 @@ impl SchedulerCore {
                 warm_started,
                 hit_rate,
             ) = (0.0, 0, 0, 0u64, false, 1.0);
-            self.prev = None;
             self.shard_prior = None;
         } else {
             let positions: Vec<Point2> = self.users.iter().map(|u| u.position).collect();
-            let batch_seed = self
-                .config
-                .seed
-                .wrapping_add(1 + self.batch_index as u64)
-                .wrapping_mul(BATCH_SEED_STRIDE);
+            let batch_seed = epoch_seed(self.config.seed, self.batch_index as u64);
             let generator = ScenarioGenerator::new(self.config.params.with_users(n));
             let scenario = generator.generate_at(&positions, batch_seed)?;
 
-            let patched = match &self.prev {
-                Some((prev_ids, prev_assignment)) => {
-                    let map: Vec<Option<UserId>> = ids
-                        .iter()
-                        .map(|id| prev_ids.iter().position(|old| old == id).map(UserId::new))
-                        .collect();
-                    Some((prev_assignment.patched(&map)?, map))
-                }
-                None => None,
+            // The last published snapshot is the previous decision (the
+            // core is its cell's only writer); it is empty before the
+            // first decision and after an empty batch.
+            let prev = self.cell.load();
+            let patched = if prev.users.is_empty() {
+                None
+            } else {
+                let map = survivor_map(&prev.users, &ids);
+                Some((prev.assignment.patched(&map)?, map))
             };
 
             let mut next_shard_prior: Option<ShardOutcome> = None;
-            let solved = match (&tier, &patched) {
-                (Tier::GreedyAdmit, _) => {
+            let solved = match tier {
+                Tier::GreedyAdmit => {
                     let mut a = patched.as_ref().map(|(a, _)| a.clone()).unwrap_or_else(|| {
                         Assignment::with_dims(
                             n,
@@ -614,29 +611,7 @@ impl SchedulerCore {
                     }
                     (a, 0u64, patched.is_some())
                 }
-                (Tier::Full, Some((warm, _))) => {
-                    let outcome = temper_from(
-                        &scenario,
-                        &self.config.tempering,
-                        &self.config.refresh(self.config.full_budget),
-                        &self.kernel,
-                        &mut self.chain_rng,
-                        effective_parallelism(self.config.threads),
-                        warm.clone(),
-                    );
-                    (outcome.assignment, outcome.proposals, true)
-                }
-                (Tier::Shortened, Some((warm, _))) => {
-                    let outcome = anneal_from(
-                        &scenario,
-                        &self.config.refresh(self.config.short_budget),
-                        &self.kernel,
-                        &mut self.chain_rng,
-                        warm.clone(),
-                    );
-                    (outcome.assignment, outcome.proposals, true)
-                }
-                (Tier::CityScale, _) => {
+                Tier::CityScale => {
                     // City-scale populations skip the monolithic ladder
                     // and go through the sharded engine, seeded from the
                     // decorrelated shard stream so replay reproduces it
@@ -659,29 +634,25 @@ impl SchedulerCore {
                     next_shard_prior = Some(outcome);
                     (assignment, proposals, warm)
                 }
-                (_, None) => {
-                    // First decision: one cold solve at the base schedule.
-                    let outcome = anneal(
+                Tier::Full | Tier::Shortened => {
+                    // The first decision is one cold solve at the base
+                    // schedule; later ones warm re-solve from the patch.
+                    let outcome = self.config.mode(tier).resolve(
                         &scenario,
                         &self.config.base,
                         &self.kernel,
                         &mut self.chain_rng,
+                        effective_parallelism(self.config.threads),
+                        patched.as_ref().map(|(warm, _)| warm.clone()),
                     );
-                    (outcome.assignment, outcome.proposals, false)
+                    (outcome.assignment, outcome.proposals, patched.is_some())
                 }
             };
             let (solved_assignment, solved_proposals, solved_warm) = solved;
             self.shard_prior = next_shard_prior;
-            reassignments = match &patched {
-                Some((patched_assignment, map)) => (0..n)
-                    .filter(|&v| {
-                        map[v].is_some()
-                            && patched_assignment.slot(UserId::new(v))
-                                != solved_assignment.slot(UserId::new(v))
-                    })
-                    .count(),
-                None => 0,
-            };
+            reassignments = patched.as_ref().map_or(0, |(warm, map)| {
+                reassigned_survivors(map, warm, &solved_assignment)
+            });
 
             let evaluation = Evaluator::new(&scenario).evaluate(&solved_assignment)?;
             let deadline_s = self.config.deadline.as_secs();
@@ -698,7 +669,6 @@ impl SchedulerCore {
             num_offloaded = solved_assignment.num_offloaded();
             proposals = solved_proposals;
             warm_started = solved_warm;
-            self.prev = Some((ids.clone(), solved_assignment.clone()));
             assignment = solved_assignment;
         }
 
@@ -946,6 +916,34 @@ mod tests {
         let report = core.close_batch(0.15).unwrap().unwrap();
         assert_eq!(report.tier, "full");
         assert!(report.warm_started);
+    }
+
+    #[test]
+    fn validation_covers_both_warm_re_solves() {
+        let name = |cfg: &ServiceConfig| match cfg.validate() {
+            Err(Error::InvalidParameter { name, .. }) => name,
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        };
+        // A ladder of fewer than two rungs must be refused here, not
+        // panic on the first warm Full batch.
+        for replicas in [0, 1] {
+            let mut cfg = quick_config(1);
+            cfg.tempering.replicas = replicas;
+            assert_eq!(name(&cfg), "replicas");
+            assert!(matches!(
+                SchedulerCore::new(cfg).err(),
+                Some(Error::InvalidParameter {
+                    name: "replicas",
+                    ..
+                })
+            ));
+        }
+        let mut cfg = quick_config(1);
+        cfg.short_budget = 0;
+        assert_eq!(name(&cfg), "refresh_budget");
+        let mut cfg = quick_config(1);
+        cfg.refresh_temperature = f64::NAN;
+        assert_eq!(name(&cfg), "refresh_temperature");
     }
 
     #[test]

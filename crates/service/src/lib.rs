@@ -24,9 +24,9 @@
 //! * [`core`] — the deterministic, clock-free core tying it together,
 //!   with an ingestion log whose cold replay reproduces the final
 //!   assignment bit-for-bit;
-//! * [`runtime`] — the threaded wrapper: bounded ingestion queue
-//!   (backpressure à la `mec_controller`), one solve loop, cloneable
-//!   lock-free readers;
+//! * [`runtime`] — the threaded wrapper: bounded ingestion queue (a full
+//!   queue answers [`ServiceError::Overloaded`]), one solve loop,
+//!   cloneable lock-free readers;
 //! * [`loadtest`] — the closed-loop harness: binary-search the maximum
 //!   sustainable arrival rate at a p99 decision-latency SLO
 //!   (`tsajs-sim loadtest`, `BENCH_service.json`).
@@ -70,6 +70,6 @@ pub use batch::{Batch, BatchPolicy, MicroBatcher, RequestKind, ServiceRequest};
 pub use core::{BatchReport, LogEntry, SchedulerCore, ServiceConfig, ServiceSnapshot};
 pub use loadtest::{run_loadtest, LoadtestConfig, LoadtestOutcome, LoadtestReport, ProbeOutcome};
 pub use metrics::{LatencyHistogram, ServiceMetrics};
-pub use runtime::{ServiceRuntime, SnapshotReader, DEFAULT_QUEUE_CAPACITY};
+pub use runtime::{ServiceError, ServiceRuntime, SnapshotReader, DEFAULT_QUEUE_CAPACITY};
 pub use snapshot::SnapshotCell;
 pub use tier::{Tier, TierController, TierPolicy, TierTransition};

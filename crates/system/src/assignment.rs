@@ -17,6 +17,7 @@ use mec_radio::Transmission;
 use mec_types::{Error, ServerId, SubchannelId, UserId};
 use serde::de::Error as _;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use std::collections::HashMap;
 use std::fmt;
 
 /// A feasible offloading decision for a fixed `(U, S, N)` geometry.
@@ -475,6 +476,42 @@ impl Assignment {
         }
         Ok(())
     }
+}
+
+/// The survivor map [`Assignment::patched`] takes, built from stable user
+/// ids: entry `v` is the index of `ids[v]` in `prev_ids`, or `None` for an
+/// arrival. An id listed twice in `prev_ids` maps to its first index, as
+/// a `position` scan would, but in expected O(n) rather than O(n²).
+///
+/// The lists need not share an order: a user that departs and re-arrives
+/// within one service batch moves to the end of the population and still
+/// continues its old index.
+pub fn survivor_map(prev_ids: &[u64], ids: &[u64]) -> Vec<Option<UserId>> {
+    let mut index = HashMap::with_capacity(prev_ids.len());
+    for (i, &id) in prev_ids.iter().enumerate() {
+        index.entry(id).or_insert(i);
+    }
+    ids.iter()
+        .map(|id| index.get(id).map(|&i| UserId::new(i)))
+        .collect()
+}
+
+/// Survivors whose slot in `after` differs from their slot in `before`
+/// (usually the patched warm start and the re-solved decision): the
+/// decision churn an epoch's re-solve caused. Arrivals (`None` in
+/// `old_of_new`) are not counted.
+pub fn reassigned_survivors(
+    old_of_new: &[Option<UserId>],
+    before: &Assignment,
+    after: &Assignment,
+) -> usize {
+    old_of_new
+        .iter()
+        .enumerate()
+        .filter(|&(v, old)| {
+            old.is_some() && before.slot(UserId::new(v)) != after.slot(UserId::new(v))
+        })
+        .count()
 }
 
 /// The persistent form of an assignment: dimensions plus per-user slots.

@@ -71,7 +71,7 @@ pub mod spec;
 pub use allocation::{
     equal_share_allocation, kkt_allocation, optimal_lambda_cost, ResourceAllocation,
 };
-pub use assignment::Assignment;
+pub use assignment::{reassigned_survivors, survivor_map, Assignment};
 pub use coefficients::{CoefficientBlocks, UserCoefficients};
 pub use cra_numeric::{numeric_allocation, solve_server_numeric, NumericCraOptions};
 pub use evaluation::{EvalScratch, Evaluator};

@@ -10,6 +10,19 @@ use mec_types::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Salt that decorrelates an epoch driver's solver stream from its master
+/// seed: the online engine, the mobility simulation and the service all
+/// seed their annealing chain with `seed ^ CHAIN_STREAM`.
+pub const CHAIN_STREAM: u64 = 0x5851_F42D_4C95_7F2D;
+
+/// The shadowing seed of epoch (or service batch) `epoch` under master
+/// seed `seed`, shared by every driver that regenerates channels per
+/// epoch so their redraws decorrelate the same way.
+pub fn epoch_seed(seed: u64, epoch: u64) -> u64 {
+    seed.wrapping_add(1 + epoch)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
 /// Turns an [`ExperimentParams`] value into concrete [`Scenario`]s.
 ///
 /// Each call to [`generate`](Self::generate) with a distinct seed draws a

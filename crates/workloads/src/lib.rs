@@ -41,7 +41,7 @@ pub mod runner;
 pub mod stats;
 
 pub use churn::{ChurnEvent, ChurnEventKind, ChurnTrace, PoissonChurn};
-pub use generator::ScenarioGenerator;
+pub use generator::{epoch_seed, ScenarioGenerator, CHAIN_STREAM};
 pub use params::{ExperimentParams, PlacementModel, Preset};
 pub use report::Table;
 pub use runner::{run_trials, TrialOutcome};

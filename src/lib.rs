@@ -20,11 +20,9 @@
 //! * [`conformance`] — seeded oracle harness: invariant checks, solver
 //!   differential/metamorphic testing, online replay
 //!   ([`mec_conformance`])
-//! * [`controller`] — an embeddable C-RAN-style scheduling service
-//!   ([`mec_controller`])
-//! * [`service`] — production scheduler service: micro-batched ingestion,
-//!   lock-free snapshots, degradation tiers, loadtest harness
-//!   ([`mec_service`])
+//! * [`service`] — the C-RAN scheduler service (the paper's centralized
+//!   BBU): micro-batched ingestion, lock-free snapshots, degradation
+//!   tiers, loadtest harness ([`mec_service`])
 //! * [`viz`] — dependency-free SVG rendering of networks and schedules
 //!   ([`mec_viz`])
 //!
@@ -51,7 +49,6 @@
 
 pub use mec_baselines as baselines;
 pub use mec_conformance as conformance;
-pub use mec_controller as controller;
 pub use mec_mobility as mobility;
 pub use mec_online as online;
 pub use mec_radio as radio;

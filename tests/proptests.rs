@@ -289,3 +289,56 @@ proptest! {
         prop_assert!(optimum >= 0.0);
     }
 }
+
+/// Reference for `survivor_map`: the quadratic first-index scan.
+fn survivor_scan(prev_ids: &[u64], ids: &[u64]) -> Vec<Option<UserId>> {
+    ids.iter()
+        .map(|id| {
+            (0..prev_ids.len())
+                .find(|&i| prev_ids[i] == *id)
+                .map(UserId::new)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `survivor_map` equals the quadratic scan on random population
+    /// streams: departures, fresh arrivals, duplicate ids, and ids that
+    /// depart and re-arrive within one batch (moving to the end, so the
+    /// two lists no longer share an order).
+    #[test]
+    fn survivor_map_equals_the_quadratic_scan(seed in 0u64..1_000_000, batches in 1usize..12) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use tsajs_mec::system::survivor_map;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ids: Vec<u64> = (0..rng.gen_range(0..20u64)).collect();
+        let mut next_id = ids.len() as u64;
+        for _ in 0..batches {
+            let prev = ids.clone();
+            for _ in 0..rng.gen_range(0..8) {
+                match rng.gen_range(0..5) {
+                    0 | 1 if !ids.is_empty() => {
+                        ids.remove(rng.gen_range(0..ids.len()));
+                    }
+                    2 => {
+                        ids.push(next_id);
+                        next_id += 1;
+                    }
+                    3 if !prev.is_empty() => {
+                        let id = prev[rng.gen_range(0..prev.len())];
+                        ids.retain(|&x| x != id);
+                        ids.push(id);
+                    }
+                    _ if !ids.is_empty() => {
+                        let id = ids[rng.gen_range(0..ids.len())];
+                        ids.push(id);
+                    }
+                    _ => {}
+                }
+            }
+            prop_assert_eq!(survivor_map(&prev, &ids), survivor_scan(&prev, &ids));
+        }
+    }
+}

@@ -1,15 +1,17 @@
 //! A full "day in the life" integration test: generate a network, persist
-//! it as a spec, schedule it through the C-RAN controller service, certify
-//! the result against the upper bound, render it to SVG, then follow the
-//! users through a mobility episode with incremental re-scheduling.
+//! it as a spec, schedule it with TSAJS, certify the result against the
+//! upper bound, render it to SVG, serve the same population through the
+//! threaded scheduler service, then follow the users through a mobility
+//! episode with incremental re-scheduling.
 
 use rand::SeedableRng;
 use tsajs_mec::baselines::upper_bound;
-use tsajs_mec::controller::{SchedulerService, SchemeChoice};
 use tsajs_mec::mobility::{DynamicSimulation, MobilityConfig};
 use tsajs_mec::prelude::*;
+use tsajs_mec::service::{RequestKind, SchedulerCore, ServiceConfig, ServiceRuntime};
 use tsajs_mec::system::ScenarioSpec;
 use tsajs_mec::topology::place_users_uniform;
+use tsajs_mec::tsajs::ResolveMode;
 use tsajs_mec::viz::SvgScene;
 
 #[test]
@@ -30,12 +32,14 @@ fn end_to_end_story() {
     let reloaded = spec.into_scenario().unwrap();
     assert_eq!(reloaded.gains(), scenario.gains());
 
-    // 3. Schedule through the controller service.
-    let service = SchedulerService::spawn();
-    let response = service
-        .schedule(reloaded, SchemeChoice::TsajsQuick, 77)
-        .unwrap();
-    let solution = &response.solution;
+    // 3. Schedule the reloaded instance with a quick TSAJS schedule.
+    let solution = TsajsSolver::new(
+        TtsaConfig::paper_default()
+            .with_min_temperature(1e-3)
+            .with_seed(77),
+    )
+    .solve(&reloaded)
+    .unwrap();
     solution.assignment.verify_feasible(&scenario).unwrap();
 
     // 4. Certify against the interference-free bound.
@@ -59,16 +63,29 @@ fn end_to_end_story() {
         "one link per offloaded user"
     );
 
-    // 6. Mobility episode with incremental re-scheduling.
+    // 6. Serve the same population through the threaded scheduler
+    //    service. It draws its own positions and shadowing, so it checks
+    //    the serving path rather than re-deciding step 3's instance.
+    let mut config = ServiceConfig::quick(77).with_threads(Some(1));
+    config.params = params;
+    let runtime = ServiceRuntime::spawn(SchedulerCore::new(config).unwrap());
+    for user in 0..14 {
+        runtime.submit(RequestKind::Arrival { user }).unwrap();
+    }
+    let core = runtime.shutdown().unwrap();
+    let served = core.snapshot();
+    assert_eq!(served.users.len(), 14);
+    assert!(served.utility.is_finite());
+    assert_eq!(core.metrics().overload_rejections, 0);
+
+    // 7. Mobility episode with incremental re-scheduling.
     let mut sim = DynamicSimulation::new(params, MobilityConfig::vehicular(), 77).unwrap();
     let base = TtsaConfig::paper_default().with_min_temperature(1e-3);
-    let history = sim.run_incremental(4, base, 150).unwrap();
+    let history = sim.run_ttsa(4, base, ResolveMode::warm(150)).unwrap();
     assert_eq!(history.epochs.len(), 4);
     assert!(history.average_utility().is_finite());
     // Refresh epochs stay within their budget (rounded up to an epoch).
     for e in &history.epochs[1..] {
         assert!(e.proposals <= 150 + base.inner_iterations as u64);
     }
-
-    service.shutdown();
 }
