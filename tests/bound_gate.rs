@@ -2,9 +2,10 @@
 //! count (proposals ruled out without pricing) stays within the
 //! proposals made, the bound does settle proposals on a paper-default
 //! instance, null moves are settled unpriced and counted as accepted
-//! worse moves, the totals that feed the threshold trigger are pinned,
-//! and recording the trace never changes a seeded decision, for the
-//! single chain and for tempering.
+//! worse moves, the totals that feed the threshold trigger are pinned
+//! for the single chain and for the tempered ladder, and recording the
+//! trace never changes a seeded decision, for the single chain and for
+//! tempering.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -149,6 +150,40 @@ fn settled_step_totals_are_pinned() {
             bits,
             "seed {seed}: {}",
             chain.objective
+        );
+    }
+}
+
+/// `(seed, epochs, proposals, Σ accepted_worse, Σ accepted_better,
+/// Σ bounded, Σ null, objective bits)` of one tempered run.
+type TemperedTotals = (u64, u64, u64, u64, u64, u64, u64, u64);
+
+/// Totals of the tempered ladder (three rungs, six rounds, then the
+/// quench) on the same paper instances, summed over every rung's
+/// rounds. This is the step the service's Full tier, every shard
+/// cluster anneal and the tempering quench's ladder run, so a change to
+/// the step that moves a decision, an RNG draw or a count moves these.
+const TEMPERED_STEP_PINS: [TemperedTotals; 2] = [
+    (3, 94, 2_820, 304, 131, 1_732, 208, 0x4010_5ae0_d519_8d4a),
+    (17, 94, 2_820, 273, 161, 1_619, 178, 0x4011_9260_08aa_614b),
+];
+
+#[test]
+fn tempered_step_totals_are_pinned() {
+    for (seed, epochs, proposals, worse, better, settled, null, bits) in TEMPERED_STEP_PINS {
+        let scenario = paper_instance(seed);
+        let ladder = run_tempering(&scenario, &ttsa().with_trace(), seed);
+        assert_eq!(ladder.epochs, epochs, "seed {seed}");
+        assert_eq!(ladder.proposals, proposals, "seed {seed}");
+        assert_eq!(total(&ladder, |e| e.accepted_worse), worse, "seed {seed}");
+        assert_eq!(total(&ladder, |e| e.accepted_better), better, "seed {seed}");
+        assert_eq!(bounded(&ladder), settled, "seed {seed}");
+        assert_eq!(total(&ladder, |e| e.null), null, "seed {seed}");
+        assert_eq!(
+            ladder.objective.to_bits(),
+            bits,
+            "seed {seed}: {}",
+            ladder.objective
         );
     }
 }
