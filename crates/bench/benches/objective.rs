@@ -25,10 +25,10 @@ use mec_system::{
 use mec_types::{ServerId, SubchannelId, UserId};
 use mec_workloads::{ExperimentParams, ScenarioGenerator};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
-use tsajs::annealing::rejects_unpriced;
+use tsajs::annealing::{step, Step};
 use tsajs::{NeighborhoodKernel, TsajsSolver, TtsaConfig};
 
 const SEEDS: [u64; 3] = [11, 23, 47];
@@ -224,36 +224,26 @@ fn measure(scenario: &Scenario, reps: u32, iters: u64) -> Metrics {
             black_box(inc_bound.bound(&mv));
         }));
 
-        // The solver's full gated step: propose; a null move draws its
-        // Metropolis uniform and is settled unpriced; any other move is
-        // bounded, and one that cannot improve draws its uniform at once
-        // and is rejected unpriced (`rejects_unpriced`) when the bound
-        // already loses to it; any other move is scored, and only an
-        // accepted move is applied + committed, so the walk advances
+        // The solver's full gated step, `tsajs::annealing::step`: draw a
+        // neighbor; a null move is settled on its one Metropolis uniform,
+        // a slot take is bounded and priced straight-line, any other move
+        // through its `MoveDesc`; a move that cannot improve is rejected
+        // unpriced when its bound already loses to the uniform, and only
+        // an accepted move is applied + committed, so the walk advances
         // like the real annealing loop. The temperature is fixed so the
         // accept rate stays representative rather than temperature-swept.
         m.solver_step = m.solver_step.min(time_ns(iters, || {
-            let (mv, _) = kernel.propose_move(scenario, inc_step.assignment(), &mut rng_step);
             steps += 1;
-            if mv.is_empty() {
-                black_box(rng_step.gen::<f64>());
-                null += 1;
-                return;
-            }
-            let bound = inc_step.bound(&mv);
-            let uniform = (bound < 0.0).then(|| rng_step.gen::<f64>());
-            if uniform.is_some_and(|r| rejects_unpriced(bound, STEP_TEMPERATURE, r)) {
-                settled += 1;
-                return;
-            }
-            let candidate = inc_step.score(&mv);
-            let delta = candidate - current_step;
-            if delta > 0.0
-                || (delta / STEP_TEMPERATURE).exp() > uniform.unwrap_or_else(|| rng_step.gen())
-            {
-                inc_step.apply(&mv);
-                inc_step.commit();
-                current_step = candidate;
+            match step(
+                &kernel,
+                &mut inc_step,
+                &mut current_step,
+                STEP_TEMPERATURE,
+                &mut rng_step,
+            ) {
+                Step::Null => null += 1,
+                Step::Bounded => settled += 1,
+                Step::Rejected | Step::Better | Step::Worse => {}
             }
         }));
 

@@ -1,7 +1,7 @@
 //! The TTSA loop (Algorithm 1).
 
 use crate::config::{Cooling, InitialSolution, InitialTemperature, TtsaConfig};
-use crate::moves::NeighborhoodKernel;
+use crate::moves::{NeighborhoodKernel, Proposal};
 use crate::trace::{EpochRecord, SearchTrace};
 use mec_system::{Assignment, IncrementalObjective, Scenario};
 use mec_types::{ServerId, UserId};
@@ -163,44 +163,117 @@ const EXP_FREE_BELOW: f64 = -37.0;
 /// reject it unpriced. True iff `r > 0` and `exp(bound/T)`, widened by a
 /// relative rounding margin of 1e-12, is at most `r`; below
 /// `bound/T = −37` it holds for every positive `r` (the smallest is
-/// 2⁻⁵³), so `exp` is not called there. The TTSA step and every tempering
-/// replica reject through this one function.
+/// 2⁻⁵³), so `exp` is not called there.
 #[inline]
-pub fn rejects_unpriced(bound: f64, temperature: f64, r: f64) -> bool {
+fn rejects_unpriced(bound: f64, temperature: f64, r: f64) -> bool {
     let x = bound / temperature;
     r > 0.0 && (x < EXP_FREE_BELOW || x.exp() * (1.0 + EXP_MARGIN) <= r)
 }
 
+/// How [`step`] settled its proposal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// A null move (an empty [`MoveDesc`](mec_system::MoveDesc)),
+    /// settled unpriced on its one Metropolis uniform. Nothing changed;
+    /// its ΔJ is `0` on a finite state and NaN on a `−∞` one.
+    Null,
+    /// Rejected unpriced: the bound already lost to the uniform.
+    Bounded,
+    /// Priced and rejected by the Metropolis test.
+    Rejected,
+    /// Priced and accepted as an improvement.
+    Better,
+    /// Priced and accepted by the Metropolis test without improving.
+    Worse,
+}
+
+/// One proposal step of the TTSA chain (Algorithm 1, lines 10-22) at
+/// `temperature`: draws one neighbor of `inc`'s decision and settles it,
+/// applying and committing it (and setting `current` to its objective)
+/// only when it is accepted. `current` must be `inc.current()`.
+///
+/// The kernel's draw is typed. A slot take — a local user taking a slot
+/// or an offloaded one relocating, evicting the occupant — is bounded
+/// with [`IncrementalObjective::bound_take`] and priced with
+/// [`IncrementalObjective::score_take`]; its
+/// [`MoveDesc`](mec_system::MoveDesc) is built only when it is
+/// accepted. Every other shape is a `MoveDesc`. A null move is settled
+/// first, unpriced: the step draws the one uniform the priced path would
+/// draw and returns [`Step::Null`]. Any other move is bounded (no `log2`
+/// refresh). A negative bound means the move cannot improve, so the
+/// Metropolis uniform `r` (lines 20-22) is drawn at once, and the move
+/// is rejected unpriced when `r > 0` and `exp(b/T)` (with a rounding
+/// margin) cannot beat `r`; below `b/T = −37` that needs no `exp` at
+/// all. Every other move is priced speculatively (bit-identical to
+/// `apply` + `current`, without touching the state) and judged: an
+/// improving move is accepted outright, otherwise against the same
+/// uniform, drawn now if it was not drawn yet. The gate settles
+/// rejections only and the null-move shortcut changes no decision. The
+/// draw order — one move proposal, then a uniform only for a move that
+/// does not improve — is the seeded-trajectory contract shared by the
+/// single chain and every tempering replica, and both shortcuts keep it
+/// bit for bit.
+pub fn step<R: Rng + ?Sized>(
+    kernel: &NeighborhoodKernel,
+    inc: &mut IncrementalObjective<'_>,
+    current: &mut f64,
+    temperature: f64,
+    rng: &mut R,
+) -> Step {
+    debug_assert_eq!(current.to_bits(), inc.current().to_bits());
+    let (proposal, _) = kernel.draw(inc.scenario(), inc.assignment(), rng);
+    let bound = match proposal {
+        Proposal::Take {
+            user,
+            server,
+            subchannel,
+        } => inc.bound_take(user, server, subchannel),
+        Proposal::Move(mv) if mv.is_empty() => {
+            // The one uniform the priced path draws for a move with ΔJ = 0.
+            let _: f64 = rng.gen();
+            return Step::Null;
+        }
+        Proposal::Move(mv) => inc.bound(&mv),
+    };
+    let uniform = (bound < 0.0).then(|| rng.gen::<f64>());
+    if uniform.is_some_and(|r| rejects_unpriced(bound, temperature, r)) {
+        return Step::Bounded;
+    }
+    let candidate = match proposal {
+        Proposal::Take {
+            user,
+            server,
+            subchannel,
+        } => inc.score_take(user, server, subchannel),
+        Proposal::Move(mv) => inc.score(&mv),
+    };
+    let delta = candidate - *current;
+    let settled = if delta > 0.0 {
+        Step::Better
+    } else if (delta / temperature).exp() > uniform.unwrap_or_else(|| rng.gen::<f64>()) {
+        // Metropolis acceptance of a worsening move (lines 20-22).
+        Step::Worse
+    } else {
+        return Step::Rejected;
+    };
+    let mv = proposal.into_move(inc.assignment());
+    inc.apply(&mv);
+    inc.commit();
+    *current = candidate;
+    settled
+}
+
 /// Runs one temperature epoch (Algorithm 1, lines 9-25):
-/// `config.inner_iterations` proposal steps at `temperature`, followed by
-/// the epoch-boundary drift-control resync.
+/// `config.inner_iterations` proposal steps at `temperature` ([`step`]),
+/// followed by the epoch-boundary drift-control resync.
 ///
-/// Each step draws one neighbor. A null move (an empty
-/// [`MoveDesc`](mec_system::MoveDesc), e.g. a swap of two local users)
-/// is settled first, unpriced: its ΔJ is exactly `0` on a finite state,
-/// where `exp(0/T) = 1` beats every uniform, and NaN on a `−∞` state,
-/// where the Metropolis test fails. So the step draws the one uniform
-/// the priced path would draw and counts the move as an accepted worse
-/// move exactly when the state is finite (temperatures are positive).
-///
-/// Any other move is first bounded with [`IncrementalObjective::bound`]
-/// (no `log2` refresh). A negative bound means the move cannot improve,
-/// so the Metropolis uniform `r` the step would draw anyway (lines
-/// 20-22) is drawn at once, and the move is rejected unpriced when
-/// `r > 0` and `exp(b/T)` (with a rounding margin) cannot beat `r`
-/// ([`rejects_unpriced`]; below [`EXP_FREE_BELOW`] that needs no `exp`
-/// at all). Every other move is priced through the speculative
-/// [`IncrementalObjective::score`] path (which replays the apply-path
-/// arithmetic bit-exactly without touching the state) and judged: an improving move is accepted
-/// outright, otherwise against the same uniform, drawn now if it was not
-/// drawn yet. Only an accepted move is applied and committed, so the gate
-/// settles rejections only and the null-move shortcut changes no
-/// decision. The draw order — one move proposal, then a uniform only for
-/// a move that does not improve — is the seeded-trajectory contract
-/// shared by the single chain and every tempering replica, and both
-/// shortcuts keep it bit for bit.
+/// The epoch keeps the counters: a null move counts as an accepted worse
+/// move exactly when the state is finite, where the priced path computed
+/// ΔJ = 0 and `exp(0/T) = 1` beat every uniform (temperatures are
+/// positive); on a `−∞` state ΔJ is NaN and the Metropolis test fails.
+/// An improvement that beats the best objective refreshes the best
+/// snapshot.
 pub(crate) fn run_epoch<R: Rng + ?Sized>(
-    scenario: &Scenario,
     config: &TtsaConfig,
     kernel: &NeighborhoodKernel,
     temperature: f64,
@@ -209,43 +282,35 @@ pub(crate) fn run_epoch<R: Rng + ?Sized>(
 ) -> EpochStats {
     let mut stats = EpochStats::default();
     for _ in 0..config.inner_iterations {
-        let (mv, _) = kernel.propose_move(scenario, state.inc.assignment(), rng);
+        let settled = step(
+            kernel,
+            &mut state.inc,
+            &mut state.current_obj,
+            temperature,
+            rng,
+        );
         state.proposals += 1;
-        debug_assert_eq!(state.current_obj.to_bits(), state.inc.current().to_bits());
-        if mv.is_empty() {
-            // The one uniform the priced path draws for a move with ΔJ = 0.
-            let _: f64 = rng.gen();
-            stats.null += 1;
-            if state.current_obj.is_finite() {
+        match settled {
+            Step::Null => {
+                stats.null += 1;
+                if state.current_obj.is_finite() {
+                    state.count += 1;
+                    stats.accepted_worse += 1;
+                }
+            }
+            Step::Bounded => stats.bounded += 1,
+            Step::Rejected => {}
+            Step::Better => {
+                stats.accepted_better += 1;
+                if state.current_obj > state.best_obj {
+                    state.best.clone_from(state.inc.assignment());
+                    state.best_obj = state.current_obj;
+                }
+            }
+            Step::Worse => {
                 state.count += 1;
                 stats.accepted_worse += 1;
             }
-            continue;
-        }
-        let bound = state.inc.bound(&mv);
-        let uniform = (bound < 0.0).then(|| rng.gen::<f64>());
-        if uniform.is_some_and(|r| rejects_unpriced(bound, temperature, r)) {
-            stats.bounded += 1;
-            continue;
-        }
-        let candidate_obj = state.inc.score(&mv);
-        let delta = candidate_obj - state.current_obj;
-        if delta > 0.0 {
-            state.inc.apply(&mv);
-            state.inc.commit();
-            state.current_obj = candidate_obj;
-            stats.accepted_better += 1;
-            if state.current_obj > state.best_obj {
-                state.best.clone_from(state.inc.assignment());
-                state.best_obj = state.current_obj;
-            }
-        } else if (delta / temperature).exp() > uniform.unwrap_or_else(|| rng.gen::<f64>()) {
-            // Metropolis acceptance of a worsening move (line 20-22).
-            state.inc.apply(&mv);
-            state.inc.commit();
-            state.current_obj = candidate_obj;
-            state.count += 1;
-            stats.accepted_worse += 1;
         }
     }
 
@@ -338,7 +403,7 @@ pub fn anneal_from<R: Rng + ?Sized>(
             .is_none_or(|cap| state.proposals < cap)
     {
         // Lines 9-25: L proposals at this temperature.
-        let stats = run_epoch(scenario, config, kernel, temperature, &mut state, rng);
+        let stats = run_epoch(config, kernel, temperature, &mut state, rng);
 
         // Lines 26-30: threshold-triggered cooling.
         let trigger_fired = apply_cooling(
@@ -661,7 +726,6 @@ mod tests {
             for epoch in 0..24 {
                 let temperature = 2.0 * 0.3f64.powi(epoch);
                 let stats = run_epoch(
-                    &sc,
                     &config,
                     &kernel,
                     temperature,

@@ -66,7 +66,6 @@ impl Replica<'_> {
     /// (cooling) temperature.
     fn run_round(
         &mut self,
-        scenario: &Scenario,
         base: &TtsaConfig,
         kernel: &NeighborhoodKernel,
         epochs: u64,
@@ -75,7 +74,6 @@ impl Replica<'_> {
         let mut stats = EpochStats::default();
         for _ in 0..epochs {
             let s = run_epoch(
-                scenario,
                 base,
                 kernel,
                 self.temperature,
@@ -338,7 +336,7 @@ fn run<'a, R: Rng + ?Sized>(
         for _ in 0..rounds {
             for (i, slot) in replicas.iter_mut().enumerate() {
                 let rep = slot.as_mut().expect("replica slot filled");
-                rep.run_round(scenario, base, kernel, epochs_by_rung[i], max_count);
+                rep.run_round(base, kernel, epochs_by_rung[i], max_count);
             }
             coordinate_round(
                 &mut replicas,
@@ -367,7 +365,7 @@ fn run<'a, R: Rng + ?Sized>(
                 scope.spawn(move || {
                     while let Ok(mut batch) = job_rx.recv() {
                         for (i, rep) in batch.iter_mut() {
-                            rep.run_round(scenario, base, kernel, epochs_by_rung[*i], max_count);
+                            rep.run_round(base, kernel, epochs_by_rung[*i], max_count);
                         }
                         if res_tx.send(batch).is_err() {
                             break;

@@ -4,9 +4,10 @@
 //! stray allocation per proposal dominates the wall-clock budget:
 //!
 //! - propose → apply → commit/undo, the evaluator's mutation path;
-//! - propose → settle a null move, or `bound` → `score` (only when the
-//!   bound cannot settle the move) → apply + commit on accept, the gated
-//!   step that the TTSA chain and every tempering replica run.
+//! - [`tsajs::annealing::step`], the gated step that the TTSA chain and
+//!   every tempering replica run: draw → settle a null move, or bound →
+//!   price (only when the bound cannot settle the move) → apply + commit
+//!   on accept.
 //!
 //! This test installs a counting global allocator, warms each loop up
 //! until every scratch buffer has reached its steady-state capacity,
@@ -23,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use tsajs::annealing::rejects_unpriced;
+use tsajs::annealing::{step as solver_step, Step};
 use tsajs::NeighborhoodKernel;
 
 /// Pass-through allocator that counts every acquisition path
@@ -91,53 +92,8 @@ fn step(
     }
 }
 
-/// Fixed temperature of [`solver_step`].
+/// Fixed temperature of the counted solver steps.
 const TEMPERATURE: f64 = 0.5;
-
-/// How [`solver_step`] decided its move.
-enum Settled {
-    /// A null move, settled on its one Metropolis uniform.
-    Null,
-    /// Rejected unpriced because the bound already lost to the uniform.
-    Bounded,
-    /// Priced through `score` (accepted or not).
-    Priced,
-}
-
-/// One solver step, shaped exactly like the gated TTSA epoch body at a
-/// fixed temperature: draw a move; settle a null move on its one
-/// Metropolis uniform; otherwise bound it, and for a move that cannot
-/// improve, draw the uniform at once and reject it unpriced
-/// ([`tsajs::annealing::rejects_unpriced`]) when the bound already loses
-/// to it; otherwise price it without mutating the state and apply +
-/// commit it only when it improves or passes the Metropolis test.
-/// Returns which of the three ways settled the move.
-fn solver_step(
-    scenario: &Scenario,
-    kernel: &NeighborhoodKernel,
-    inc: &mut IncrementalObjective<'_>,
-    current_obj: &mut f64,
-    rng: &mut StdRng,
-) -> Settled {
-    let (mv, _) = kernel.propose_move(scenario, inc.assignment(), rng);
-    if mv.is_empty() {
-        let _: f64 = rng.gen();
-        return Settled::Null;
-    }
-    let bound = inc.bound(&mv);
-    let uniform = (bound < 0.0).then(|| rng.gen::<f64>());
-    if uniform.is_some_and(|r| rejects_unpriced(bound, TEMPERATURE, r)) {
-        return Settled::Bounded;
-    }
-    let candidate = inc.score(&mv);
-    let delta = candidate - *current_obj;
-    if delta > 0.0 || (delta / TEMPERATURE).exp() > uniform.unwrap_or_else(|| rng.gen::<f64>()) {
-        inc.apply(&mv);
-        inc.commit();
-        *current_obj = candidate;
-    }
-    Settled::Priced
-}
 
 #[test]
 fn the_hot_loop_performs_zero_heap_allocations() {
@@ -187,16 +143,16 @@ fn the_hot_loop_performs_zero_heap_allocations() {
     let mut inc = IncrementalObjective::new(&scenario, initial).unwrap();
     let mut current_obj = inc.current();
     for _ in 0..2_000 {
-        solver_step(&scenario, &kernel, &mut inc, &mut current_obj, &mut rng);
+        solver_step(&kernel, &mut inc, &mut current_obj, TEMPERATURE, &mut rng);
     }
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let (mut null, mut bounded, mut priced) = (0u32, 0u32, 0u32);
     for _ in 0..10_000 {
-        match solver_step(&scenario, &kernel, &mut inc, &mut current_obj, &mut rng) {
-            Settled::Null => null += 1,
-            Settled::Bounded => bounded += 1,
-            Settled::Priced => priced += 1,
+        match solver_step(&kernel, &mut inc, &mut current_obj, TEMPERATURE, &mut rng) {
+            Step::Null => null += 1,
+            Step::Bounded => bounded += 1,
+            Step::Rejected | Step::Better | Step::Worse => priced += 1,
         }
     }
     let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;

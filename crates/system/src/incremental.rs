@@ -44,11 +44,14 @@
 //! Search loops score first and only `apply`+`commit` accepted moves, so
 //! a rejected proposal costs pure arithmetic: no assignment mutation, no
 //! journaling, no undo. This is the proposal fast path of the
-//! TTSA/tempering/local-search/hJTORA engines. The commonest shape, a
-//! local user taking a slot (evicting its occupant), touches one server
-//! and one subchannel; it is priced by one straight-line recipe, which
-//! [`score_take`](IncrementalObjective::score_take) exposes without a
-//! [`MoveDesc`] and `score` routes that shape through.
+//! TTSA/tempering/local-search/hJTORA engines. The two commonest shapes
+//! are slot takes: a local user taking a slot, and an offloaded user
+//! relocating to another, each evicting the occupant. They touch at most
+//! two servers and two subchannels and are priced by one straight-line
+//! recipe that repeats the replay's float operations in the same order,
+//! so the price is bit-identical;
+//! [`score_take`](IncrementalObjective::score_take) exposes it without a
+//! [`MoveDesc`], and `score` routes both shapes through it.
 //!
 //! ## Bound-gated pricing
 //!
@@ -60,10 +63,11 @@
 //! refresh at all: it relaxes away interference the way
 //! `mec_baselines::upper_bound` does, charging each arrival only its
 //! noise-only uplink floor and crediting every current co-channel
-//! occupant's whole Γ term. The TTSA step and the shard descent bound
-//! each candidate first and price only the ones the bound cannot rule
-//! out, so the gate settles rejections only and never changes a
-//! decision.
+//! occupant's whole Γ term. Slot takes, local or relocating, are bounded
+//! straight-line in the general bound's accumulation order, bit for bit.
+//! The TTSA step and the shard descent bound each candidate first and
+//! price only the ones the bound cannot rule out, so the gate settles
+//! rejections only and never changes a decision.
 //!
 //! ## Exactness and drift
 //!
@@ -1010,11 +1014,17 @@ impl<'a> IncrementalObjective<'a> {
     /// writes into the persistent arrays and rescanning the relief sums
     /// of the subchannels it touched. A no-op without a pending move
     /// (`undo` and `discard` leave the log empty, so there is nothing to
-    /// clear — every speculative score starts with this check).
+    /// clear — every speculative score starts with this check, so the
+    /// check inlines and the flush does not).
+    #[inline]
     pub fn commit(&mut self) {
-        if !self.log.valid {
-            return;
+        if self.log.valid {
+            self.flush();
         }
+    }
+
+    /// The flush of [`commit`](Self::commit) for a pending move.
+    fn flush(&mut self) {
         let stride = self.stride;
         for (k, &j) in self.log.touched_subs.iter().enumerate() {
             self.totals[j * stride..][..stride]
@@ -1055,16 +1065,26 @@ impl IncrementalObjective<'_> {
     /// decision yields a meaningless value (and panics in debug builds
     /// where the mismatch is detectable).
     ///
-    /// The dominant shape — a local user taking a slot, evicting its
-    /// occupant if any (`[Assign]` or `[Release occupant, Assign]`) — is
-    /// priced by the same straight-line recipe as
-    /// [`score_take`](Self::score_take); every other shape runs the
-    /// overlay replay below.
+    /// A slot take — `user` onto `(server, subchannel)`, evicting the
+    /// occupant, in any of the four op shapes
+    /// [`MoveDesc::relocate_evicting`] builds: `[Assign u]` or `[Release
+    /// v, Assign u]` for a local `u`, `[Release u, Assign u]` or
+    /// `[Release v, Release u, Assign u]` for an offloaded one — is priced
+    /// by the same straight-line recipe as
+    /// [`score_take`](Self::score_take). Releases, swaps of two offloaded
+    /// users and hand-built moves run the overlay replay.
     pub fn score(&mut self, mv: &MoveDesc) -> f64 {
         self.commit();
-        if let Some((user, server, subchannel)) = self.take_shape(mv) {
-            return self.price_take(user, server, subchannel);
+        match self.take_shape(mv) {
+            Some((user, server, subchannel)) => self.price_take(user, server, subchannel),
+            None => self.overlay_replay(mv),
         }
+    }
+
+    /// The general price of [`score`](Self::score) on a committed state:
+    /// `apply`'s float operations replayed against fixed-size overlays
+    /// instead of a mutated assignment.
+    fn overlay_replay(&mut self, mv: &MoveDesc) -> f64 {
         // Local replicas of the scalar sums `apply` updates in place.
         let mut gain_sum = self.gain_sum;
         let mut gamma_sum = self.gamma_sum;
@@ -1295,67 +1315,160 @@ impl IncrementalObjective<'_> {
     /// occupant to local execution: the objective
     /// [`score`](Self::score)`(&MoveDesc::relocate_evicting(..))` returns
     /// for that move, bit for bit, without building the move. This is the
-    /// systematic relocation scan's dominant candidate. For a local
-    /// `user` it runs the straight-line recipe (one touched subchannel,
-    /// one touched server, no overlays); an offloaded `user` falls back
-    /// to the general replay. Taking the slot `user` already holds scores
-    /// the current objective.
+    /// TTSA step's and the systematic relocation scan's dominant
+    /// candidate. A local `user` takes a slot and an offloaded one is
+    /// relocated; both are priced straight-line, with no overlays and no
+    /// scratch totals row. Taking the slot `user` already holds changes
+    /// nothing and scores [`current`](Self::current).
     pub fn score_take(&mut self, user: UserId, server: ServerId, subchannel: SubchannelId) -> f64 {
-        if self.x.is_offloaded(user) {
-            let mv = MoveDesc::relocate_evicting(&self.x, user, server, subchannel);
-            return self.score(&mv);
-        }
         self.commit();
+        if self.x.slot(user) == Some((server, subchannel)) {
+            return self.current();
+        }
         self.price_take(user, server, subchannel)
     }
 
-    /// The straight-line price of local `user` taking `(server,
-    /// subchannel)` from its occupant, if any — the overlay replay of
-    /// `[Release occupant, Assign user]` with the overlays resolved
-    /// statically: the same float operations in the same order (benefit,
-    /// Γ retirement and Λ step of the eviction, then of the join, then
-    /// the touched row's Γ refresh fold), with each post-move total
-    /// formed slot by slot as `(committed − evicted) + joined` instead of
-    /// sweeping a scratch row. The caller has committed.
+    /// The straight-line price of `user` taking `(server, subchannel)`
+    /// from its occupant, if any, on a committed state: the overlay
+    /// replay of `[Release occupant]?, [Release user]?, [Assign user]`
+    /// with the overlays resolved statically. It performs the same float
+    /// operations in the same order:
+    ///
+    /// * benefit, Γ retirement and Λ step of each op in op order (the
+    ///   occupant's server, the user's old server, then the target; the
+    ///   steps chain on one server's state when the servers coincide);
+    /// * the Γ refresh fold of each touched subchannel in first-seen
+    ///   order — the target first when there is an occupant, the user's
+    ///   old subchannel first otherwise — with each post-move total
+    ///   formed slot by slot as `((committed − occupant) − leaver) +
+    ///   joiner` from the rows that touch that subchannel. The user is
+    ///   read at its new slot as a retired user (old term 0) when it was
+    ///   offloaded, and its old slot is skipped.
     fn price_take(&mut self, user: UserId, server: ServerId, subchannel: SubchannelId) -> f64 {
-        debug_assert!(!self.x.is_offloaded(user), "a take moves a local user");
         let (u, si, ji) = (user.index(), server.index(), subchannel.index());
-        let victim = self.x.occupant(server, subchannel);
+        let from = self.x.slot(user).map(|(s, j)| (s.index(), j.index()));
+        debug_assert_ne!(from, Some((si, ji)), "a take moves its user");
+        let victim = self.x.occupant(server, subchannel).map(UserId::index);
         let capacity = self.capacity[si];
         let mut gain_sum = self.gain_sum;
         let mut gamma_sum = self.gamma_sum;
         let mut lambda_sum = self.lambda_sum;
         let mut nonfinite = self.nonfinite;
-        let mut sqrt_eta_sum = self.sum_sqrt_eta[si];
+        // The target server's `(Σ√η, user count)` as the ops step it.
+        let mut target = (self.sum_sqrt_eta[si], self.users_on[si]);
         if let Some(v) = victim {
-            let v = v.index();
             gain_sum -= self.coeffs.gain_const[v];
             if self.gamma_bad[v] {
                 nonfinite -= 1;
             } else {
                 gamma_sum -= self.gamma_of[v];
             }
-            let old_term = lambda_term_from(sqrt_eta_sum, capacity);
-            // Same empty-server pin to exactly zero as `leave`.
-            sqrt_eta_sum = if self.users_on[si] == 1 {
-                0.0
+            let (after, change) = lambda_step(target, self.coeffs.sqrt_eta[v], false, capacity);
+            target = after;
+            lambda_sum += change;
+        }
+        if let Some((s0, _)) = from {
+            gain_sum -= self.coeffs.gain_const[u];
+            if self.gamma_bad[u] {
+                nonfinite -= 1;
             } else {
-                sqrt_eta_sum - self.coeffs.sqrt_eta[v]
+                gamma_sum -= self.gamma_of[u];
+            }
+            let sqrt_eta = self.coeffs.sqrt_eta[u];
+            let change = if s0 == si {
+                let (after, change) = lambda_step(target, sqrt_eta, false, capacity);
+                target = after;
+                change
+            } else {
+                let source = (self.sum_sqrt_eta[s0], self.users_on[s0]);
+                lambda_step(source, sqrt_eta, false, self.capacity[s0]).1
             };
-            lambda_sum += lambda_term_from(sqrt_eta_sum, capacity) - old_term;
+            lambda_sum += change;
         }
         gain_sum += self.coeffs.gain_const[u];
-        let old_term = lambda_term_from(sqrt_eta_sum, capacity);
-        sqrt_eta_sum += self.coeffs.sqrt_eta[u];
-        lambda_sum += lambda_term_from(sqrt_eta_sum, capacity) - old_term;
+        lambda_sum += lambda_step(target, self.coeffs.sqrt_eta[u], true, capacity).1;
 
-        // Γ refresh of the touched subchannel. As in `score`, the gather
-        // pass collects each post-move occupant's SINR call-free and the
-        // second pass runs the `log2` calls; both accumulators add in
-        // server order, so the bits match the overlay replay.
+        // Γ refresh of the touched subchannels, in `apply`'s first-seen
+        // order: the target first when there is an occupant, the user's
+        // old subchannel first otherwise. The joiner is read as retired
+        // (old term 0) when the move released it first, as `leave`
+        // retires eagerly.
+        let joined_row = self.wgain_base(u, ji);
+        let joiner = (
+            si,
+            u,
+            self.wgain[joined_row + si],
+            match from {
+                Some(_) => (0.0, false),
+                None => (self.gamma_of[u], self.gamma_bad[u]),
+            },
+        );
+        let victim_row = victim.map_or(joined_row, |v| self.wgain_base(v, ji));
+        let rows = [victim_row, joined_row, joined_row];
+        let nf = &mut nonfinite;
+        match (from, victim.is_some()) {
+            (None, false) => {
+                gamma_sum += self.take_fold(ji, Some(joiner), None, rows, nf, |c, _, _, j| c + j);
+            }
+            (None, true) => {
+                gamma_sum +=
+                    self.take_fold(ji, Some(joiner), None, rows, nf, |c, v, _, j| (c - v) + j);
+            }
+            (Some((s0, j0)), false) if j0 == ji => {
+                gamma_sum += self.take_fold(ji, Some(joiner), Some(s0), rows, nf, |c, _, l, j| {
+                    (c - l) + j
+                });
+            }
+            (Some((s0, j0)), true) if j0 == ji => {
+                gamma_sum += self.take_fold(ji, Some(joiner), Some(s0), rows, nf, |c, v, l, j| {
+                    ((c - v) - l) + j
+                });
+            }
+            (Some((s0, j0)), evicts) => {
+                let left_row = self.wgain_base(u, j0);
+                let source = [left_row; 3];
+                if evicts {
+                    gamma_sum +=
+                        self.take_fold(ji, Some(joiner), None, rows, nf, |c, v, _, j| (c - v) + j);
+                    gamma_sum += self.take_fold(j0, None, Some(s0), source, nf, |c, _, l, _| c - l);
+                } else {
+                    gamma_sum += self.take_fold(j0, None, Some(s0), source, nf, |c, _, l, _| c - l);
+                    gamma_sum +=
+                        self.take_fold(ji, Some(joiner), None, rows, nf, |c, _, _, j| c + j);
+                }
+            }
+        }
+
+        // The user ends offloaded, so at least one user is.
+        if nonfinite > 0 {
+            f64::NEG_INFINITY
+        } else {
+            gain_sum - gamma_sum - lambda_sum
+        }
+    }
+
+    /// The Γ refresh fold of one subchannel `j` a take touches: `row_new
+    /// − row_old` over its post-move occupants in server order, the
+    /// gather pass collecting each occupant's SINR call-free and the
+    /// second pass running the `log2` calls, as in the overlay replay.
+    /// `joiner` is `(server, user, signal, (old Γ term, old non-finite
+    /// flag))` of the user the take places on `j`, `vacated` the server
+    /// whose slot on `j` it leaves. `total(committed, victim, leaver,
+    /// joiner)` forms a slot's post-move total from the committed value
+    /// and the slot's entries of the three `wgain` rows at `rows`, in op
+    /// order. Counts retired and fresh non-finite terms into
+    /// `nonfinite`.
+    #[inline(always)]
+    fn take_fold(
+        &mut self,
+        j: usize,
+        joiner: Option<(usize, usize, f64, (f64, bool))>,
+        vacated: Option<usize>,
+        rows: [usize; 3],
+        nonfinite: &mut u32,
+        total: impl Fn(f64, f64, f64, f64) -> f64,
+    ) -> f64 {
         let servers = self.capacity.len();
-        let joined_at = self.wgain_base(u, ji);
-        let evicted_at = victim.map(|v| self.wgain_base(v.index(), ji));
         // Field-wise borrows: the fold scratch is written while the rows
         // are read.
         let Self {
@@ -1371,29 +1484,28 @@ impl IncrementalObjective<'_> {
             score_fold,
             ..
         } = self;
-        let totals = &totals[ji * *stride..][..servers];
-        let joined = &wgain[joined_at..][..servers];
-        let evicted = evicted_at.map(|at| &wgain[at..][..servers]);
-        let occupants = &x.occupants_on(subchannel)[..servers];
+        let [victim, leaver, joined] = rows.map(|at| &wgain[at..][..servers]);
+        let committed = &totals[j * *stride..][..servers];
+        let occupants = &x.occupants_on(SubchannelId::new(j))[..servers];
         score_fold.clear();
         let mut row_old = 0.0;
         for t in 0..servers {
-            let (w, signal) = if t == si {
-                (u, joined[t])
-            } else if let Some(w) = occupants[t] {
-                (w.index(), signal_of[w.index()])
-            } else {
-                continue;
+            let (w, signal, (old, was_bad)) = match joiner {
+                Some((server, user, signal, old)) if server == t => (user, signal, old),
+                _ if vacated == Some(t) => continue,
+                _ => match occupants[t] {
+                    Some(w) => {
+                        let w = w.index();
+                        (w, signal_of[w], (gamma_of[w], gamma_bad[w]))
+                    }
+                    None => continue,
+                },
             };
-            let mut total = totals[t];
-            if let Some(evicted) = evicted {
-                total -= evicted[t];
+            let total = total(committed[t], victim[t], leaver[t], joined[t]);
+            if was_bad {
+                *nonfinite -= 1;
             }
-            total += joined[t];
-            if gamma_bad[w] {
-                nonfinite -= 1;
-            }
-            row_old += gamma_of[w];
+            row_old += old;
             score_fold.push((coeffs.gamma_num[w], sinr_from(signal, total, *noise)));
         }
         let mut row_new = 0.0;
@@ -1402,18 +1514,11 @@ impl IncrementalObjective<'_> {
             row_new += if term.is_finite() {
                 term
             } else {
-                nonfinite += 1;
+                *nonfinite += 1;
                 0.0
             };
         }
-        gamma_sum += row_new - row_old;
-
-        // The joining user keeps at least one user offloaded.
-        if nonfinite > 0 {
-            f64::NEG_INFINITY
-        } else {
-            gain_sum - gamma_sum - lambda_sum
-        }
+        row_new - row_old
     }
 
     /// A sound upper bound on the objective change
@@ -1439,19 +1544,28 @@ impl IncrementalObjective<'_> {
     ///
     /// The bound is `+∞` for an empty move and on a non-finite state, and
     /// `−∞` when an arrival's floor is non-finite (zero SNR prices the
-    /// move at `−∞` exactly). A local user taking a slot is bounded by the
-    /// same straight-line recipe as [`bound_take`](Self::bound_take). The
+    /// move at `−∞` exactly). A slot take, by a local or an offloaded user
+    /// in any of the four shapes [`score`](Self::score) lists, is bounded
+    /// by the same straight-line recipe as
+    /// [`bound_take`](Self::bound_take); releases, swaps of two offloaded
+    /// users and hand-built moves run the general bound, op by op. The
     /// move must have been built by a [`MoveDesc`] constructor against the
     /// current assignment (releases first, each from the user's committed
     /// slot). Any pending uncommitted move is committed first, as in
     /// `score`.
     pub fn bound(&mut self, mv: &MoveDesc) -> f64 {
         self.commit();
+        match self.take_shape(mv) {
+            Some((user, server, subchannel)) => self.take_bound(user, server, subchannel),
+            None => self.general_bound(mv),
+        }
+    }
+
+    /// The bound of [`bound`](Self::bound) for any move on a committed
+    /// state, accumulated op by op.
+    fn general_bound(&mut self, mv: &MoveDesc) -> f64 {
         if mv.is_empty() || self.nonfinite > 0 {
             return f64::INFINITY;
-        }
-        if let Some((user, server, subchannel)) = self.take_shape(mv) {
-            return self.take_bound(user, server, subchannel);
         }
         let mut gain = 0.0;
         let mut floors = 0.0;
@@ -1530,42 +1644,43 @@ impl IncrementalObjective<'_> {
     }
 
     /// [`bound`](Self::bound) for `user` taking the slot `(server,
-    /// subchannel)` and evicting its occupant — the bound of
-    /// `MoveDesc::relocate_evicting(..)` without building the move, the
-    /// systematic scan's dominant candidate. A local `user` is bounded
-    /// straight-line (one touched server, one touched subchannel); an
-    /// offloaded `user` falls back to the general bound, as in
-    /// [`score_take`](Self::score_take).
+    /// subchannel)` and evicting its occupant: the bound of
+    /// `MoveDesc::relocate_evicting(..)` bit for bit, without building
+    /// the move. A local `user` takes a slot and an offloaded one is
+    /// relocated; both are bounded straight-line, a relocation in the
+    /// general bound's accumulation order. Taking the slot `user` already
+    /// holds is the empty move, bounded at `+∞`.
     pub fn bound_take(&mut self, user: UserId, server: ServerId, subchannel: SubchannelId) -> f64 {
-        if self.x.is_offloaded(user) {
-            let mv = MoveDesc::relocate_evicting(&self.x, user, server, subchannel);
-            return self.bound(&mv);
-        }
         self.commit();
-        if self.nonfinite > 0 {
-            return f64::INFINITY;
-        }
         self.take_bound(user, server, subchannel)
     }
 
-    /// The straight-line bound of local `user` taking `(server,
-    /// subchannel)` from its occupant, if any, on a committed finite
-    /// state: the general bound's terms with the single touched server
-    /// and subchannel resolved statically.
+    /// The straight-line bound of `user` taking `(server, subchannel)`
+    /// from its occupant, if any, on a committed state: `+∞` on a
+    /// non-finite state and for the user's own slot, as the general
+    /// bound. A local user's take resolves the general bound's terms with
+    /// the single touched server and subchannel statically; an offloaded
+    /// user's relocation is [`relocation_bound`](Self::relocation_bound).
     fn take_bound(&mut self, user: UserId, server: ServerId, subchannel: SubchannelId) -> f64 {
-        debug_assert!(!self.x.is_offloaded(user), "a take moves a local user");
+        let from = self.x.slot(user);
+        if self.nonfinite > 0 || from == Some((server, subchannel)) {
+            return f64::INFINITY;
+        }
         let floor = self.noise_floor(user, server, subchannel);
         if !floor.is_finite() {
             return f64::NEG_INFINITY;
         }
-        let (u, si) = (user.index(), server.index());
+        let (u, si, ji) = (user.index(), server.index(), subchannel.index());
+        let victim = self.x.occupant(server, subchannel).map(UserId::index);
+        if let Some((s0, j0)) = from {
+            return self.relocation_bound(u, (s0.index(), j0.index()), (si, ji), victim, floor);
+        }
         let capacity = self.capacity[si];
         let sum = self.sum_sqrt_eta[si];
         let mut gain = self.coeffs.gain_const[u];
         let mut magnitude = gain.abs() + floor;
         let mut after = sum + self.coeffs.sqrt_eta[u];
-        if let Some(v) = self.x.occupant(server, subchannel) {
-            let v = v.index();
+        if let Some(v) = victim {
             let g = self.coeffs.gain_const[v];
             gain -= g;
             magnitude += g.abs();
@@ -1579,37 +1694,106 @@ impl IncrementalObjective<'_> {
         let after = lambda_term_from(after, capacity);
         let lambda = after - lambda_term_from(sum, capacity);
         magnitude += after;
-        let relief = self.relief[subchannel.index()];
+        let relief = self.relief[ji];
         self.slack_bound(gain - floor + relief - lambda, magnitude)
     }
 
-    /// The take a move describes, if it is `[Assign]` or `[Release
-    /// occupant, Assign]` for a local user — the shape that
-    /// [`score`](Self::score) and [`bound`](Self::bound) handle
-    /// straight-line.
-    fn take_shape(&self, mv: &MoveDesc) -> Option<(UserId, ServerId, SubchannelId)> {
-        let (release, take) = match mv.ops[..mv.len()] {
-            [take] => (None, take),
-            [release, take] => (Some(release), take),
-            _ => return None,
+    /// The bound of offloaded user `u` relocating from `(s0, j0)` to
+    /// `(si, ji)`, evicting `victim`, given the arrival's finite floor.
+    /// It repeats the general bound's accumulation order over
+    /// `[Release victim]?, [Release u], [Assign u]`: `gain` as `0 −
+    /// g_victim − g_u + g_u`, the magnitudes, the arrival's floor, the
+    /// per-server `(Σ√η, count)` steps in first-touched order and the
+    /// relief summed over the touched subchannels in first-seen order.
+    fn relocation_bound(
+        &self,
+        u: usize,
+        (s0, j0): (usize, usize),
+        (si, ji): (usize, usize),
+        victim: Option<usize>,
+        floor: f64,
+    ) -> f64 {
+        let g_u = self.coeffs.gain_const[u];
+        let sqrt_eta_u = self.coeffs.sqrt_eta[u];
+        let mut gain = 0.0;
+        let mut magnitude = 0.0;
+        // `(server, Σ√η change, user-count change)` in first-touched
+        // order, as the general bound's `step` fills them.
+        let mut steps = [(usize::MAX, 0.0, 0i64); 2];
+        let mut step = |si: usize, sqrt_eta: f64, count: i64| {
+            let k = usize::from(steps[0].0 != si && steps[0].0 != usize::MAX);
+            steps[k] = (si, steps[k].1 + sqrt_eta, steps[k].2 + count);
         };
+        if let Some(v) = victim {
+            let g = self.coeffs.gain_const[v];
+            gain -= g;
+            magnitude += g.abs();
+            step(si, -self.coeffs.sqrt_eta[v], -1);
+        }
+        gain -= g_u;
+        magnitude += g_u.abs();
+        step(s0, -sqrt_eta_u, -1);
+        magnitude += floor;
+        gain += g_u;
+        magnitude += g_u.abs();
+        step(si, sqrt_eta_u, 1);
+        let mut lambda = 0.0;
+        for &(si, d_sum, d_count) in steps.iter().take_while(|s| s.0 != usize::MAX) {
+            let sum = self.sum_sqrt_eta[si];
+            // Same empty-server pin to exactly zero as `leave`.
+            let after = if i64::from(self.users_on[si]) + d_count == 0 {
+                0.0
+            } else {
+                sum + d_sum
+            };
+            let after = lambda_term_from(after, self.capacity[si]);
+            lambda += after - lambda_term_from(sum, self.capacity[si]);
+            magnitude += after;
+        }
+        let other = (j0 != ji).then_some(j0);
+        let touched = if victim.is_some() {
+            [Some(ji), other]
+        } else {
+            [other, Some(ji)]
+        };
+        let relief: f64 = touched.iter().flatten().map(|&j| self.relief[j]).sum();
+        self.slack_bound(gain - floor + relief - lambda, magnitude)
+    }
+
+    /// The take a move describes, if its ops are exactly those
+    /// [`MoveDesc::relocate_evicting`] builds against the current
+    /// assignment: `[Assign u]` onto a free slot or `[Release v, Assign
+    /// u]` from its occupant `v` for a local `u`, and `[Release u, Assign
+    /// u]` or `[Release v, Release u, Assign u]` for an offloaded `u`.
+    /// These are the shapes [`score`](Self::score) and
+    /// [`bound`](Self::bound) handle straight-line.
+    #[inline]
+    fn take_shape(&self, mv: &MoveDesc) -> Option<(UserId, ServerId, SubchannelId)> {
+        let (&last, releases) = mv.ops[..mv.len()].split_last()?;
         let PrimOp::Assign {
             user,
             server,
             subchannel,
-        } = PrimOp::unpack(take)
+        } = PrimOp::unpack(last)
         else {
             return None;
         };
-        match release.map(PrimOp::unpack) {
-            None => Some((user, server, subchannel)),
-            Some(PrimOp::Release { user: victim })
-                if victim != user && self.x.occupant(server, subchannel) == Some(victim) =>
-            {
-                Some((user, server, subchannel))
+        let victim = self.x.occupant(server, subchannel);
+        let leaver = self.x.is_offloaded(user).then_some(user);
+        let release = |word: u64| PrimOp::unpack(word);
+        let matches = match (releases, victim, leaver) {
+            ([], None, None) => true,
+            (&[a], Some(v), None) | (&[a], None, Some(v)) => {
+                release(a) == PrimOp::Release { user: v }
             }
-            Some(_) => None,
-        }
+            (&[a, b], Some(v), Some(u)) => {
+                v != u
+                    && release(a) == PrimOp::Release { user: v }
+                    && release(b) == PrimOp::Release { user: u }
+            }
+            _ => false,
+        };
+        matches.then_some((user, server, subchannel))
     }
 
     /// Γ⁰: the noise-only uplink floor of `user` transmitting at
@@ -1621,22 +1805,31 @@ impl IncrementalObjective<'_> {
     /// computed on demand.
     #[inline]
     fn noise_floor(&mut self, user: UserId, server: ServerId, subchannel: SubchannelId) -> f64 {
+        let at = self.wgain_base(user.index(), subchannel.index()) + server.index();
+        match self.floors.get(at) {
+            Some(&cached) if cached != 0.0 => cached,
+            _ => self.fill_floor(user, at),
+        }
+    }
+
+    /// The miss path of [`noise_floor`](Self::noise_floor): allocates the
+    /// table on the first bound unless it would be too large, computes
+    /// the floor of the `wgain` entry `at` and caches it when it can.
+    fn fill_floor(&mut self, user: UserId, at: usize) -> f64 {
         if self.floors.is_empty() && self.wgain.len() <= FLOOR_TABLE_MAX {
             self.floors = vec![0.0; self.wgain.len()];
         }
-        let u = user.index();
-        let at = self.wgain_base(u, subchannel.index()) + server.index();
-        match self.floors.get_mut(at) {
-            Some(cached) if *cached != 0.0 => *cached,
-            slot => {
-                let signal = self.wgain[at];
-                let floor = gamma_term_from(self.coeffs.gamma_num[u], signal, signal, self.noise);
-                if let Some(slot) = slot {
-                    *slot = floor;
-                }
-                floor
-            }
+        let signal = self.wgain[at];
+        let floor = gamma_term_from(
+            self.coeffs.gamma_num[user.index()],
+            signal,
+            signal,
+            self.noise,
+        );
+        if let Some(slot) = self.floors.get_mut(at) {
+            *slot = floor;
         }
+        floor
     }
 
     /// Σ of the cached Γ terms of every current occupant of subchannel
@@ -1678,6 +1871,27 @@ const FLOOR_TABLE_MAX: usize = 4_096;
 /// One overlaid per-user slot write of a speculative score:
 /// `(user, its post-op slot)`.
 type SlotWrite = (UserId, Option<(ServerId, SubchannelId)>);
+
+/// One server's `(Σ√η, user count)` after a user with `sqrt_eta` joins
+/// or leaves it, and the change of its Λ term: the step `join` and
+/// `leave` take, with `leave`'s empty-server pin to exactly zero.
+#[inline]
+fn lambda_step(
+    (sum, count): (f64, u32),
+    sqrt_eta: f64,
+    join: bool,
+    capacity: f64,
+) -> ((f64, u32), f64) {
+    let old_term = lambda_term_from(sum, capacity);
+    let after = if join {
+        (sum + sqrt_eta, count + 1)
+    } else if count == 1 {
+        (0.0, 0)
+    } else {
+        (sum - sqrt_eta, count - 1)
+    };
+    (after, lambda_term_from(after.0, capacity) - old_term)
+}
 
 /// Λ term of one server from a `Σ√η` sum against its capacity (Eq. 23).
 #[inline]
@@ -1772,7 +1986,7 @@ mod tests {
     use crate::evaluation::{EvalScratch, Evaluator};
     use crate::scenario::UserSpec;
     use mec_radio::{ChannelGains, OfdmaConfig};
-    use mec_types::{Cycles, Hertz, ServerProfile, Watts};
+    use mec_types::{Cycles, Hertz, ServerProfile, UserPreferences, Watts};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -2195,6 +2409,157 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn relocation_recipes_match_the_overlay_replay_and_the_general_bound() {
+        // Six users with different workloads and time weights (so a
+        // server's Σ√η sum can drift as users come and go) on three
+        // servers (not a lane multiple) and two subchannels, so targets
+        // are both free and taken. On even seeds user 0's links are dead
+        // (its Γ term is non-finite once offloaded); a tenth of the other
+        // links to servers 0 and 1 are dead too (an arrival there prices
+        // at −∞); odd seeds add a halo. Each state is walked by random
+        // moves without a resync, and every offloaded user is relocated
+        // onto every slot.
+        let (mut free, mut taken, mut same_server, mut other_server) = (0, 0, 0, 0);
+        let (mut same_sub, mut other_sub, mut own, mut nonfinite) = (0, 0, 0, 0);
+        let mut drifted_last_user = 0;
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed + 1200);
+            let gains = ChannelGains::from_fn(6, 3, 2, |u, s, _| {
+                if (u.index() == 0 && seed % 2 == 0) || (s.index() < 2 && rng.gen_bool(0.1)) {
+                    0.0
+                } else {
+                    10.0_f64.powf(rng.gen_range(-13.0..-9.0))
+                }
+            })
+            .unwrap();
+            let users = (0..6)
+                .map(|u| {
+                    let workload = Cycles::from_mega(500.0 + 370.0 * u as f64);
+                    UserSpec {
+                        preferences: UserPreferences::new(0.2 + 0.13 * u as f64).unwrap(),
+                        ..UserSpec::paper_default_with_workload(workload).unwrap()
+                    }
+                })
+                .collect();
+            let mut sc = Scenario::new(
+                users,
+                vec![ServerProfile::paper_default(); 3],
+                OfdmaConfig::new(Hertz::from_mega(20.0), 2).unwrap(),
+                gains,
+                Watts::new(1e-13),
+            )
+            .unwrap();
+            if seed % 2 == 1 {
+                sc.set_external_rx(Some((0..6).map(|i| 1e-12 * (1.0 + i as f64)).collect()))
+                    .unwrap();
+            }
+            let x = random_assignment(&sc, seed + 60);
+            let mut inc = IncrementalObjective::new(&sc, x).unwrap();
+            // Leave server 2 to one user whose Σ√η sum drifted: empty it,
+            // let `a` and then `b` join, and release `a`.
+            let e = &inc.coeffs.sqrt_eta;
+            let (a, b) = (1..6)
+                .flat_map(|a| (1..6).map(move |b| (a, b)))
+                .find(|&(a, b)| a != b && (e[a] + e[b]) - e[a] != e[b])
+                .expect("two users whose Σ√η sum drifts");
+            let (a, b, server) = (UserId::new(a), UserId::new(b), ServerId::new(2));
+            let occupants: Vec<_> = inc.assignment().occupants_on(SubchannelId::new(0))[2..3]
+                .iter()
+                .chain(&inc.assignment().occupants_on(SubchannelId::new(1))[2..3])
+                .flatten()
+                .copied()
+                .chain([a, b])
+                .collect();
+            let sequence = occupants.into_iter().map(|w| (w, None)).chain([
+                (a, Some(0)),
+                (b, Some(1)),
+                (a, None),
+            ]);
+            for (w, target) in sequence {
+                let target = target.map(|j| (server, SubchannelId::new(j)));
+                let mv = MoveDesc::relocate(inc.assignment(), w, target);
+                inc.apply(&mv);
+                inc.commit();
+            }
+            for step in 0..8 {
+                let offloaded: Vec<_> = inc.assignment().offloaded().collect();
+                for (u, s0, j0) in offloaded {
+                    for (s, j) in (0..3).flat_map(|s| (0..2).map(move |j| (s, j))) {
+                        let (s, j) = (ServerId::new(s), SubchannelId::new(j));
+                        let what =
+                            format!("seed {seed} step {step}: {u} from ({s0}, {j0}) to ({s}, {j})");
+                        let mv = MoveDesc::relocate_evicting(inc.assignment(), u, s, j);
+                        let price = inc.score_take(u, s, j);
+                        let bound = inc.bound_take(u, s, j);
+                        if (s, j) == (s0, j0) {
+                            own += 1;
+                            assert!(mv.is_empty(), "{what}");
+                            assert_eq!(price.to_bits(), inc.current().to_bits(), "{what}");
+                            assert_eq!(bound, f64::INFINITY, "{what}");
+                            continue;
+                        }
+                        match inc.assignment().occupant(s, j) {
+                            Some(_) => taken += 1,
+                            None => free += 1,
+                        }
+                        if s == s0 {
+                            same_server += 1;
+                        } else {
+                            other_server += 1;
+                            let si = s0.index();
+                            if inc.current().is_finite()
+                                && inc.users_on[si] == 1
+                                && inc.sum_sqrt_eta[si] != inc.coeffs.sqrt_eta[u.index()]
+                            {
+                                drifted_last_user += 1;
+                            }
+                        }
+                        if j == j0 {
+                            same_sub += 1;
+                        } else {
+                            other_sub += 1;
+                        }
+                        if !inc.current().is_finite() {
+                            nonfinite += 1;
+                        }
+                        assert_eq!(price.to_bits(), inc.overlay_replay(&mv).to_bits(), "{what}");
+                        assert_eq!(bound.to_bits(), inc.general_bound(&mv).to_bits(), "{what}");
+                        assert_eq!(inc.score(&mv).to_bits(), price.to_bits(), "{what}");
+                        assert_eq!(inc.bound(&mv).to_bits(), bound.to_bits(), "{what}");
+                        let delta = price - inc.current();
+                        assert!(
+                            bound >= delta || (delta.is_nan() && bound == f64::INFINITY),
+                            "{what}: bound {bound} below delta {delta}"
+                        );
+                        inc.apply(&mv);
+                        assert_eq!(price.to_bits(), inc.current().to_bits(), "{what}");
+                        inc.undo();
+                    }
+                }
+                let mv = random_move(&sc, inc.assignment(), &mut rng);
+                inc.apply(&mv);
+                inc.commit();
+            }
+        }
+        for (count, case) in [
+            (free, "a free target"),
+            (taken, "a taken target"),
+            (same_server, "the same server"),
+            (other_server, "another server"),
+            (same_sub, "the same subchannel"),
+            (other_sub, "another subchannel"),
+            (own, "the user's own slot"),
+            (nonfinite, "a non-finite state"),
+            (
+                drifted_last_user,
+                "the last user leaving a drifted server sum",
+            ),
+        ] {
+            assert!(count > 0, "no relocation covered {case}");
         }
     }
 
