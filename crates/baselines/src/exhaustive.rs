@@ -1,7 +1,8 @@
 //! Exhaustive (brute-force) search — the global optimum.
 
 use mec_system::{Assignment, EvalScratch, Evaluator, Scenario, Solution, Solver, SolverStats};
-use mec_types::{Error, SubchannelId, UserId};
+use mec_types::threads::fan_out;
+use mec_types::{effective_parallelism, Error, SubchannelId, UserId};
 use std::time::Instant;
 
 /// Enumerates every feasible offloading decision and returns the best.
@@ -190,7 +191,8 @@ impl Solver for ExhaustiveSolver {
 }
 
 /// Splits the first user's options (local + every slot) across worker
-/// threads, each running the sequential DFS over the remaining users.
+/// threads with [`fan_out`], each branch running the sequential DFS over
+/// the remaining users.
 /// Branch results are folded in branch order, breaking objective ties
 /// toward the lexicographically smallest assignment, so the outcome is
 /// bit-identical to the sequential search at any thread count.
@@ -204,49 +206,24 @@ fn solve_parallel(scenario: &Scenario, threads: Option<usize>) -> (Assignment, f
         }
     }
 
-    let workers = mec_types::effective_parallelism(threads).min(branches.len());
-    let mut results: Vec<Option<(Assignment, f64, u64)>> = Vec::new();
-    results.resize_with(branches.len(), || None);
-
-    // Static round-robin partition: worker w explores branches w, w+W, …
-    // and returns its `(branch, result)` pairs through its join handle
-    // into indexed slots — no locks on the search path.
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let branches = &branches;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut i = w;
-                    while i < branches.len() {
-                        let mut current = Assignment::all_local(scenario);
-                        if let Some((s, j)) = branches[i] {
-                            current
-                                .assign(first, s, j)
-                                .expect("slot is free in a fresh X");
-                        }
-                        let mut search = Search {
-                            scenario,
-                            evaluator: Evaluator::new(scenario),
-                            scratch: EvalScratch::default(),
-                            best: current.clone(),
-                            current,
-                            best_obj: f64::NEG_INFINITY,
-                            leaves: 0,
-                        };
-                        search.recurse(1);
-                        out.push((i, (search.best, search.best_obj, search.leaves)));
-                        i += workers;
-                    }
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, result) in handle.join().expect("branch worker panicked") {
-                results[i] = Some(result);
-            }
+    let results = fan_out(effective_parallelism(threads), branches, |_, branch| {
+        let mut current = Assignment::all_local(scenario);
+        if let Some((s, j)) = branch {
+            current
+                .assign(first, s, j)
+                .expect("slot is free in a fresh X");
         }
+        let mut search = Search {
+            scenario,
+            evaluator: Evaluator::new(scenario),
+            scratch: EvalScratch::default(),
+            best: current.clone(),
+            current,
+            best_obj: f64::NEG_INFINITY,
+            leaves: 0,
+        };
+        search.recurse(1);
+        (search.best, search.best_obj, search.leaves)
     });
 
     // Fold in branch order; start from the all-local reference of 0.0 just
@@ -254,8 +231,7 @@ fn solve_parallel(scenario: &Scenario, threads: Option<usize>) -> (Assignment, f
     let mut best = Assignment::all_local(scenario);
     let mut best_obj = 0.0;
     let mut leaves = 0;
-    for r in results.iter_mut() {
-        let (b, obj, n) = r.take().expect("every branch was explored");
+    for (b, obj, n) in results {
         leaves += n;
         if obj > best_obj || (obj == best_obj && lex_smaller(&b, &best)) {
             best = b;
@@ -376,16 +352,27 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_agree() {
+        // 3 servers × 2 subchannels give 7 first-user branches, so 16
+        // workers is more workers than branches.
         for seed in 0..3 {
             let sc = random_scenario(seed, 5, 3, 2);
-            let par = ExhaustiveSolver::new().solve(&sc).unwrap();
             let seq = ExhaustiveSolver::new().sequential().solve(&sc).unwrap();
-            assert_eq!(par.assignment, seq.assignment, "seed {seed}");
-            assert_eq!(par.utility, seq.utility);
-            assert_eq!(
-                par.stats.objective_evaluations,
-                seq.stats.objective_evaluations
-            );
+            let widths = [
+                ExhaustiveSolver::new(),
+                ExhaustiveSolver::new().with_threads(1),
+                ExhaustiveSolver::new().with_threads(2),
+                ExhaustiveSolver::new().with_threads(3),
+                ExhaustiveSolver::new().with_threads(16),
+            ];
+            for mut solver in widths {
+                let par = solver.solve(&sc).unwrap();
+                assert_eq!(par.assignment, seq.assignment, "seed {seed} {solver:?}");
+                assert_eq!(par.utility, seq.utility);
+                assert_eq!(
+                    par.stats.objective_evaluations,
+                    seq.stats.objective_evaluations
+                );
+            }
         }
     }
 

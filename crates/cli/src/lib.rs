@@ -157,7 +157,7 @@ with a `schema_version` field. Declarative specs materialize from
 `--seed`, so the same file plus the same seed is the same run.
 
 `--threads N` caps the worker pool of the parallel solvers (tempering,
-multi-start, exhaustive); the TSAJS_THREADS environment variable does
+shard, exhaustive); the TSAJS_THREADS environment variable does
 the same when no flag is given. Results are bit-identical at any
 thread count.
 
@@ -755,7 +755,7 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, CliError> {
 /// Builds a solver by name.
 ///
 /// `threads` caps the worker pool of the parallel solvers (tempering,
-/// multi-start, exhaustive); `None` defers to `TSAJS_THREADS` and the
+/// shard, exhaustive); `None` defers to `TSAJS_THREADS` and the
 /// machine's available parallelism. Thread count never changes results.
 ///
 /// # Errors
@@ -849,9 +849,10 @@ pub fn load_scenario(path: &Path, seed: u64) -> Result<Scenario, CliError> {
 /// then `K` warm re-solves through [`ShardSolver::resolve_from`] under a
 /// deterministic rolling ~10% churn — in repeat `r`, every user whose
 /// index is ≡ `r` (mod 10) departs and re-arrives, everyone else
-/// survives in place. The printed objectives are a pure function of the
-/// scenario and seed, bit-identical at any `--threads` value; the CI
-/// shard-smoke job diffs exactly that.
+/// survives in place. The objectives are printed in Rust's shortest
+/// round-trip form, so the transcript shows every bit; they are a pure
+/// function of the scenario and seed, bit-identical at any `--threads`
+/// value, and the CI shard-smoke job diffs exactly that.
 fn run_warm_resolves(
     scenario: &Scenario,
     seed: u64,
@@ -865,7 +866,7 @@ fn run_warm_resolves(
     }
     let cold = solver.solve(scenario)?;
     writeln!(out, "solver      : {}", solver.name())?;
-    writeln!(out, "cold        : {:.6}", cold.utility)?;
+    writeln!(out, "cold        : {}", cold.utility)?;
     for r in 1..=repeats {
         let prev = solver
             .last_outcome()
@@ -884,7 +885,7 @@ fn run_warm_resolves(
         let stats = solver.last_stats().expect("stats recorded");
         writeln!(
             out,
-            "warm {r:<3}    : {:.6} (resolved {}, reused {})",
+            "warm {r:<3}    : {} (resolved {}, reused {})",
             solution.utility, stats.resolved_clusters, stats.reused_clusters
         )?;
     }

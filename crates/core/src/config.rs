@@ -268,42 +268,6 @@ impl Default for TemperingConfig {
     }
 }
 
-/// Which search engine [`TsajsSolver`](crate::TsajsSolver) drives.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SearchStrategy {
-    /// One paper-faithful TTSA chain (Algorithm 1 verbatim).
-    SingleChain,
-    /// Independent restarts hedging against bad initial solutions; chains
-    /// never share information.
-    MultiStart {
-        /// Number of independent chains.
-        restarts: usize,
-    },
-    /// Cooperative parallel tempering (replica exchange).
-    Tempering(TemperingConfig),
-}
-
-impl SearchStrategy {
-    /// Validates the strategy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] for zero restarts or an invalid
-    /// tempering configuration.
-    pub fn validate(&self) -> Result<(), Error> {
-        match self {
-            SearchStrategy::SingleChain => Ok(()),
-            SearchStrategy::MultiStart { restarts } => {
-                if *restarts == 0 {
-                    return Err(Error::invalid("restarts", "must run at least one chain"));
-                }
-                Ok(())
-            }
-            SearchStrategy::Tempering(cfg) => cfg.validate(),
-        }
-    }
-}
-
 /// How the initial annealing temperature is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum InitialTemperature {

@@ -59,8 +59,8 @@ pub mod trace;
 
 pub use annealing::{anneal, anneal_from};
 pub use config::{
-    Cooling, InitialSolution, InitialTemperature, ResolveMode, SearchStrategy, TemperingConfig,
-    TtsaConfig, DEFAULT_REFRESH_TEMPERATURE,
+    Cooling, InitialSolution, InitialTemperature, ResolveMode, TemperingConfig, TtsaConfig,
+    DEFAULT_REFRESH_TEMPERATURE,
 };
 pub use moves::{MoveKind, MoveMix, NeighborhoodKernel};
 pub use power::{solve_with_power_control, PowerControlConfig, PowerControlOutcome};

@@ -1,22 +1,22 @@
 //! The [`Solver`] wrapper around the TTSA loop.
 
-use crate::annealing::{anneal, anneal_from, AnnealOutcome};
-use crate::config::{SearchStrategy, TtsaConfig};
+use crate::annealing::{anneal, anneal_from};
+use crate::config::{TemperingConfig, TtsaConfig};
 use crate::moves::{MoveMix, NeighborhoodKernel};
 use crate::tempering::{temper, temper_from};
 use crate::trace::SearchTrace;
 use mec_system::{Assignment, Scenario, Solution, Solver, SolverStats};
 use mec_types::{effective_parallelism, Error};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::time::Instant;
 
 /// The TSAJS scheduler: TTSA task offloading + KKT resource allocation.
 ///
-/// The [`SearchStrategy`] selects the engine behind `solve`: the paper's
-/// single chain (default), independent multi-start chains, or the
-/// cooperative parallel-tempering ladder. All three are deterministic
-/// under the configured seed, at any worker-thread count.
+/// `solve` runs the paper's single chain by default, or the cooperative
+/// parallel-tempering ladder after [`with_tempering`](Self::with_tempering).
+/// Both are deterministic under the configured seed, at any worker-thread
+/// count.
 ///
 /// Implements [`Solver`]; repeated `solve` calls advance the internal RNG,
 /// so solving the same scenario twice explores different trajectories
@@ -26,7 +26,7 @@ pub struct TsajsSolver {
     config: TtsaConfig,
     kernel: NeighborhoodKernel,
     rng: StdRng,
-    strategy: SearchStrategy,
+    tempering: Option<TemperingConfig>,
     threads: Option<usize>,
     last_trace: Option<SearchTrace>,
 }
@@ -38,7 +38,7 @@ impl TsajsSolver {
             rng: StdRng::seed_from_u64(config.seed),
             kernel: NeighborhoodKernel::new(),
             config,
-            strategy: SearchStrategy::SingleChain,
+            tempering: None,
             threads: None,
             last_trace: None,
         }
@@ -55,39 +55,15 @@ impl TsajsSolver {
         self
     }
 
-    /// Selects the search strategy driving `solve`.
-    pub fn with_strategy(mut self, strategy: SearchStrategy) -> Self {
-        self.strategy = strategy;
+    /// Selects the parallel-tempering engine in place of the single chain.
+    pub fn with_tempering(mut self, tempering: TemperingConfig) -> Self {
+        self.tempering = Some(tempering);
         self
     }
 
-    /// Runs `restarts` independent annealing chains per `solve` (each with
-    /// its own derived seed) in parallel threads and keeps the best — the
-    /// classic multi-start hedge against a single chain freezing in a
-    /// local optimum. `1` is the paper's single chain. Sugar for
-    /// [`with_strategy`](Self::with_strategy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `restarts` is zero.
-    pub fn with_restarts(self, restarts: usize) -> Self {
-        assert!(restarts > 0, "need at least one annealing chain");
-        self.with_strategy(if restarts == 1 {
-            SearchStrategy::SingleChain
-        } else {
-            SearchStrategy::MultiStart { restarts }
-        })
-    }
-
-    /// Selects the parallel-tempering engine. Sugar for
-    /// [`with_strategy`](Self::with_strategy).
-    pub fn with_tempering(self, tempering: crate::config::TemperingConfig) -> Self {
-        self.with_strategy(SearchStrategy::Tempering(tempering))
-    }
-
-    /// Caps the worker threads used by the multi-start and tempering
-    /// engines. Without an explicit cap, `TSAJS_THREADS` and then the
-    /// hardware parallelism decide (see
+    /// Caps the worker threads of the tempering engine; the single chain
+    /// always runs on the caller. Without an explicit cap, `TSAJS_THREADS`
+    /// and then the hardware parallelism decide (see
     /// [`mec_types::effective_parallelism`]). Thread count never affects
     /// results, only wall-clock time.
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -100,15 +76,18 @@ impl TsajsSolver {
         &self.config
     }
 
-    /// The active search strategy.
-    pub fn strategy(&self) -> &SearchStrategy {
-        &self.strategy
-    }
-
     /// The per-epoch trace of the most recent `solve`, when
     /// [`TtsaConfig::record_trace`] was set.
     pub fn last_trace(&self) -> Option<&SearchTrace> {
         self.last_trace.as_ref()
+    }
+
+    /// Validates the chain configuration and, when set, the ladder.
+    fn validate(&self) -> Result<(), Error> {
+        self.config.validate()?;
+        self.tempering
+            .as_ref()
+            .map_or(Ok(()), TemperingConfig::validate)
     }
 
     /// Warm-started solve: continues from an explicit starting decision
@@ -116,10 +95,9 @@ impl TsajsSolver {
     /// re-solves that inherit the previous epoch's schedule. Pair it with
     /// a refresh configuration (see
     /// [`ResolveMode::refresh_config`](crate::ResolveMode::refresh_config))
-    /// to keep the refresh cheap. Runs a single chain, or — under
-    /// [`SearchStrategy::Tempering`] — a shortened warm ladder seeded
-    /// with `warm` on every rung; the multi-start setting applies only to
-    /// cold solves.
+    /// to keep the refresh cheap. Runs a single chain, or — after
+    /// [`with_tempering`](Self::with_tempering) — a shortened warm ladder
+    /// seeded with `warm` on every rung.
     ///
     /// # Errors
     ///
@@ -128,24 +106,20 @@ impl TsajsSolver {
     /// [`Error::DimensionMismatch`]-class errors if `warm` does not fit
     /// the scenario's geometry.
     pub fn solve_from(&mut self, scenario: &Scenario, warm: Assignment) -> Result<Solution, Error> {
-        self.config.validate()?;
-        self.strategy.validate()?;
+        self.validate()?;
         warm.verify_feasible(scenario)?;
         let start = Instant::now();
-        let outcome = match self.strategy {
-            SearchStrategy::Tempering(tcfg) => {
-                let workers = effective_parallelism(self.threads);
-                temper_from(
-                    scenario,
-                    &tcfg,
-                    &self.config,
-                    &self.kernel,
-                    &mut self.rng,
-                    workers,
-                    warm,
-                )
-            }
-            _ => anneal_from(scenario, &self.config, &self.kernel, &mut self.rng, warm),
+        let outcome = match self.tempering {
+            Some(tcfg) => temper_from(
+                scenario,
+                &tcfg,
+                &self.config,
+                &self.kernel,
+                &mut self.rng,
+                effective_parallelism(self.threads),
+                warm,
+            ),
+            None => anneal_from(scenario, &self.config, &self.kernel, &mut self.rng, warm),
         };
         let elapsed = start.elapsed();
         self.last_trace = outcome.trace;
@@ -159,95 +133,35 @@ impl TsajsSolver {
             },
         })
     }
-
-    /// The multi-start engine: independent chains with derived seeds,
-    /// statically partitioned over a scoped worker pool. Each worker
-    /// returns its `(chain index, outcome)` pairs through its join handle
-    /// into indexed slots — no locks anywhere near the chain hot path —
-    /// and the fold runs in chain order, so the result is identical at
-    /// any worker count.
-    fn solve_multi_start(&mut self, scenario: &Scenario, restarts: usize) -> AnnealOutcome {
-        let seeds: Vec<u64> = (0..restarts).map(|_| self.rng.gen()).collect();
-        let config = self.config;
-        let kernel = self.kernel;
-        let workers = effective_parallelism(self.threads).min(seeds.len());
-        let mut outcomes: Vec<Option<AnnealOutcome>> = Vec::new();
-        outcomes.resize_with(seeds.len(), || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let seeds = &seeds;
-                    scope.spawn(move || {
-                        // Worker w owns chains w, w+W, w+2W, …
-                        let mut results = Vec::new();
-                        let mut i = w;
-                        while i < seeds.len() {
-                            let mut rng = StdRng::seed_from_u64(seeds[i]);
-                            results.push((i, anneal(scenario, &config, &kernel, &mut rng)));
-                            i += workers;
-                        }
-                        results
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, outcome) in handle.join().expect("chain worker panicked") {
-                    outcomes[i] = Some(outcome);
-                }
-            }
-        });
-        // The best chain wins; ties break toward the lowest chain index.
-        let mut best: Option<AnnealOutcome> = None;
-        let mut total_proposals = 0;
-        for outcome in outcomes.into_iter().map(|o| o.expect("chain ran")) {
-            total_proposals += outcome.proposals;
-            if best
-                .as_ref()
-                .is_none_or(|b| outcome.objective > b.objective)
-            {
-                best = Some(outcome);
-            }
-        }
-        let mut best = best.expect("at least one chain");
-        best.proposals = total_proposals;
-        best
-    }
 }
 
 impl Solver for TsajsSolver {
     fn name(&self) -> &str {
-        match self.strategy {
-            SearchStrategy::Tempering(_) => "TSAJS-PT",
-            _ => "TSAJS",
+        match self.tempering {
+            Some(_) => "TSAJS-PT",
+            None => "TSAJS",
         }
     }
 
     fn solve(&mut self, scenario: &Scenario) -> Result<Solution, Error> {
-        self.config.validate()?;
-        self.strategy.validate()?;
+        self.validate()?;
         let start = Instant::now();
-        let (outcome, initial_solutions) = match self.strategy {
-            SearchStrategy::SingleChain => (
+        let (outcome, initial_solutions) = match self.tempering {
+            None => (
                 anneal(scenario, &self.config, &self.kernel, &mut self.rng),
                 1u64,
             ),
-            SearchStrategy::MultiStart { restarts } => {
-                (self.solve_multi_start(scenario, restarts), restarts as u64)
-            }
-            SearchStrategy::Tempering(tcfg) => {
-                let workers = effective_parallelism(self.threads);
-                (
-                    temper(
-                        scenario,
-                        &tcfg,
-                        &self.config,
-                        &self.kernel,
-                        &mut self.rng,
-                        workers,
-                    ),
-                    tcfg.replicas as u64,
-                )
-            }
+            Some(tcfg) => (
+                temper(
+                    scenario,
+                    &tcfg,
+                    &self.config,
+                    &self.kernel,
+                    &mut self.rng,
+                    effective_parallelism(self.threads),
+                ),
+                tcfg.replicas as u64,
+            ),
         };
         let elapsed = start.elapsed();
         self.last_trace = outcome.trace;
@@ -337,48 +251,20 @@ mod tests {
         let sc = scenario(2);
         let mut solver = TsajsSolver::new(quick().with_cooling(Cooling::Geometric { alpha: 1.5 }));
         assert!(solver.solve(&sc).is_err());
-        let mut bad_strategy = TsajsSolver::new(quick()).with_strategy(SearchStrategy::Tempering(
-            TemperingConfig::paper_default().with_replicas(0),
-        ));
-        assert!(bad_strategy.solve(&sc).is_err());
+        let mut bad_ladder = TsajsSolver::new(quick())
+            .with_tempering(TemperingConfig::paper_default().with_replicas(0));
+        assert!(bad_ladder.solve(&sc).is_err());
     }
 
     #[test]
     fn name_tracks_the_strategy() {
         assert_eq!(TsajsSolver::with_seed(0).name(), "TSAJS");
-        assert_eq!(TsajsSolver::with_seed(0).with_restarts(4).name(), "TSAJS");
         assert_eq!(
             TsajsSolver::with_seed(0)
                 .with_tempering(TemperingConfig::paper_default())
                 .name(),
             "TSAJS-PT"
         );
-    }
-
-    #[test]
-    fn multi_start_is_deterministic_and_never_worse_in_expectation() {
-        let sc = scenario(8);
-        let single = TsajsSolver::new(quick().with_seed(4)).solve(&sc).unwrap();
-        let run_multi = |threads: usize| {
-            TsajsSolver::new(quick().with_seed(4))
-                .with_restarts(4)
-                .with_threads(threads)
-                .solve(&sc)
-                .unwrap()
-        };
-        let a = run_multi(1);
-        let b = run_multi(3);
-        assert_eq!(
-            a.assignment, b.assignment,
-            "multi-start must be deterministic at any worker count"
-        );
-        assert_eq!(a.utility, b.utility);
-        // Work is accounted across all chains.
-        assert!(a.stats.iterations > single.stats.iterations);
-        // The best-of-4 cannot be worse than its own single chains; as a
-        // sanity proxy it should at least be feasible and non-negative.
-        a.assignment.verify_feasible(&sc).unwrap();
-        assert!(a.utility >= 0.0);
     }
 
     #[test]
@@ -403,12 +289,6 @@ mod tests {
         assert!(a.utility >= 0.0);
         let recomputed = Evaluator::new(&sc).objective(&a.assignment);
         assert!((a.utility - recomputed).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one")]
-    fn zero_restarts_panics() {
-        let _ = TsajsSolver::with_seed(0).with_restarts(0);
     }
 
     #[test]
