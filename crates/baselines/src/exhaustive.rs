@@ -206,7 +206,7 @@ fn solve_parallel(scenario: &Scenario, threads: Option<usize>) -> (Assignment, f
         }
     }
 
-    let results = fan_out(effective_parallelism(threads), branches, |_, branch| {
+    let results = fan_out(effective_parallelism(threads), branches, |branch| {
         let mut current = Assignment::all_local(scenario);
         if let Some((s, j)) = branch {
             current

@@ -42,4 +42,4 @@ pub use hjtora::HJtoraSolver;
 pub use hungarian::max_weight_assignment;
 pub use local_search::LocalSearchSolver;
 pub use random::RandomSolver;
-pub use upper_bound::{upper_bound, UpperBound};
+pub use upper_bound::{slot_values, upper_bound, UpperBound};

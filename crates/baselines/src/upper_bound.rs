@@ -56,28 +56,34 @@ impl UpperBound {
     }
 }
 
+/// The interference-free value of every user on every slot, one row per
+/// user: `values[u][s·N + j]` is user `u` on server `s`, subchannel `j`
+/// (see the module docs; it can be negative, and staying local is worth
+/// 0). These are the weights of the matching behind
+/// [`UpperBound::assignment_bound`].
+pub fn slot_values(scenario: &Scenario) -> Vec<Vec<f64>> {
+    let n = scenario.num_subchannels();
+    scenario
+        .user_ids()
+        .map(|u| {
+            scenario
+                .server_ids()
+                .flat_map(|s| (0..n).map(move |j| slot_value(scenario, u, s, SubchannelId::new(j))))
+                .collect()
+        })
+        .collect()
+}
+
 /// Computes both interference-free upper bounds for a scenario.
 ///
 /// The matching bound is exact for the relaxed (interference-free,
 /// exclusive-slot) problem, hence `optimum ≤ assignment_bound ≤
 /// independent_bound`.
 pub fn upper_bound(scenario: &Scenario) -> UpperBound {
-    let num_slots = scenario.num_servers() * scenario.num_subchannels();
-    let mut weights = Vec::with_capacity(scenario.num_users());
-    let mut independent = 0.0;
-    for u in scenario.user_ids() {
-        let mut row = Vec::with_capacity(num_slots);
-        let mut best = 0.0f64;
-        for s in scenario.server_ids() {
-            for j in 0..scenario.num_subchannels() {
-                let v = slot_value(scenario, u, s, SubchannelId::new(j));
-                best = best.max(v);
-                row.push(v);
-            }
-        }
-        independent += best;
-        weights.push(row);
-    }
+    let weights = slot_values(scenario);
+    let independent = weights.iter().fold(0.0, |total, row| {
+        total + row.iter().fold(0.0f64, |best, &v| best.max(v))
+    });
     let (assignment_bound, _) = max_weight_assignment(&weights);
     UpperBound {
         assignment_bound,

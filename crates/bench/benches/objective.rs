@@ -315,7 +315,7 @@ fn main() {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
-    let quick = std::env::var("TSAJS_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
+    let quick = mec_service::quick_from_env();
     let users = if quick { 30 } else { 90 };
     let reps = if quick { 3 } else { 7 };
     let iters: u64 = if quick { 20_000 } else { 100_000 };

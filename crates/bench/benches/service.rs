@@ -16,24 +16,18 @@
 //! - `cargo test` passes `--test`, which exits immediately so the
 //!   tier-1 suite never pays for a benchmark.
 
-use mec_service::{run_loadtest, LoadtestConfig, ServiceConfig};
-use mec_workloads::ExperimentParams;
+use mec_service::{quick_from_env, run_loadtest, LoadtestConfig};
 
 fn main() {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
-    let quick = std::env::var("TSAJS_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
+    let quick = quick_from_env();
     let seed = 7u64;
     let mut cfg = if quick {
         LoadtestConfig::quick(seed)
     } else {
-        let mut cfg = LoadtestConfig::quick(seed);
-        cfg.service = ServiceConfig::new(ExperimentParams::paper_default(), seed);
-        cfg.initial_users = 20;
-        cfg.probe_secs = 5.0;
-        cfg.refine_steps = 5;
-        cfg
+        LoadtestConfig::full(seed)
     };
     if quick {
         // Keep the whole smoke run to a couple of probes.

@@ -184,7 +184,7 @@ fn main() {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
-    let quick = std::env::var("TSAJS_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
+    let quick = mec_service::quick_from_env();
     let (users, servers, reps, total_budget) = if quick {
         (2_000usize, 16usize, 2u32, 8_000u64)
     } else {

@@ -81,7 +81,7 @@ fn main() {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
-    let quick = std::env::var("TSAJS_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
+    let quick = mec_service::quick_from_env();
     let users = if quick { 30 } else { 90 };
     let base = if quick {
         TtsaConfig::paper_default().with_min_temperature(1e-3)

@@ -21,12 +21,14 @@ use mec_baselines::{
 };
 use mec_conformance::{run_conformance, write_violation_artifacts, ConformanceConfig};
 use mec_mobility::{DynamicSimulation, MobilityConfig};
-use mec_online::{AdmissionPolicy, AdmitAll, CapacityGate, OnlineConfig, OnlineEngine, TraceChurn};
+use mec_online::{
+    AdmissionPolicy, AdmitAll, CapacityGate, OnlineConfig, OnlineEngine, PoissonChurn,
+};
 use mec_scenario_spec::SpecError;
 use mec_system::{Assignment, Scenario, ScenarioSpec, Solver, SystemEvaluation};
 use mec_types::{Bits, BitsPerSecond, Cycles, Seconds, UserId};
 use mec_viz::SvgScene;
-use mec_workloads::{ExperimentParams, PoissonChurn, ScenarioGenerator};
+use mec_workloads::{ExperimentParams, ScenarioGenerator};
 use serde::Serialize;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -177,7 +179,8 @@ decision-latency SLO against the micro-batching scheduler service
 (lock-free snapshot reads, degradation tiers) and writes the verdict
 to `--out` (default `BENCH_service.json`). `--scenario` supplies the
 scenario template from a declarative spec; `--quick` (or the
-`TSAJS_BENCH_QUICK` environment variable) selects the CI-scale preset.
+`TSAJS_BENCH_QUICK` environment variable, unless empty or `0`) selects
+the CI-scale preset.
 `--jsonl` streams the chosen probe's per-batch reports; `--metrics`
 dumps the Prometheus text exposition.
 
@@ -1147,15 +1150,8 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), CliErro
                 .with_epoch_duration(Seconds::new(epoch_secs))
                 .with_mode(mode)
                 .with_threads(threads);
-            let churn = PoissonChurn::new(users, arrival_rate, Seconds::new(mean_sojourn))?;
-            let horizon = Seconds::new(epoch_secs * epochs as f64);
-            let mut engine = OnlineEngine::new(
-                params,
-                config,
-                Box::new(TraceChurn::poisson(&churn, horizon, seed)),
-                policy,
-                seed,
-            )?;
+            let churn = PoissonChurn::new(users, arrival_rate, Seconds::new(mean_sojourn), seed)?;
+            let mut engine = OnlineEngine::new(params, config, Box::new(churn), policy, seed)?;
             for _ in 0..epochs {
                 let report = engine.step()?;
                 writeln!(out, "{}", serde_json::to_string(&report)?)?;
@@ -1180,19 +1176,13 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), CliErro
             jsonl,
             metrics,
         } => {
-            use mec_service::{run_loadtest, BatchPolicy, LoadtestConfig, ServiceConfig};
+            use mec_service::{quick_from_env, run_loadtest, BatchPolicy, LoadtestConfig};
             // The quick preset (CI scale) engages via --quick or the
             // bench harness's TSAJS_BENCH_QUICK convention.
-            let quick = quick || std::env::var("TSAJS_BENCH_QUICK").is_ok();
-            let mut cfg = if quick {
+            let mut cfg = if quick || quick_from_env() {
                 LoadtestConfig::quick(seed)
             } else {
-                let mut cfg = LoadtestConfig::quick(seed);
-                cfg.service = ServiceConfig::new(ExperimentParams::paper_default(), seed);
-                cfg.initial_users = 20;
-                cfg.probe_secs = 5.0;
-                cfg.refine_steps = 5;
-                cfg
+                LoadtestConfig::full(seed)
             };
             if let Some(path) = &scenario {
                 // A declarative spec supplies the scenario template
@@ -1922,6 +1912,41 @@ mod tests {
         }
         // Seeded: the JSONL stream reproduces byte-for-byte.
         assert_eq!(text, run_once());
+    }
+
+    #[test]
+    fn online_churn_wiring_is_pinned() {
+        // The flag-driven run's whole JSONL stream, folded into one FNV-1a
+        // fingerprint: churn draws, admission and every epoch's decision.
+        // If an intentional change moves it, update the constant and say
+        // why in the changelog.
+        let mut buf = Vec::new();
+        run(
+            parse_args(&[
+                "online",
+                "--users",
+                "30",
+                "--epochs",
+                "20",
+                "--arrival-rate",
+                "0.3",
+                "--seed",
+                "7",
+                "--threads",
+                "1",
+            ])
+            .unwrap(),
+            &mut buf,
+        )
+        .unwrap();
+        let fingerprint = buf.iter().fold(0xCBF2_9CE4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        assert_eq!(buf.len(), 5730);
+        assert_eq!(
+            fingerprint, 0x3e06_cd98_883d_547c,
+            "online churn wiring moved (fingerprint {fingerprint:#018x})"
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! provider priority `λ_u` (scales `J*` by the factor, argmax preserved).
 
 use mec_baselines::{
-    max_weight_assignment, upper_bound, AllLocalSolver, ExhaustiveSolver, GreedySolver,
-    HJtoraSolver, LocalSearchSolver, RandomSolver,
+    max_weight_assignment, slot_values, upper_bound, AllLocalSolver, ExhaustiveSolver,
+    GreedySolver, HJtoraSolver, LocalSearchSolver, RandomSolver,
 };
 use mec_system::{Assignment, Evaluator, IncrementalObjective, Scenario, Solution, Solver};
 use mec_types::{ServerId, SubchannelId, UserId};
@@ -39,22 +39,7 @@ use tsajs::{
 /// be built (which would itself be a bug in the matching).
 pub fn hungarian_solution(scenario: &Scenario) -> Result<(Assignment, f64), String> {
     let n = scenario.num_subchannels();
-    let mut weights = Vec::with_capacity(scenario.num_users());
-    for u in scenario.user_ids() {
-        let c = scenario.coefficients(u);
-        let p = scenario.tx_powers_watts()[u.index()];
-        let mut row = Vec::with_capacity(scenario.num_servers() * n);
-        for s in scenario.server_ids() {
-            for j in 0..n {
-                let snr = p * scenario.gains().gain(u, s, SubchannelId::new(j))
-                    / scenario.noise().as_watts();
-                let uplink = (c.phi + c.psi * p) / (1.0 + snr).log2();
-                let exec = c.eta / scenario.server(s).capacity().as_hz();
-                row.push(c.gain_constant - c.download_cost - uplink - exec);
-            }
-        }
-        weights.push(row);
-    }
+    let weights = slot_values(scenario);
     let (_, matching) = max_weight_assignment(&weights);
     let mut x = Assignment::all_local(scenario);
     for (u, slot) in matching.iter().enumerate() {

@@ -1,19 +1,17 @@
 //! Online seed-replay verification.
 //!
 //! The online engine promises that a run is a pure function of its
-//! `(params, config, churn trace, seed)` inputs and that every streamed
+//! `(params, config, churn process, seed)` inputs and that every streamed
 //! [`OnlineEpochReport`] is internally consistent with the schedule it
 //! describes. This module replays a seeded engine twice — once stepping
 //! and auditing each epoch against a cold re-evaluation, once
 //! end-to-end — and demands identical report streams.
 
 use crate::oracle::Oracle;
-use mec_online::{
-    AdmitAll, ChurnProcess, OnlineConfig, OnlineEngine, OnlineEpochReport, TraceChurn,
-};
+use mec_online::{AdmitAll, OnlineConfig, OnlineEngine, OnlineEpochReport, PoissonChurn};
 use mec_system::Evaluator;
 use mec_types::{Error, Seconds};
-use mec_workloads::{ExperimentParams, PoissonChurn};
+use mec_workloads::ExperimentParams;
 use tsajs::{ResolveMode, TtsaConfig};
 
 /// Shape of the replayed online run.
@@ -43,7 +41,7 @@ impl Default for ReplayConfig {
     }
 }
 
-fn build_engine(config: &ReplayConfig, epochs: usize, seed: u64) -> Result<OnlineEngine, Error> {
+fn build_engine(config: &ReplayConfig, seed: u64) -> Result<OnlineEngine, Error> {
     let params = ExperimentParams::paper_default()
         .with_users(config.users)
         .with_servers(config.servers);
@@ -54,11 +52,9 @@ fn build_engine(config: &ReplayConfig, epochs: usize, seed: u64) -> Result<Onlin
         config.users,
         config.arrival_rate,
         Seconds::new(config.mean_sojourn_s),
+        seed,
     )?;
-    // Cover the whole run plus slack so the trace never runs dry.
-    let horizon = Seconds::new((epochs as f64 + 2.0) * 10.0);
-    let trace: Box<dyn ChurnProcess> = Box::new(TraceChurn::poisson(&churn, horizon, seed));
-    OnlineEngine::new(params, online, trace, Box::new(AdmitAll), seed)
+    OnlineEngine::new(params, online, Box::new(churn), Box::new(AdmitAll), seed)
 }
 
 fn audit_report(report: &OnlineEpochReport) -> Result<(), String> {
@@ -105,8 +101,8 @@ pub fn check_online_replay(
     tolerance: f64,
 ) -> Result<f64, String> {
     let oracle = Oracle::with_tolerance(tolerance);
-    let mut engine = build_engine(config, epochs, seed)
-        .map_err(|e| format!("engine construction failed: {e}"))?;
+    let mut engine =
+        build_engine(config, seed).map_err(|e| format!("engine construction failed: {e}"))?;
     let mut stream = Vec::with_capacity(epochs);
     let mut worst = 0.0f64;
     for _ in 0..epochs {
@@ -152,7 +148,7 @@ pub fn check_online_replay(
     }
     // Determinism: an identically-seeded engine must reproduce the
     // stream bit-for-bit.
-    let replayed = build_engine(config, epochs, seed)
+    let replayed = build_engine(config, seed)
         .map_err(|e| format!("replay engine construction failed: {e}"))?
         .run(epochs)
         .map_err(|e| format!("replay run failed: {e}"))?;

@@ -723,7 +723,7 @@ impl<'a> ShardRun<'a> {
         // lives at the cluster level). `None` marks a clean cluster, whose
         // slice is kept verbatim at zero proposals.
         let jobs: Vec<(&mut ClusterWork, Plan)> = works.iter_mut().zip(plans).collect();
-        let spent: Vec<Option<u64>> = fan_out(workers, jobs, |_, (work, plan)| {
+        let spent: Vec<Option<u64>> = fan_out(workers, jobs, |(work, plan)| {
             let mut rng = StdRng::seed_from_u64(cluster_seeds[work.index]);
             let outcome = match plan {
                 Plan::Fresh => temper(
@@ -1046,7 +1046,7 @@ impl<'a> ShardRun<'a> {
         let floor = self.config.descent_floor;
         let eligible: Vec<&mut ClusterWork> =
             self.works.iter_mut().filter(|w| w.eligible).collect();
-        fan_out(self.workers, eligible, |_, work| {
+        fan_out(self.workers, eligible, |work| {
             pipelined_visit(work, scenario, budget, floor)
         })
         .into_iter()

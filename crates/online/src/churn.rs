@@ -1,17 +1,41 @@
-//! The event source feeding the engine: a pluggable arrival process.
+//! The event source feeding the engine: arrivals and departures.
 //!
 //! The engine does not care *how* churn events are produced — it drains
 //! whatever the configured [`ChurnProcess`] yields, in time order. The
-//! stock implementation replays a precomputed
-//! [`mec_workloads::ChurnTrace`] (typically from
-//! [`mec_workloads::PoissonChurn`]); custom processes
-//! (deterministic schedules, trace files, diurnal rates) just implement
-//! the trait.
+//! stock process is [`PoissonChurn`], the classic M/M/∞ population model:
+//! with arrival rate `λ` and mean sojourn `E[W]`, the steady-state
+//! population is `λ·E[W]` users — calibrate both to hit a target
+//! population and churn fraction. Custom processes (deterministic
+//! schedules, trace files) just implement the trait.
 
 use mec_types::{Error, Seconds};
-use mec_workloads::{ChurnEvent, ChurnEventKind, ChurnTrace, PoissonChurn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::{Deserialize, Serialize};
+
+/// What happens to a user at one instant of a trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ChurnEventKind {
+    /// The user enters the system and requests scheduling.
+    Arrival,
+    /// The user leaves the system; its slot (if any) is freed.
+    Departure,
+}
+
+/// One arrival or departure, stamped with the user's stable id.
+///
+/// Ids are stable across the whole trace: the departure of user `k`
+/// refers to the same `k` that arrived earlier, regardless of how many
+/// other users came and went in between.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ChurnEvent {
+    /// Simulated time of the event.
+    pub at: Seconds,
+    /// Stable user id.
+    pub user: u64,
+    /// Arrival or departure.
+    pub kind: ChurnEventKind,
+}
 
 /// A stream of arrival/departure events, consumed in time order.
 ///
@@ -24,62 +48,25 @@ pub trait ChurnProcess: Send {
     fn drain_until(&mut self, now: Seconds, out: &mut Vec<ChurnEvent>);
 
     /// Scales the process's arrival rate by `factor` (timeline
-    /// `load_ramp` events call this). Precomputed traces cannot change
-    /// rate after the fact, so the default is a no-op; rate-aware
-    /// processes such as [`AdaptivePoissonChurn`] override it.
+    /// `load_ramp` events call this). A scripted process has no rate to
+    /// change, so the default is a no-op; [`PoissonChurn`] overrides it.
     fn scale_rate(&mut self, _factor: f64) {}
 }
 
-/// Replays a precomputed [`ChurnTrace`].
-#[derive(Debug, Clone)]
-pub struct TraceChurn {
-    events: Vec<ChurnEvent>,
-    next: usize,
-}
-
-impl TraceChurn {
-    /// Wraps a trace for replay.
-    pub fn new(trace: ChurnTrace) -> Self {
-        Self {
-            events: trace.into_events(),
-            next: 0,
-        }
-    }
-
-    /// Convenience: generates a seeded [`PoissonChurn`] trace over
-    /// `horizon` and wraps it.
-    pub fn poisson(model: &PoissonChurn, horizon: Seconds, seed: u64) -> Self {
-        Self::new(model.trace(horizon, seed))
-    }
-
-    /// Events not yet delivered.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.next
-    }
-}
-
-impl ChurnProcess for TraceChurn {
-    fn drain_until(&mut self, now: Seconds, out: &mut Vec<ChurnEvent>) {
-        while self.next < self.events.len() && self.events[self.next].at.as_secs() <= now.as_secs()
-        {
-            out.push(self.events[self.next]);
-            self.next += 1;
-        }
-    }
-}
-
-/// A Poisson arrival process generated *lazily*, so its rate can change
-/// mid-run: timeline `load_ramp` events multiply the arrival rate and
-/// every later inter-arrival gap is drawn at the new rate (the pending
-/// gap is rescaled proportionally). Departures are exponential sojourns
-/// scheduled at each arrival, exactly like
-/// [`mec_workloads::PoissonChurn`].
+/// The M/M/∞ churn process: `initial_users` present at `t = 0`, new users
+/// arriving as a Poisson process, every user (initial ones included)
+/// staying for an independent exponential sojourn.
+///
+/// Events are generated *lazily*, so the rate can change mid-run:
+/// timeline `load_ramp` events multiply the arrival rate and every later
+/// inter-arrival gap is drawn at the new rate (the pending gap is
+/// rescaled proportionally). Departures are scheduled at each arrival.
 ///
 /// Runs are deterministic functions of `(parameters, seed, the times at
 /// which `scale_rate` is called)` — the engine calls it at epoch
 /// boundaries, which are themselves deterministic.
 #[derive(Debug, Clone)]
-pub struct AdaptivePoissonChurn {
+pub struct PoissonChurn {
     rng: StdRng,
     rate_hz: f64,
     mean_sojourn_s: f64,
@@ -93,7 +80,7 @@ pub struct AdaptivePoissonChurn {
     pending: Vec<ChurnEvent>,
 }
 
-impl AdaptivePoissonChurn {
+impl PoissonChurn {
     /// Creates the process: `initial_users` arrive at `t = 0`, later
     /// arrivals follow a Poisson process of `arrival_rate_hz`, and every
     /// user stays an exponential sojourn of mean `mean_sojourn`.
@@ -162,8 +149,7 @@ impl AdaptivePoissonChurn {
     }
 
     fn insert_pending(&mut self, event: ChurnEvent) {
-        // Stable order: time, then arrivals before departures, then id —
-        // the canonical trace order.
+        // Stable order: time, then arrivals before departures, then id.
         let key = |e: &ChurnEvent| {
             (
                 e.at.as_secs(),
@@ -176,7 +162,7 @@ impl AdaptivePoissonChurn {
     }
 }
 
-impl ChurnProcess for AdaptivePoissonChurn {
+impl ChurnProcess for PoissonChurn {
     fn drain_until(&mut self, now: Seconds, out: &mut Vec<ChurnEvent>) {
         let now_s = now.as_secs();
         loop {
@@ -223,9 +209,9 @@ impl ChurnProcess for AdaptivePoissonChurn {
     }
 }
 
-/// Inverse-CDF exponential sampling (mirrors the private helper in
-/// `mec_workloads::churn`).
-fn sample_exponential<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> f64 {
+/// Inverse-CDF exponential sample with the given mean; `1 - u` keeps the
+/// argument of `ln` in `(0, 1]`.
+pub(crate) fn sample_exponential<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> f64 {
     let u: f64 = rng.gen();
     -mean * (1.0 - u).ln()
 }
@@ -234,90 +220,81 @@ fn sample_exponential<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> f64 {
 mod tests {
     use super::*;
 
-    fn event(at: f64, user: u64, kind: ChurnEventKind) -> ChurnEvent {
-        ChurnEvent {
-            at: Seconds::new(at),
-            user,
-            kind,
-        }
-    }
-
-    #[test]
-    fn drains_in_windows_without_replay() {
-        let trace = ChurnTrace::from_events(vec![
-            event(0.0, 0, ChurnEventKind::Arrival),
-            event(3.0, 1, ChurnEventKind::Arrival),
-            event(7.0, 0, ChurnEventKind::Departure),
-        ]);
-        let mut process = TraceChurn::new(trace);
-        assert_eq!(process.remaining(), 3);
-
+    fn drain(p: &mut PoissonChurn, times: &[f64]) -> Vec<ChurnEvent> {
         let mut out = Vec::new();
-        process.drain_until(Seconds::new(0.0), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].user, 0);
-
-        out.clear();
-        process.drain_until(Seconds::new(5.0), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].user, 1);
-
-        out.clear();
-        process.drain_until(Seconds::new(100.0), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].kind, ChurnEventKind::Departure);
-        assert_eq!(process.remaining(), 0);
-
-        // Nothing left.
-        out.clear();
-        process.drain_until(Seconds::new(1000.0), &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn poisson_constructor_matches_manual_wrapping() {
-        let model = PoissonChurn::new(3, 0.2, Seconds::new(50.0)).unwrap();
-        let a = TraceChurn::poisson(&model, Seconds::new(100.0), 9);
-        let b = TraceChurn::new(model.trace(Seconds::new(100.0), 9));
-        assert_eq!(a.remaining(), b.remaining());
-    }
-
-    #[test]
-    fn adaptive_poisson_is_deterministic_and_ordered() {
-        let run = |seed: u64| {
-            let mut p = AdaptivePoissonChurn::new(4, 0.2, Seconds::new(30.0), seed).unwrap();
-            let mut out = Vec::new();
-            for t in [0.0, 10.0, 20.0, 50.0, 100.0] {
-                p.drain_until(Seconds::new(t), &mut out);
-            }
-            out
-        };
-        let a = run(3);
-        assert_eq!(a, run(3));
-        assert_ne!(a, run(4));
-        // Time order, arrivals at t = 0 for the initial population.
-        assert!(a.windows(2).all(|w| w[0].at.as_secs() <= w[1].at.as_secs()));
-        assert_eq!(
-            a.iter()
-                .filter(|e| e.at.as_secs() == 0.0 && e.kind == ChurnEventKind::Arrival)
-                .count(),
-            4
-        );
-        // Every departure follows its own arrival.
-        for e in a.iter().filter(|e| e.kind == ChurnEventKind::Departure) {
-            let arr = a
-                .iter()
-                .find(|x| x.user == e.user && x.kind == ChurnEventKind::Arrival)
-                .expect("departure has an arrival");
-            assert!(arr.at.as_secs() <= e.at.as_secs());
+        for &t in times {
+            p.drain_until(Seconds::new(t), &mut out);
         }
+        out
+    }
+
+    fn arrivals(events: &[ChurnEvent]) -> impl Iterator<Item = &ChurnEvent> {
+        events.iter().filter(|e| e.kind == ChurnEventKind::Arrival)
+    }
+
+    #[test]
+    fn invalid_parameters_are_rejected() {
+        let sojourn = Seconds::new(10.0);
+        assert!(PoissonChurn::new(1, -1.0, sojourn, 0).is_err());
+        assert!(PoissonChurn::new(1, f64::NAN, sojourn, 0).is_err());
+        assert!(PoissonChurn::new(1, f64::INFINITY, sojourn, 0).is_err());
+        assert!(PoissonChurn::new(1, 1.0, Seconds::new(0.0), 0).is_err());
+        assert!(PoissonChurn::new(1, 1.0, Seconds::new(f64::NAN), 0).is_err());
+    }
+
+    #[test]
+    fn poisson_is_deterministic_and_ordered() {
+        // (initial users, rate Hz, mean sojourn s, drain times)
+        let cases: [(usize, f64, f64, &[f64]); 2] = [
+            (4, 0.2, 30.0, &[0.0, 10.0, 20.0, 50.0, 100.0]),
+            (5, 1.0, 30.0, &[0.0, 25.0, 50.0, 75.0, 100.0, 200.0]),
+        ];
+        for (initial, rate, sojourn, times) in cases {
+            let run = |seed: u64| {
+                let mut p = PoissonChurn::new(initial, rate, Seconds::new(sojourn), seed).unwrap();
+                drain(&mut p, times)
+            };
+            let a = run(3);
+            assert_eq!(a, run(3));
+            assert_ne!(a, run(4));
+            // Time order, arrivals at t = 0 for the initial population.
+            assert!(a.windows(2).all(|w| w[0].at.as_secs() <= w[1].at.as_secs()));
+            assert_eq!(
+                arrivals(&a).filter(|e| e.at.as_secs() == 0.0).count(),
+                initial
+            );
+            // Every departure falls strictly after its own arrival.
+            for e in a.iter().filter(|e| e.kind == ChurnEventKind::Departure) {
+                let arr = arrivals(&a)
+                    .find(|x| x.user == e.user)
+                    .expect("departure has an arrival");
+                assert!(arr.at.as_secs() < e.at.as_secs());
+            }
+        }
+    }
+
+    #[test]
+    fn steady_state_population_is_approached() {
+        // λ = 0.9/s, E[W] = 100 s ⇒ ~90 users in steady state.
+        let mut p = PoissonChurn::new(90, 0.9, Seconds::new(100.0), 11).unwrap();
+        let population: i64 = drain(&mut p, &[300.0])
+            .iter()
+            .map(|e| match e.kind {
+                ChurnEventKind::Arrival => 1,
+                ChurnEventKind::Departure => -1,
+            })
+            .sum();
+        assert!(
+            (50..=130).contains(&population),
+            "population drifted to {population}"
+        );
     }
 
     #[test]
     fn ramped_rate_accelerates_arrivals() {
         let horizon = 400.0;
         let arrivals = |ramp: Option<f64>| {
-            let mut p = AdaptivePoissonChurn::new(0, 0.05, Seconds::new(1e9), 7).unwrap();
+            let mut p = PoissonChurn::new(0, 0.05, Seconds::new(1e9), 7).unwrap();
             let mut out = Vec::new();
             p.drain_until(Seconds::new(horizon / 2.0), &mut out);
             if let Some(factor) = ramp {
@@ -334,21 +311,23 @@ mod tests {
             ramped > flat,
             "8x ramp should add arrivals: flat {flat}, ramped {ramped}"
         );
-        // A precomputed trace ignores ramps (default no-op).
-        let model = PoissonChurn::new(1, 0.1, Seconds::new(50.0)).unwrap();
-        let mut t = TraceChurn::poisson(&model, Seconds::new(100.0), 1);
-        let before = t.remaining();
-        t.scale_rate(100.0);
-        assert_eq!(t.remaining(), before);
     }
 
     #[test]
     fn zero_rate_stays_silent_even_after_ramps() {
-        let mut p = AdaptivePoissonChurn::new(0, 0.0, Seconds::new(10.0), 0).unwrap();
+        let mut p = PoissonChurn::new(0, 0.0, Seconds::new(10.0), 0).unwrap();
         p.scale_rate(5.0);
         let mut out = Vec::new();
         p.drain_until(Seconds::new(1e6), &mut out);
         assert!(out.is_empty());
         assert_eq!(p.rate_hz(), 0.0);
+
+        // With an initial population, rate 0 yields only its arrivals, all
+        // at t = 0, and a repeated drain at the same time replays nothing.
+        let mut p = PoissonChurn::new(4, 0.0, Seconds::new(10.0), 0).unwrap();
+        let first = drain(&mut p, &[0.0, 1000.0]);
+        assert_eq!(arrivals(&first).count(), 4);
+        assert!(arrivals(&first).all(|e| e.at.as_secs() == 0.0));
+        assert!(drain(&mut p, &[1000.0]).is_empty(), "no replay");
     }
 }

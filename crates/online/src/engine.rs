@@ -16,20 +16,18 @@
 //!    serializable [`OnlineEpochReport`].
 //!
 //! Everything is driven by seeded RNG streams, so a run is a pure
-//! function of `(params, config, churn trace, seed)` — equal seeds give
+//! function of `(params, config, churn process, seed)` — equal seeds give
 //! bit-identical report streams.
 
 use crate::admission::{AdmissionContext, AdmissionDecision, AdmissionPolicy};
-use crate::churn::ChurnProcess;
+use crate::churn::{sample_exponential, ChurnEvent, ChurnEventKind, ChurnProcess};
 use crate::events::{EngineEvent, EventSchedule, TimedEvent};
 use crate::sla::{CompletedUser, SlaLog};
 use mec_mobility::RandomWaypoint;
 use mec_system::{reassigned_survivors, survivor_map, Assignment, Evaluator, Scenario};
 use mec_topology::{NetworkLayout, Point2};
 use mec_types::{effective_parallelism, DeviceProfile, Error, Seconds, ServerId, Task, UserId};
-use mec_workloads::{
-    epoch_seed, ChurnEvent, ChurnEventKind, ExperimentParams, ScenarioGenerator, CHAIN_STREAM,
-};
+use mec_workloads::{epoch_seed, ExperimentParams, ScenarioGenerator, CHAIN_STREAM};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -740,18 +738,11 @@ impl OnlineEngine {
     }
 }
 
-/// Inverse-CDF exponential draw; `1.0 - gen::<f64>()` keeps the argument
-/// of `ln` strictly positive.
-fn sample_exponential<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> f64 {
-    -mean * (1.0 - rng.gen::<f64>()).ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::admission::{AdmitAll, CapacityGate};
-    use crate::churn::TraceChurn;
-    use mec_workloads::PoissonChurn;
+    use crate::churn::PoissonChurn;
     use tsajs::TemperingConfig;
 
     fn quick_config() -> OnlineConfig {
@@ -764,11 +755,11 @@ mod tests {
         let params = ExperimentParams::paper_default()
             .with_users(initial)
             .with_servers(4);
-        let churn = PoissonChurn::new(initial, rate, Seconds::new(60.0)).unwrap();
+        let churn = PoissonChurn::new(initial, rate, Seconds::new(60.0), seed).unwrap();
         OnlineEngine::new(
             params,
             quick_config(),
-            Box::new(TraceChurn::poisson(&churn, Seconds::new(400.0), seed)),
+            Box::new(churn),
             Box::new(AdmitAll),
             seed,
         )
@@ -790,11 +781,11 @@ mod tests {
             let params = ExperimentParams::paper_default()
                 .with_users(5)
                 .with_servers(4);
-            let churn = PoissonChurn::new(5, 0.05, Seconds::new(60.0)).unwrap();
+            let churn = PoissonChurn::new(5, 0.05, Seconds::new(60.0), 3).unwrap();
             let mut e = OnlineEngine::new(
                 params,
                 tempered.with_threads(threads),
-                Box::new(TraceChurn::poisson(&churn, Seconds::new(400.0), 3)),
+                Box::new(churn),
                 Box::new(AdmitAll),
                 3,
             )
@@ -862,11 +853,11 @@ mod tests {
     fn departures_finalize_sla_records() {
         // Short sojourns: everyone leaves quickly.
         let params = ExperimentParams::paper_default().with_servers(4);
-        let churn = PoissonChurn::new(5, 0.0, Seconds::new(15.0)).unwrap();
+        let churn = PoissonChurn::new(5, 0.0, Seconds::new(15.0), 2).unwrap();
         let mut e = OnlineEngine::new(
             params,
             quick_config(),
-            Box::new(TraceChurn::poisson(&churn, Seconds::new(1000.0), 2)),
+            Box::new(churn),
             Box::new(AdmitAll),
             2,
         )
@@ -888,11 +879,11 @@ mod tests {
     #[test]
     fn rejecting_gate_bounds_the_scheduled_population() {
         let params = ExperimentParams::paper_default().with_servers(4);
-        let churn = PoissonChurn::new(12, 0.3, Seconds::new(500.0)).unwrap();
+        let churn = PoissonChurn::new(12, 0.3, Seconds::new(500.0), 4).unwrap();
         let mut e = OnlineEngine::new(
             params,
             quick_config(),
-            Box::new(TraceChurn::poisson(&churn, Seconds::new(300.0), 4)),
+            Box::new(churn),
             Box::new(CapacityGate::rejecting(8)),
             4,
         )
@@ -906,11 +897,11 @@ mod tests {
     #[test]
     fn force_local_gate_admits_overload_without_scheduling_it() {
         let params = ExperimentParams::paper_default().with_servers(4);
-        let churn = PoissonChurn::new(12, 0.3, Seconds::new(500.0)).unwrap();
+        let churn = PoissonChurn::new(12, 0.3, Seconds::new(500.0), 4).unwrap();
         let mut e = OnlineEngine::new(
             params,
             quick_config(),
-            Box::new(TraceChurn::poisson(&churn, Seconds::new(300.0), 4)),
+            Box::new(churn),
             Box::new(CapacityGate::forcing_local(8)),
             4,
         )
@@ -927,11 +918,11 @@ mod tests {
     #[test]
     fn cold_mode_never_warm_starts() {
         let params = ExperimentParams::paper_default().with_servers(4);
-        let churn = PoissonChurn::new(6, 0.05, Seconds::new(100.0)).unwrap();
+        let churn = PoissonChurn::new(6, 0.05, Seconds::new(100.0), 5).unwrap();
         let mut e = OnlineEngine::new(
             params,
             quick_config().with_mode(ResolveMode::Cold),
-            Box::new(TraceChurn::poisson(&churn, Seconds::new(100.0), 5)),
+            Box::new(churn),
             Box::new(AdmitAll),
             5,
         )
@@ -955,16 +946,9 @@ mod tests {
     #[test]
     fn invalid_configs_are_rejected() {
         let params = ExperimentParams::paper_default();
-        let churn = PoissonChurn::new(1, 0.0, Seconds::new(10.0)).unwrap();
+        let churn = PoissonChurn::new(1, 0.0, Seconds::new(10.0), 0).unwrap();
         let bad = quick_config().with_epoch_duration(Seconds::new(0.0));
-        assert!(OnlineEngine::new(
-            params,
-            bad,
-            Box::new(TraceChurn::poisson(&churn, Seconds::new(10.0), 0)),
-            Box::new(AdmitAll),
-            0,
-        )
-        .is_err());
+        assert!(OnlineEngine::new(params, bad, Box::new(churn), Box::new(AdmitAll), 0).is_err());
         assert!(quick_config()
             .with_deadline(Seconds::new(-1.0))
             .validate()
@@ -1024,11 +1008,11 @@ mod tests {
     #[test]
     fn flash_crowd_spikes_arrivals_and_then_drains() {
         let params = ExperimentParams::paper_default().with_servers(4);
-        let churn = PoissonChurn::new(3, 0.0, Seconds::new(1.0e9)).unwrap();
+        let churn = PoissonChurn::new(3, 0.0, Seconds::new(1.0e9), 9).unwrap();
         let mut e = OnlineEngine::new(
             params,
             quick_config(),
-            Box::new(TraceChurn::poisson(&churn, Seconds::new(500.0), 9)),
+            Box::new(churn),
             Box::new(AdmitAll),
             9,
         )

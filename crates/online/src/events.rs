@@ -30,7 +30,8 @@ pub enum EngineEvent {
         /// Mean sojourn of burst users.
         mean_sojourn: Seconds,
     },
-    /// Scales the arrival rate of an adaptive churn process.
+    /// Scales the churn process's arrival rate
+    /// ([`ChurnProcess::scale_rate`](crate::ChurnProcess::scale_rate)).
     LoadRamp {
         /// Multiplicative factor on the arrival rate.
         rate_factor: f64,

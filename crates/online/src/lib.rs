@@ -14,17 +14,17 @@
 //! - [`OnlineEngine`] — the step/run API; one [`OnlineEpochReport`] per
 //!   epoch, plus an [`SlaLog`] of per-user outcomes at departure.
 //! - [`ChurnProcess`] — pluggable arrival/departure event source;
-//!   [`TraceChurn`] replays a seeded
-//!   [`PoissonChurn`](mec_workloads::PoissonChurn) trace.
+//!   [`PoissonChurn`] is the seeded M/M/∞ process (Poisson arrivals,
+//!   exponential sojourns) whose rate timeline `load_ramp` events scale.
 //! - [`AdmissionPolicy`] — pluggable overload control; [`AdmitAll`] and
 //!   [`CapacityGate`] (reject vs. force-local) are built in.
 //!
 //! # Example
 //!
 //! ```
-//! use mec_online::{AdmitAll, OnlineConfig, OnlineEngine, TraceChurn};
+//! use mec_online::{AdmitAll, OnlineConfig, OnlineEngine, PoissonChurn};
 //! use mec_types::Seconds;
-//! use mec_workloads::{ExperimentParams, PoissonChurn};
+//! use mec_workloads::ExperimentParams;
 //! use tsajs::{ResolveMode, TtsaConfig};
 //!
 //! # fn main() -> Result<(), mec_types::Error> {
@@ -32,11 +32,11 @@
 //! let config = OnlineConfig::pedestrian()
 //!     .with_base(TtsaConfig::paper_default().with_min_temperature(1e-2))
 //!     .with_mode(ResolveMode::warm(150));
-//! let churn = PoissonChurn::new(6, 0.05, Seconds::new(120.0))?;
+//! let churn = PoissonChurn::new(6, 0.05, Seconds::new(120.0), 7)?;
 //! let mut engine = OnlineEngine::new(
 //!     params,
 //!     config,
-//!     Box::new(TraceChurn::poisson(&churn, Seconds::new(100.0), 7)),
+//!     Box::new(churn),
 //!     Box::new(AdmitAll),
 //!     7,
 //! )?;
@@ -63,7 +63,7 @@ pub mod sla;
 pub use admission::{
     AdmissionContext, AdmissionDecision, AdmissionPolicy, AdmitAll, CapacityGate, OverflowAction,
 };
-pub use churn::{AdaptivePoissonChurn, ChurnProcess, TraceChurn};
+pub use churn::{ChurnEvent, ChurnEventKind, ChurnProcess, PoissonChurn};
 pub use engine::{OnlineConfig, OnlineEngine, OnlineEpochReport};
 pub use events::{EngineEvent, EventSchedule, TimedEvent};
 pub use sla::{CompletedUser, SlaLog};

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// The finalized SLA record of one departed user.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CompletedUser {
-    /// Stable user id (from the churn trace).
+    /// Stable user id (from the churn process).
     pub id: u64,
     /// Arrival time (seconds of simulated time).
     pub arrived_at_s: f64,

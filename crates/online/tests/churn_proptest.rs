@@ -3,10 +3,12 @@
 //! reported utility consistent with a fresh evaluation and with a fresh
 //! [`IncrementalObjective`] resync.
 
-use mec_online::{AdmitAll, CapacityGate, ChurnProcess, OnlineConfig, OnlineEngine};
+use mec_online::{
+    AdmitAll, CapacityGate, ChurnEvent, ChurnEventKind, ChurnProcess, OnlineConfig, OnlineEngine,
+};
 use mec_system::{Evaluator, IncrementalObjective};
 use mec_types::Seconds;
-use mec_workloads::{ChurnEvent, ChurnEventKind, ExperimentParams};
+use mec_workloads::ExperimentParams;
 use proptest::prelude::*;
 use tsajs::{ResolveMode, TtsaConfig};
 

@@ -1,8 +1,8 @@
 //! Seeded end-to-end determinism pins for the online engine.
 
-use mec_online::{AdmitAll, CapacityGate, OnlineConfig, OnlineEngine, TraceChurn};
+use mec_online::{AdmitAll, CapacityGate, OnlineConfig, OnlineEngine, PoissonChurn};
 use mec_types::Seconds;
-use mec_workloads::{ExperimentParams, PoissonChurn};
+use mec_workloads::ExperimentParams;
 use tsajs::{ResolveMode, TtsaConfig};
 
 fn quick_config() -> OnlineConfig {
@@ -13,11 +13,11 @@ fn quick_config() -> OnlineConfig {
 
 fn run(seed: u64, epochs: usize) -> (Vec<mec_online::OnlineEpochReport>, mec_online::SlaLog) {
     let params = ExperimentParams::paper_default().with_servers(4);
-    let churn = PoissonChurn::new(8, 0.15, Seconds::new(80.0)).unwrap();
+    let churn = PoissonChurn::new(8, 0.15, Seconds::new(80.0), seed).unwrap();
     let mut engine = OnlineEngine::new(
         params,
         quick_config(),
-        Box::new(TraceChurn::poisson(&churn, Seconds::new(400.0), seed)),
+        Box::new(churn),
         Box::new(AdmitAll),
         seed,
     )
@@ -51,13 +51,13 @@ fn different_seeds_diverge() {
 #[test]
 fn admission_policies_reproduce_too() {
     let params = ExperimentParams::paper_default().with_servers(4);
-    let churn = PoissonChurn::new(12, 0.4, Seconds::new(300.0)).unwrap();
     let mut runs = Vec::new();
     for _ in 0..2 {
+        let churn = PoissonChurn::new(12, 0.4, Seconds::new(300.0), 9).unwrap();
         let mut engine = OnlineEngine::new(
             params,
             quick_config(),
-            Box::new(TraceChurn::poisson(&churn, Seconds::new(200.0), 9)),
+            Box::new(churn),
             Box::new(CapacityGate::forcing_local(8)),
             9,
         )

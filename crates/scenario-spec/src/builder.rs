@@ -8,9 +8,10 @@
 use crate::error::SpecError;
 use crate::schema::{
     AdmissionSpec, ChurnSpec, DownlinkSpec, EffortSpec, ExpectSpec, GeneratedSpec, OnlineSpec,
-    PlacementSpec, ScenarioSpec, SlaSpec, SpecMode, TimelineEventKind, TimelineEventSpec,
-    UserTemplate, SCHEMA_VERSION,
+    PlacementSpec, ScenarioSpec, SlaSpec, SpecMode, UserTemplate, SCHEMA_VERSION,
 };
+use mec_online::{EngineEvent, TimedEvent};
+use mec_types::Seconds;
 
 /// Builds generated-mode [`ScenarioSpec`]s fluently.
 ///
@@ -195,23 +196,13 @@ impl ScenarioBuilder {
 
     // ---- online sections -------------------------------------------------
 
-    /// Poisson churn process.
+    /// Poisson churn process (timeline `load_ramp` events scale its rate).
     pub fn poisson_churn(mut self, arrival_rate_hz: f64, mean_sojourn_s: f64) -> Self {
         self.spec.churn = Some(ChurnSpec {
-            process: "poisson".into(),
             initial_users: None,
             arrival_rate_hz,
             mean_sojourn_s,
-            horizon_s: None,
-            adaptive: false,
         });
-        self
-    }
-
-    /// Poisson churn whose rate timeline `load_ramp` events may scale.
-    pub fn adaptive_poisson_churn(mut self, arrival_rate_hz: f64, mean_sojourn_s: f64) -> Self {
-        self = self.poisson_churn(arrival_rate_hz, mean_sojourn_s);
-        self.spec.churn.as_mut().expect("just set").adaptive = true;
         self
     }
 
@@ -241,40 +232,43 @@ impl ScenarioBuilder {
     // ---- timeline --------------------------------------------------------
 
     /// Appends a raw timeline event.
-    pub fn event(mut self, at_s: f64, kind: TimelineEventKind) -> Self {
-        self.spec.timeline.push(TimelineEventSpec { at_s, kind });
+    pub fn event(mut self, at_s: f64, event: EngineEvent) -> Self {
+        self.spec.timeline.push(TimedEvent {
+            at: Seconds::new(at_s),
+            event,
+        });
         self
     }
 
     /// Server goes down at `at_s`.
     pub fn server_outage(self, at_s: f64, server: usize) -> Self {
-        self.event(at_s, TimelineEventKind::ServerOutage { server })
+        self.event(at_s, EngineEvent::ServerOutage { server })
     }
 
     /// Server comes back at `at_s`.
     pub fn server_recovery(self, at_s: f64, server: usize) -> Self {
-        self.event(at_s, TimelineEventKind::ServerRecovery { server })
+        self.event(at_s, EngineEvent::ServerRecovery { server })
     }
 
     /// Burst of arrivals at `at_s`.
     pub fn flash_crowd(self, at_s: f64, arrivals: usize, mean_sojourn_s: f64) -> Self {
         self.event(
             at_s,
-            TimelineEventKind::FlashCrowd {
+            EngineEvent::FlashCrowd {
                 arrivals,
-                mean_sojourn_s,
+                mean_sojourn: Seconds::new(mean_sojourn_s),
             },
         )
     }
 
-    /// Arrival-rate scaling at `at_s` (requires adaptive churn).
+    /// Arrival-rate scaling at `at_s` (requires a `[churn]` section).
     pub fn load_ramp(self, at_s: f64, rate_factor: f64) -> Self {
-        self.event(at_s, TimelineEventKind::LoadRamp { rate_factor })
+        self.event(at_s, EngineEvent::LoadRamp { rate_factor })
     }
 
     /// Population drift toward `cell` at `at_s`.
     pub fn hotspot_drift(self, at_s: f64, cell: usize, fraction: f64) -> Self {
-        self.event(at_s, TimelineEventKind::HotspotDrift { cell, fraction })
+        self.event(at_s, EngineEvent::HotspotDrift { cell, fraction })
     }
 
     // ---- expectations / effort -------------------------------------------

@@ -58,6 +58,5 @@ pub use materialize::OnlinePlan;
 pub use schema::{
     AdmissionSpec, ChurnSpec, ComputeSpec, DownlinkSpec, EffortSpec, ExpectSpec, ExplicitSpec,
     ExplicitUser, GeneratedSpec, OnlineSpec, PlacementSpec, PopulationSpec, ProvenanceSpec,
-    RadioSpec, ScenarioSpec, SpecMode, TimelineEventKind, TimelineEventSpec, TopologySpec,
-    UserTemplate, SCHEMA_VERSION,
+    RadioSpec, ScenarioSpec, SpecMode, TopologySpec, UserTemplate, SCHEMA_VERSION,
 };

@@ -11,13 +11,9 @@
 
 use crate::error::SpecError;
 use crate::schema::{
-    ChurnSpec, ExplicitSpec, GeneratedSpec, PlacementSpec, ScenarioSpec, SpecMode,
-    TimelineEventKind, UserTemplate,
+    ExplicitSpec, GeneratedSpec, PlacementSpec, ScenarioSpec, SpecMode, UserTemplate,
 };
-use mec_online::{
-    AdaptivePoissonChurn, AdmitAll, CapacityGate, ChurnProcess, EngineEvent, EventSchedule,
-    OnlineConfig, OnlineEngine, TimedEvent, TraceChurn,
-};
+use mec_online::{AdmitAll, CapacityGate, EventSchedule, OnlineConfig, OnlineEngine, PoissonChurn};
 use mec_radio::{ChannelGains, ChannelModel, OfdmaConfig};
 use mec_system::{Scenario, UserSpec};
 use mec_topology::{place_users_hotspots, place_users_uniform, NetworkLayout};
@@ -25,7 +21,7 @@ use mec_types::{
     Bits, BitsPerSecond, Cycles, DbMilliwatts, DeviceProfile, Hertz, Meters, ProviderPreference,
     Seconds, ServerProfile, Task, UserPreferences, Watts,
 };
-use mec_workloads::{ExperimentParams, PlacementModel, PoissonChurn, ScenarioGenerator};
+use mec_workloads::{ExperimentParams, PlacementModel, ScenarioGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tsajs::{ResolveMode, TtsaConfig};
@@ -158,17 +154,24 @@ impl ScenarioSpec {
             config = config.with_deadline(Seconds::new(sla.deadline_s));
         }
 
-        let horizon = Seconds::new(online.horizon_s());
-        let churn: Box<dyn ChurnProcess> = match &self.churn {
-            Some(c) => c.build(params.num_users, horizon, seed)?,
-            None => {
-                // No churn section: the population is static. A zero-rate
-                // Poisson trace delivers the initial arrivals at t = 0 and
-                // (with a sojourn far past the horizon) never departs.
-                let model = PoissonChurn::new(params.num_users, 0.0, horizon + Seconds::new(1.0e9))
-                    .map_err(|e| SpecError::model("population.users", &e))?;
-                Box::new(TraceChurn::poisson(&model, horizon, seed))
-            }
+        let churn = match &self.churn {
+            Some(c) => PoissonChurn::new(
+                c.initial_users.unwrap_or(params.num_users),
+                c.arrival_rate_hz,
+                Seconds::new(c.mean_sojourn_s),
+                seed,
+            )
+            .map_err(|e| SpecError::model("churn", &e))?,
+            // No churn section: the population is static. At rate 0 the
+            // process delivers the initial arrivals at t = 0 and (with a
+            // sojourn far past the run) never departs.
+            None => PoissonChurn::new(
+                params.num_users,
+                0.0,
+                Seconds::new(online.run_length_s() + 1.0e9),
+                seed,
+            )
+            .map_err(|e| SpecError::model("population.users", &e))?,
         };
 
         let admission: Box<dyn mec_online::AdmissionPolicy> = match &self.admission {
@@ -181,7 +184,7 @@ impl ScenarioSpec {
             },
         };
 
-        let engine = OnlineEngine::new(params, config, churn, admission, seed)
+        let engine = OnlineEngine::new(params, config, Box::new(churn), admission, seed)
             .map_err(|e| SpecError::model("online", &e))?
             .with_events(self.event_schedule());
         Ok(OnlinePlan {
@@ -192,65 +195,7 @@ impl ScenarioSpec {
 
     /// Compiles the `[[timeline]]` entries into an engine-ready schedule.
     pub fn event_schedule(&self) -> EventSchedule {
-        EventSchedule::new(
-            self.timeline
-                .iter()
-                .map(|ev| TimedEvent {
-                    at: Seconds::new(ev.at_s),
-                    event: match ev.kind {
-                        TimelineEventKind::ServerOutage { server } => {
-                            EngineEvent::ServerOutage { server }
-                        }
-                        TimelineEventKind::ServerRecovery { server } => {
-                            EngineEvent::ServerRecovery { server }
-                        }
-                        TimelineEventKind::FlashCrowd {
-                            arrivals,
-                            mean_sojourn_s,
-                        } => EngineEvent::FlashCrowd {
-                            arrivals,
-                            mean_sojourn: Seconds::new(mean_sojourn_s),
-                        },
-                        TimelineEventKind::LoadRamp { rate_factor } => {
-                            EngineEvent::LoadRamp { rate_factor }
-                        }
-                        TimelineEventKind::HotspotDrift { cell, fraction } => {
-                            EngineEvent::HotspotDrift { cell, fraction }
-                        }
-                    },
-                })
-                .collect(),
-        )
-    }
-}
-
-impl ChurnSpec {
-    fn build(
-        &self,
-        default_initial: usize,
-        run_horizon: Seconds,
-        seed: u64,
-    ) -> Result<Box<dyn ChurnProcess>, SpecError> {
-        let initial = self.initial_users.unwrap_or(default_initial);
-        if self.adaptive {
-            let churn = AdaptivePoissonChurn::new(
-                initial,
-                self.arrival_rate_hz,
-                Seconds::new(self.mean_sojourn_s),
-                seed,
-            )
-            .map_err(|e| SpecError::model("churn", &e))?;
-            Ok(Box::new(churn))
-        } else {
-            let horizon = self.horizon_s.map(Seconds::new).unwrap_or(run_horizon);
-            let model = PoissonChurn::new(
-                initial,
-                self.arrival_rate_hz,
-                Seconds::new(self.mean_sojourn_s),
-            )
-            .map_err(|e| SpecError::model("churn", &e))?;
-            Ok(Box::new(TraceChurn::poisson(&model, horizon, seed)))
-        }
+        EventSchedule::new(self.timeline.clone())
     }
 }
 

@@ -19,6 +19,8 @@
 use crate::decode::{f64_v, MapBuilder, Walk};
 use crate::error::SpecError;
 use crate::toml;
+use mec_online::{EngineEvent, TimedEvent};
+use mec_types::Seconds;
 use serde::Content;
 
 /// The only schema version this build reads.
@@ -43,8 +45,8 @@ pub struct ScenarioSpec {
     pub sla: Option<SlaSpec>,
     /// Optional online-engine configuration.
     pub online: Option<OnlineSpec>,
-    /// Timed events injected into an online run.
-    pub timeline: Vec<TimelineEventSpec>,
+    /// Timed events injected into an online run (`[[timeline]]`).
+    pub timeline: Vec<TimedEvent>,
     /// Optional golden assertions checked by the corpus runner.
     pub expect: Option<ExpectSpec>,
     /// Optional origin metadata (fuzzer artifacts record it here).
@@ -270,21 +272,16 @@ pub struct ExplicitUser {
 // Online sections
 // ---------------------------------------------------------------------------
 
-/// `[churn]` — arrival/departure process.
+/// `[churn]` — the Poisson arrival/departure process
+/// ([`mec_online::PoissonChurn`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChurnSpec {
-    /// Process kind; only `"poisson"` is supported.
-    pub process: String,
     /// Users present at t = 0 (defaults to `population.users`).
     pub initial_users: Option<usize>,
-    /// Poisson arrival rate in Hz.
+    /// Poisson arrival rate in Hz (timeline `load_ramp` events scale it).
     pub arrival_rate_hz: f64,
     /// Mean exponential sojourn in seconds.
     pub mean_sojourn_s: f64,
-    /// Trace horizon in seconds (defaults to the online run length).
-    pub horizon_s: Option<f64>,
-    /// Use the adaptive process whose rate timeline events may scale.
-    pub adaptive: bool,
 }
 
 /// `[admission]` — arrival gating.
@@ -332,66 +329,6 @@ impl Default for OnlineSpec {
             redraw_shadowing: true,
             warm_budget: Some(3000),
             min_temperature: None,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Timeline
-// ---------------------------------------------------------------------------
-
-/// One `[[timeline]]` entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimelineEventSpec {
-    /// Injection time in seconds of simulated clock.
-    pub at_s: f64,
-    /// What happens.
-    pub kind: TimelineEventKind,
-}
-
-/// The event taxonomy the online engine understands.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TimelineEventKind {
-    /// Server drops out; its users are re-patched elsewhere.
-    ServerOutage {
-        /// Index of the server that fails.
-        server: usize,
-    },
-    /// A previously-failed server comes back.
-    ServerRecovery {
-        /// Index of the server that recovers.
-        server: usize,
-    },
-    /// A burst of simultaneous arrivals.
-    FlashCrowd {
-        /// How many users arrive at once.
-        arrivals: usize,
-        /// Mean exponential sojourn of the burst, seconds.
-        mean_sojourn_s: f64,
-    },
-    /// Scales the (adaptive) Poisson arrival rate.
-    LoadRamp {
-        /// Multiplicative factor applied to the arrival rate.
-        rate_factor: f64,
-    },
-    /// Relocates a fraction of users toward one cell.
-    HotspotDrift {
-        /// Target cell (server index).
-        cell: usize,
-        /// Fraction of active users that drift, in `(0, 1]`.
-        fraction: f64,
-    },
-}
-
-impl TimelineEventKind {
-    /// The wire name of this event kind.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::ServerOutage { .. } => "server_outage",
-            Self::ServerRecovery { .. } => "server_recovery",
-            Self::FlashCrowd { .. } => "flash_crowd",
-            Self::LoadRamp { .. } => "load_ramp",
-            Self::HotspotDrift { .. } => "hotspot_drift",
         }
     }
 }
@@ -530,7 +467,7 @@ impl ScenarioSpec {
         let mut timeline = Vec::new();
         if let Some(items) = w.seq_opt("timeline")? {
             for (item, path) in items {
-                timeline.push(TimelineEventSpec::decode(Walk::at(item, path)?)?);
+                timeline.push(decode_timed_event(Walk::at(item, path)?)?);
             }
         }
 
@@ -579,12 +516,7 @@ impl ScenarioSpec {
         if !self.timeline.is_empty() {
             b = b.push(
                 "timeline",
-                Content::Seq(
-                    self.timeline
-                        .iter()
-                        .map(TimelineEventSpec::encode)
-                        .collect(),
-                ),
+                Content::Seq(self.timeline.iter().map(encode_timed_event).collect()),
             );
         }
         b.push_opt("expect", self.expect.as_ref().map(ExpectSpec::encode))
@@ -930,12 +862,9 @@ impl ExplicitUser {
 impl ChurnSpec {
     fn decode(mut w: Walk) -> Result<Self, SpecError> {
         let spec = Self {
-            process: w.str_or("process", "poisson")?,
             initial_users: w.usize_opt("initial_users")?,
             arrival_rate_hz: w.f64_req("arrival_rate_hz")?,
             mean_sojourn_s: w.f64_req("mean_sojourn_s")?,
-            horizon_s: w.f64_opt("horizon_s")?,
-            adaptive: w.bool_or("adaptive", false)?,
         };
         w.finish()?;
         Ok(spec)
@@ -943,15 +872,12 @@ impl ChurnSpec {
 
     fn encode(&self) -> Content {
         MapBuilder::new()
-            .push("process", Content::Str(self.process.clone()))
             .push_opt(
                 "initial_users",
                 self.initial_users.map(|v| Content::U64(v as u64)),
             )
             .push("arrival_rate_hz", Content::F64(self.arrival_rate_hz))
             .push("mean_sojourn_s", Content::F64(self.mean_sojourn_s))
-            .push_opt("horizon_s", self.horizon_s.map(Content::F64))
-            .push("adaptive", Content::Bool(self.adaptive))
             .build()
     }
 }
@@ -1033,64 +959,63 @@ impl OnlineSpec {
     }
 }
 
-impl TimelineEventSpec {
-    fn decode(mut w: Walk) -> Result<Self, SpecError> {
-        let at_s = w.f64_req("at_s")?;
-        let event_path = w.child("event");
-        let event = w.str_req("event")?;
-        let kind = match event.as_str() {
-            "server_outage" => TimelineEventKind::ServerOutage {
-                server: w.usize_req("server")?,
-            },
-            "server_recovery" => TimelineEventKind::ServerRecovery {
-                server: w.usize_req("server")?,
-            },
-            "flash_crowd" => TimelineEventKind::FlashCrowd {
-                arrivals: w.usize_req("arrivals")?,
-                mean_sojourn_s: w.f64_req("mean_sojourn_s")?,
-            },
-            "load_ramp" => TimelineEventKind::LoadRamp {
-                rate_factor: w.f64_req("rate_factor")?,
-            },
-            "hotspot_drift" => TimelineEventKind::HotspotDrift {
-                cell: w.usize_req("cell")?,
-                fraction: w.f64_req("fraction")?,
-            },
-            other => {
-                return Err(SpecError::new(
-                    event_path,
-                    format!("unknown event `{other}`"),
-                ))
-            }
-        };
-        w.finish()?;
-        Ok(Self { at_s, kind })
-    }
-
-    fn encode(&self) -> Content {
-        let b = MapBuilder::new()
-            .push("at_s", Content::F64(self.at_s))
-            .push("event", Content::Str(self.kind.name().into()));
-        match &self.kind {
-            TimelineEventKind::ServerOutage { server }
-            | TimelineEventKind::ServerRecovery { server } => {
-                b.push("server", Content::U64(*server as u64))
-            }
-            TimelineEventKind::FlashCrowd {
-                arrivals,
-                mean_sojourn_s,
-            } => b
-                .push("arrivals", Content::U64(*arrivals as u64))
-                .push("mean_sojourn_s", Content::F64(*mean_sojourn_s)),
-            TimelineEventKind::LoadRamp { rate_factor } => {
-                b.push("rate_factor", Content::F64(*rate_factor))
-            }
-            TimelineEventKind::HotspotDrift { cell, fraction } => b
-                .push("cell", Content::U64(*cell as u64))
-                .push("fraction", Content::F64(*fraction)),
+/// Decodes one `[[timeline]]` entry straight into the engine's event:
+/// `at_s` is the firing time, `event` is the [`EngineEvent::name`] of the
+/// variant, and the variant's payload sits beside them (`server`,
+/// `arrivals` + `mean_sojourn_s`, `rate_factor`, `cell` + `fraction`).
+fn decode_timed_event(mut w: Walk) -> Result<TimedEvent, SpecError> {
+    let at = Seconds::new(w.f64_req("at_s")?);
+    let event_path = w.child("event");
+    let name = w.str_req("event")?;
+    let event = match name.as_str() {
+        "server_outage" => EngineEvent::ServerOutage {
+            server: w.usize_req("server")?,
+        },
+        "server_recovery" => EngineEvent::ServerRecovery {
+            server: w.usize_req("server")?,
+        },
+        "flash_crowd" => EngineEvent::FlashCrowd {
+            arrivals: w.usize_req("arrivals")?,
+            mean_sojourn: Seconds::new(w.f64_req("mean_sojourn_s")?),
+        },
+        "load_ramp" => EngineEvent::LoadRamp {
+            rate_factor: w.f64_req("rate_factor")?,
+        },
+        "hotspot_drift" => EngineEvent::HotspotDrift {
+            cell: w.usize_req("cell")?,
+            fraction: w.f64_req("fraction")?,
+        },
+        other => {
+            return Err(SpecError::new(
+                event_path,
+                format!("unknown event `{other}`"),
+            ))
         }
-        .build()
+    };
+    w.finish()?;
+    Ok(TimedEvent { at, event })
+}
+
+fn encode_timed_event(timed: &TimedEvent) -> Content {
+    let b = MapBuilder::new()
+        .push("at_s", Content::F64(timed.at.as_secs()))
+        .push("event", Content::Str(timed.event.name().into()));
+    match &timed.event {
+        EngineEvent::ServerOutage { server } | EngineEvent::ServerRecovery { server } => {
+            b.push("server", Content::U64(*server as u64))
+        }
+        EngineEvent::FlashCrowd {
+            arrivals,
+            mean_sojourn,
+        } => b
+            .push("arrivals", Content::U64(*arrivals as u64))
+            .push("mean_sojourn_s", Content::F64(mean_sojourn.as_secs())),
+        EngineEvent::LoadRamp { rate_factor } => b.push("rate_factor", Content::F64(*rate_factor)),
+        EngineEvent::HotspotDrift { cell, fraction } => b
+            .push("cell", Content::U64(*cell as u64))
+            .push("fraction", Content::F64(*fraction)),
     }
+    .build()
 }
 
 impl ExpectSpec {
@@ -1355,10 +1280,9 @@ impl ScenarioSpec {
         };
         for (i, ev) in self.timeline.iter().enumerate() {
             let path = format!("timeline[{i}]");
-            non_negative(ev.at_s, &format!("{path}.at_s"))?;
-            match &ev.kind {
-                TimelineEventKind::ServerOutage { server }
-                | TimelineEventKind::ServerRecovery { server } => {
+            non_negative(ev.at.as_secs(), &format!("{path}.at_s"))?;
+            match &ev.event {
+                EngineEvent::ServerOutage { server } | EngineEvent::ServerRecovery { server } => {
                     if *server >= servers {
                         return Err(SpecError::new(
                             format!("{path}.server"),
@@ -1366,9 +1290,9 @@ impl ScenarioSpec {
                         ));
                     }
                 }
-                TimelineEventKind::FlashCrowd {
+                EngineEvent::FlashCrowd {
                     arrivals,
-                    mean_sojourn_s,
+                    mean_sojourn,
                 } => {
                     if *arrivals == 0 {
                         return Err(SpecError::new(
@@ -1376,18 +1300,20 @@ impl ScenarioSpec {
                             "must be at least 1",
                         ));
                     }
-                    positive(*mean_sojourn_s, &format!("{path}.mean_sojourn_s"))?;
+                    positive(mean_sojourn.as_secs(), &format!("{path}.mean_sojourn_s"))?;
                 }
-                TimelineEventKind::LoadRamp { rate_factor } => {
+                EngineEvent::LoadRamp { rate_factor } => {
                     positive(*rate_factor, &format!("{path}.rate_factor"))?;
-                    if !self.churn.as_ref().is_some_and(|c| c.adaptive) {
+                    // Without [churn] the population arrives at rate 0, so
+                    // the ramp would silently do nothing.
+                    if self.churn.is_none() {
                         return Err(SpecError::new(
                             path.clone(),
-                            "load_ramp requires [churn] with adaptive = true",
+                            "load_ramp requires a [churn] section",
                         ));
                     }
                 }
-                TimelineEventKind::HotspotDrift { cell, fraction } => {
+                EngineEvent::HotspotDrift { cell, fraction } => {
                     if *cell >= servers {
                         return Err(SpecError::new(
                             format!("{path}.cell"),
@@ -1400,7 +1326,7 @@ impl ScenarioSpec {
             }
             // Duplicate (time, kind, payload) pairs are overlapping events.
             for (j, other) in self.timeline.iter().enumerate().take(i) {
-                if other.at_s == ev.at_s && other.kind == ev.kind {
+                if other == ev {
                     return Err(SpecError::new(
                         path.clone(),
                         format!("overlaps timeline[{j}]: identical event at the same instant"),
@@ -1412,15 +1338,16 @@ impl ScenarioSpec {
         let mut order: Vec<usize> = (0..self.timeline.len()).collect();
         order.sort_by(|&a, &b| {
             self.timeline[a]
-                .at_s
-                .partial_cmp(&self.timeline[b].at_s)
+                .at
+                .as_secs()
+                .partial_cmp(&self.timeline[b].at.as_secs())
                 .expect("at_s is finite")
                 .then(a.cmp(&b))
         });
         let mut down = vec![false; servers];
         for idx in order {
-            match &self.timeline[idx].kind {
-                TimelineEventKind::ServerOutage { server } => {
+            match &self.timeline[idx].event {
+                EngineEvent::ServerOutage { server } => {
                     if down[*server] {
                         return Err(SpecError::new(
                             format!("timeline[{idx}]"),
@@ -1435,7 +1362,7 @@ impl ScenarioSpec {
                         ));
                     }
                 }
-                TimelineEventKind::ServerRecovery { server } => {
+                EngineEvent::ServerRecovery { server } => {
                     if !down[*server] {
                         return Err(SpecError::new(
                             format!("timeline[{idx}]"),
@@ -1457,9 +1384,9 @@ impl ScenarioSpec {
         };
         let mut down = vec![false; g.topology.servers];
         for ev in &self.timeline {
-            match &ev.kind {
-                TimelineEventKind::ServerOutage { server } => down[*server] = true,
-                TimelineEventKind::ServerRecovery { server } => down[*server] = false,
+            match &ev.event {
+                EngineEvent::ServerOutage { server } => down[*server] = true,
+                EngineEvent::ServerRecovery { server } => down[*server] = false,
                 _ => {}
             }
         }
@@ -1596,21 +1523,8 @@ impl ExplicitSpec {
 
 impl ChurnSpec {
     fn validate(&self) -> Result<(), SpecError> {
-        if self.process != "poisson" {
-            return Err(SpecError::new(
-                "churn.process",
-                format!(
-                    "unsupported process `{}` (expected \"poisson\")",
-                    self.process
-                ),
-            ));
-        }
         non_negative(self.arrival_rate_hz, "churn.arrival_rate_hz")?;
-        positive(self.mean_sojourn_s, "churn.mean_sojourn_s")?;
-        if let Some(h) = self.horizon_s {
-            positive(h, "churn.horizon_s")?;
-        }
-        Ok(())
+        positive(self.mean_sojourn_s, "churn.mean_sojourn_s")
     }
 }
 
@@ -1670,7 +1584,7 @@ impl OnlineSpec {
     }
 
     /// Total simulated run length.
-    pub fn horizon_s(&self) -> f64 {
+    pub fn run_length_s(&self) -> f64 {
         self.epochs as f64 * self.epoch_duration_s
     }
 }
@@ -1781,7 +1695,6 @@ output_kb = 40.0
 [churn]
 arrival_rate_hz = 0.2
 mean_sojourn_s = 45.0
-adaptive = true
 
 [admission]
 policy = "force_local"

@@ -185,11 +185,11 @@ const VALIDATE_REJECTIONS: &[Case] = &[
         message: "at least 1",
     },
     Case {
-        label: "load ramp without adaptive churn",
+        label: "load ramp without a churn section",
         doc: "schema_version = 1\nname = \"x\"\n[online]\n\
               [[timeline]]\nat_s = 5.0\nevent = \"load_ramp\"\nrate_factor = 2.0\n",
         path: "timeline[0]",
-        message: "load_ramp requires [churn] with adaptive = true",
+        message: "load_ramp requires a [churn] section",
     },
     Case {
         label: "hotspot drift fraction above one",

@@ -27,6 +27,7 @@ use crate::metrics::ServiceMetrics;
 use crate::runtime::ServiceRuntime;
 use crate::tier::Tier;
 use mec_types::{Error, Seconds};
+use mec_workloads::ExperimentParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -34,6 +35,19 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+
+/// Whether this process's `TSAJS_BENCH_QUICK` selects the quick
+/// (CI-scale) preset of the loadtest and the `mec-bench` harnesses: it
+/// does when set to anything but an empty value or `0`.
+pub fn quick_from_env() -> bool {
+    quick_requested(std::env::var("TSAJS_BENCH_QUICK").ok().as_deref())
+}
+
+/// The rule of [`quick_from_env`] on the variable's value (`None` when
+/// unset), testable without touching the process environment.
+fn quick_requested(value: Option<&str>) -> bool {
+    value.is_some_and(|v| !v.is_empty() && v != "0")
+}
 
 /// Loadtest knobs.
 #[derive(Debug, Clone)]
@@ -76,6 +90,18 @@ impl LoadtestConfig {
             queue_capacity: 256,
             mean_sojourn_s: 1.0,
             seed,
+        }
+    }
+
+    /// Production-shaped preset: the service over the paper's default
+    /// network, a 20-user prefill, 5 s probes and 5 refinement steps.
+    pub fn full(seed: u64) -> Self {
+        Self {
+            service: ServiceConfig::new(ExperimentParams::paper_default(), seed),
+            initial_users: 20,
+            probe_secs: 5.0,
+            refine_steps: 5,
+            ..Self::quick(seed)
         }
     }
 
@@ -385,6 +411,29 @@ pub fn run_loadtest(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quick_preset_needs_a_value_other_than_empty_or_zero() {
+        assert!(!quick_requested(None));
+        assert!(!quick_requested(Some("")));
+        assert!(!quick_requested(Some("0")));
+        assert!(quick_requested(Some("1")));
+    }
+
+    #[test]
+    fn full_preset_differs_from_quick_only_in_scale() {
+        let (quick, full) = (LoadtestConfig::quick(3), LoadtestConfig::full(3));
+        full.validate().unwrap();
+        assert_eq!(full.service.params, ExperimentParams::paper_default());
+        assert_eq!(full.service.seed, 3);
+        assert_eq!(
+            (full.initial_users, full.probe_secs, full.refine_steps),
+            (20, 5.0, 5)
+        );
+        assert_eq!(full.slo_p99, quick.slo_p99);
+        assert_eq!(full.queue_capacity, quick.queue_capacity);
+        assert_eq!(full.mean_sojourn_s, quick.mean_sojourn_s);
+    }
 
     #[test]
     fn config_validation_rejects_degenerate_knobs() {

@@ -59,7 +59,7 @@ pub fn effective_parallelism(explicit: Option<usize>) -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `f(i, item)` for every item and returns the results in item order.
+/// Runs `f(item)` for every item and returns the results in item order.
 ///
 /// `W = min(workers, items.len())` workers claim the items one at a time,
 /// in ascending index order, each taking the next unclaimed item as soon
@@ -83,27 +83,26 @@ pub fn effective_parallelism(explicit: Option<usize>) -> usize {
 /// ```
 /// use mec_types::threads::fan_out;
 ///
-/// let squares = fan_out(3, vec![1u64, 2, 3, 4, 5], |i, x| (i, x * x));
-/// assert_eq!(squares, vec![(0, 1), (1, 4), (2, 9), (3, 16), (4, 25)]);
+/// let squares = fan_out(3, vec![1u64, 2, 3, 4, 5], |x| x * x);
+/// assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 /// ```
 pub fn fan_out<T: Send, R: Send>(
     workers: usize,
     items: Vec<T>,
-    f: impl Fn(usize, T) -> R + Sync,
+    f: impl Fn(T) -> R + Sync,
 ) -> Vec<R> {
     let len = items.len();
     let width = workers.min(len);
-    let queue = items.into_iter().enumerate();
     if width <= 1 {
-        return queue.map(|(i, item)| f(i, item)).collect();
+        return items.into_iter().map(f).collect();
     }
-    let queue = std::sync::Mutex::new(queue);
+    let queue = std::sync::Mutex::new(items.into_iter().enumerate());
     // The guard drops when `claim` returns: no lock is held while `f` runs.
     let claim = || queue.lock().expect("queue lock never held across f").next();
     let work = || {
         let mut done = Vec::new();
         while let Some((i, item)) = claim() {
-            done.push((i, f(i, item)));
+            done.push((i, f(item)));
         }
         done
     };
@@ -149,7 +148,7 @@ mod tests {
         let items: Vec<usize> = (0..7).collect();
         let expected: Vec<(usize, usize)> = items.iter().map(|&x| (x, 10 * x)).collect();
         for workers in [0, 1, 2, 3, 7, 16] {
-            let got = fan_out(workers, items.clone(), |i, x| (i, 10 * x));
+            let got = fan_out(workers, items.clone(), |x| (x, 10 * x));
             assert_eq!(got, expected, "workers {workers}");
         }
     }
@@ -161,7 +160,7 @@ mod tests {
         // Item 0 finishes only after items 1..=5 have: the other worker
         // must claim every one of them while item 0 is still running.
         let finished = (Mutex::new(0usize), Condvar::new());
-        fan_out(2, (0..6).collect(), |i, _: usize| {
+        fan_out(2, (0..6).collect(), |i: usize| {
             let (count, changed) = &finished;
             let mut done = count.lock().unwrap();
             if i == 0 {
@@ -176,7 +175,7 @@ mod tests {
         });
         // One worker runs inline on the caller.
         let caller = std::thread::current().id();
-        assert!(fan_out(1, vec![(); 4], |_, ()| std::thread::current().id())
+        assert!(fan_out(1, vec![(); 4], |()| std::thread::current().id())
             .iter()
             .all(|&id| id == caller));
     }
@@ -184,7 +183,7 @@ mod tests {
     #[test]
     fn fan_out_of_nothing_is_empty() {
         for workers in [0, 1, 4] {
-            let out: Vec<u8> = fan_out(workers, Vec::<u8>::new(), |_, x| x);
+            let out: Vec<u8> = fan_out(workers, Vec::<u8>::new(), |x| x);
             assert!(out.is_empty());
         }
     }
@@ -192,8 +191,8 @@ mod tests {
     #[test]
     fn fan_out_writes_through_mutable_borrows() {
         let mut cells = vec![0usize; 5];
-        let refs: Vec<&mut usize> = cells.iter_mut().collect();
-        let ran = fan_out(2, refs, |i, cell| *cell = i + 1);
+        let refs: Vec<(usize, &mut usize)> = cells.iter_mut().enumerate().collect();
+        let ran = fan_out(2, refs, |(i, cell)| *cell = i + 1);
         assert_eq!(ran.len(), 5);
         assert_eq!(cells, vec![1, 2, 3, 4, 5]);
     }
@@ -201,7 +200,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "item 3 failed")]
     fn fan_out_reraises_a_worker_panic_with_its_own_payload() {
-        let _ = fan_out(2, (0..6).collect(), |i, _: usize| {
+        let _ = fan_out(2, (0..6).collect(), |i: usize| {
             if i == 3 {
                 panic!("item 3 failed");
             }

@@ -5,7 +5,8 @@ use mec_radio::{ChannelModel, OfdmaConfig};
 use mec_system::{Scenario, UserSpec};
 use mec_topology::{place_users_hotspots, place_users_uniform, NetworkLayout};
 use mec_types::{
-    DbMilliwatts, DeviceProfile, Error, ProviderPreference, ServerProfile, Task, UserPreferences,
+    DbMilliwatts, DeviceProfile, Error, ProviderPreference, ServerId, ServerProfile, Task, UserId,
+    UserPreferences,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -190,39 +191,16 @@ impl ScenarioGenerator {
         if servers_up.iter().all(|&up| up) {
             return Ok(full);
         }
-        let up: Vec<usize> = servers_up
+        let up: Vec<ServerId> = servers_up
             .iter()
             .enumerate()
-            .filter_map(|(i, &b)| b.then_some(i))
+            .filter_map(|(i, &b)| b.then_some(ServerId::new(i)))
             .collect();
         if up.is_empty() {
             return Err(Error::invalid("servers_up", "need at least one server up"));
         }
-        use mec_types::{ServerId, SubchannelId};
-        let servers: Vec<ServerProfile> = up.iter().map(|&s| full.servers()[s]).collect();
-        let gains = mec_radio::ChannelGains::from_fn(
-            full.num_users(),
-            up.len(),
-            full.num_subchannels(),
-            |u, s, j| {
-                full.gains().gain(
-                    u,
-                    ServerId::new(up[s.index()]),
-                    SubchannelId::new(j.index()),
-                )
-            },
-        )?;
-        let scenario = Scenario::new(
-            full.users().to_vec(),
-            servers,
-            *full.ofdma(),
-            gains,
-            full.noise(),
-        )?;
-        match full.downlink() {
-            Some(rate) => scenario.with_downlink(rate),
-            None => Ok(scenario),
-        }
+        let users: Vec<UserId> = full.user_ids().collect();
+        full.subset(&users, &up)
     }
 }
 

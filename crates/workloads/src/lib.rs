@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod churn;
 pub mod experiments;
 pub mod generator;
 pub mod params;
@@ -40,7 +39,6 @@ pub mod report;
 pub mod runner;
 pub mod stats;
 
-pub use churn::{ChurnEvent, ChurnEventKind, ChurnTrace, PoissonChurn};
 pub use generator::{epoch_seed, ScenarioGenerator, CHAIN_STREAM};
 pub use params::{ExperimentParams, PlacementModel, Preset};
 pub use report::Table;

@@ -44,7 +44,7 @@ where
     F: Fn(u64) -> Box<dyn Solver> + Sync,
 {
     let seeds: Vec<u64> = (0..trials as u64).map(|i| base_seed + i).collect();
-    fan_out(effective_parallelism(None), seeds, |_, seed| {
+    fan_out(effective_parallelism(None), seeds, |seed| {
         run_one(generator, seed, &make_solver)
     })
     .into_iter()

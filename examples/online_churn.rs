@@ -12,11 +12,10 @@
 //! ```
 
 use tsajs_mec::online::{
-    AdmissionPolicy, AdmitAll, CapacityGate, OnlineConfig, OnlineEngine, TraceChurn,
+    AdmissionPolicy, AdmitAll, CapacityGate, OnlineConfig, OnlineEngine, PoissonChurn,
 };
 use tsajs_mec::prelude::*;
 use tsajs_mec::tsajs::ResolveMode;
-use tsajs_mec::workloads::PoissonChurn;
 
 fn run_policy(label: &str, policy: Box<dyn AdmissionPolicy>, epochs: usize) -> Result<(), Error> {
     let params = ExperimentParams::paper_default().with_servers(4);
@@ -24,15 +23,8 @@ fn run_policy(label: &str, policy: Box<dyn AdmissionPolicy>, epochs: usize) -> R
         .with_base(TtsaConfig::paper_default().with_min_temperature(1e-3))
         .with_mode(ResolveMode::warm(3_000));
     // ~12 users in steady state: λ = 0.15/s at a 80 s mean sojourn.
-    let churn = PoissonChurn::new(8, 0.15, Seconds::new(80.0))?;
-    let horizon = Seconds::new(config.epoch_duration.as_secs() * epochs as f64);
-    let mut engine = OnlineEngine::new(
-        params,
-        config,
-        Box::new(TraceChurn::poisson(&churn, horizon, 42)),
-        policy,
-        42,
-    )?;
+    let churn = PoissonChurn::new(8, 0.15, Seconds::new(80.0), 42)?;
+    let mut engine = OnlineEngine::new(params, config, Box::new(churn), policy, 42)?;
 
     println!("--- {label} ---");
     println!("epoch | users (sched+local) | arr/dep/rej | J*(X)  | props | warm | hit-rate");

@@ -14,14 +14,13 @@
 use tsajs_mec::mobility::{DynamicSimulation, History, MobilityConfig};
 use tsajs_mec::online::{
     AdmitAll, EngineEvent, EventSchedule, OnlineConfig, OnlineEngine, OnlineEpochReport,
-    TimedEvent, TraceChurn,
+    PoissonChurn, TimedEvent,
 };
 use tsajs_mec::prelude::*;
 use tsajs_mec::service::{
     BatchPolicy, BatchReport, SchedulerCore, ServiceConfig, ServiceRequest, TierPolicy,
 };
 use tsajs_mec::tsajs::{ResolveMode, TemperingConfig};
-use tsajs_mec::workloads::PoissonChurn;
 
 /// FNV-1a over little-endian 64-bit words.
 struct Fingerprint(u64);
@@ -72,11 +71,11 @@ fn online_engine(mode: ResolveMode, seed: u64, initial: usize, rate: f64) -> Onl
     let params = ExperimentParams::paper_default()
         .with_users(initial)
         .with_servers(4);
-    let churn = PoissonChurn::new(initial, rate, Seconds::new(40.0)).unwrap();
+    let churn = PoissonChurn::new(initial, rate, Seconds::new(40.0), seed).unwrap();
     OnlineEngine::new(
         params,
         online_config(mode),
-        Box::new(TraceChurn::poisson(&churn, Seconds::new(400.0), seed)),
+        Box::new(churn),
         Box::new(AdmitAll),
         seed,
     )
