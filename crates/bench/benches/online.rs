@@ -8,7 +8,7 @@
 //! trade-off can be read off the same run (see EXPERIMENTS.md).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mec_mobility::RandomWaypoint;
+use mec_online::RandomWaypoint;
 use mec_system::Evaluator;
 use mec_types::{Seconds, UserId};
 use mec_workloads::{epoch_seed, ExperimentParams, ScenarioGenerator, CHAIN_STREAM};

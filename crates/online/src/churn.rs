@@ -5,15 +5,17 @@
 //! stock process is [`PoissonChurn`], the classic M/M/∞ population model:
 //! with arrival rate `λ` and mean sojourn `E[W]`, the steady-state
 //! population is `λ·E[W]` users — calibrate both to hit a target
-//! population and churn fraction. Custom processes (deterministic
-//! schedules, trace files) just implement the trait.
+//! population and churn fraction. Custom processes (a scripted schedule,
+//! a recorded event log) just implement the trait.
 
 use mec_types::{Error, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
-/// What happens to a user at one instant of a trace.
+/// Whether a churn event brings a user in or takes one out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChurnEventKind {
     /// The user enters the system and requests scheduling.
@@ -24,7 +26,7 @@ pub enum ChurnEventKind {
 
 /// One arrival or departure, stamped with the user's stable id.
 ///
-/// Ids are stable across the whole trace: the departure of user `k`
+/// Ids are stable across the whole run: the departure of user `k`
 /// refers to the same `k` that arrived earlier, regardless of how many
 /// other users came and went in between.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -76,8 +78,32 @@ pub struct PoissonChurn {
     /// time); rate changes rescale the gap relative to this point.
     anchor_s: f64,
     next_id: u64,
-    /// Scheduled but not yet emitted departures, sorted by time.
-    pending: Vec<ChurnEvent>,
+    /// Scheduled but not yet emitted events (the initial arrivals and
+    /// every departure), earliest on top.
+    pending: BinaryHeap<Reverse<Pending>>,
+}
+
+/// A queued event under the process's total order: time, then arrivals
+/// before departures, then id.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Pending(ChurnEvent);
+
+impl Eq for Pending {}
+
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let rank = |e: &ChurnEvent| (matches!(e.kind, ChurnEventKind::Departure), e.user);
+        let (a, b) = (&self.0, &other.0);
+        a.at.as_secs()
+            .total_cmp(&b.at.as_secs())
+            .then_with(|| rank(a).cmp(&rank(b)))
+    }
+}
+
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl PoissonChurn {
@@ -112,19 +138,19 @@ impl PoissonChurn {
             next_arrival_s: f64::INFINITY,
             anchor_s: 0.0,
             next_id: 0,
-            pending: Vec::new(),
+            pending: BinaryHeap::with_capacity(2 * initial_users),
         };
         // Initial population: arrivals at t = 0 with their departures.
         for _ in 0..initial_users {
             let id = this.next_id;
             this.next_id += 1;
-            this.insert_pending(ChurnEvent {
+            this.push_pending(ChurnEvent {
                 at: Seconds::new(0.0),
                 user: id,
                 kind: ChurnEventKind::Arrival,
             });
             let sojourn = sample_exponential(mean_sojourn_s, &mut this.rng);
-            this.insert_pending(ChurnEvent {
+            this.push_pending(ChurnEvent {
                 at: Seconds::new(sojourn),
                 user: id,
                 kind: ChurnEventKind::Departure,
@@ -148,17 +174,8 @@ impl PoissonChurn {
         }
     }
 
-    fn insert_pending(&mut self, event: ChurnEvent) {
-        // Stable order: time, then arrivals before departures, then id.
-        let key = |e: &ChurnEvent| {
-            (
-                e.at.as_secs(),
-                matches!(e.kind, ChurnEventKind::Departure),
-                e.user,
-            )
-        };
-        let pos = self.pending.partition_point(|e| key(e) <= key(&event));
-        self.pending.insert(pos, event);
+    fn push_pending(&mut self, event: ChurnEvent) {
+        self.pending.push(Reverse(Pending(event)));
     }
 }
 
@@ -166,7 +183,7 @@ impl ChurnProcess for PoissonChurn {
     fn drain_until(&mut self, now: Seconds, out: &mut Vec<ChurnEvent>) {
         let now_s = now.as_secs();
         loop {
-            let pending_at = self.pending.first().map(|e| e.at.as_secs());
+            let pending_at = self.pending.peek().map(|Reverse(p)| p.0.at.as_secs());
             let arrival_due =
                 self.next_arrival_s <= now_s && pending_at.is_none_or(|p| self.next_arrival_s <= p);
             if arrival_due {
@@ -179,14 +196,15 @@ impl ChurnProcess for PoissonChurn {
                     kind: ChurnEventKind::Arrival,
                 });
                 let sojourn = sample_exponential(self.mean_sojourn_s, &mut self.rng);
-                self.insert_pending(ChurnEvent {
+                self.push_pending(ChurnEvent {
                     at: Seconds::new(at + sojourn),
                     user: id,
                     kind: ChurnEventKind::Departure,
                 });
                 self.next_arrival_s = self.draw_gap(at);
             } else if pending_at.is_some_and(|p| p <= now_s) {
-                out.push(self.pending.remove(0));
+                let Reverse(Pending(event)) = self.pending.pop().expect("peeked");
+                out.push(event);
             } else {
                 return;
             }
@@ -210,10 +228,12 @@ impl ChurnProcess for PoissonChurn {
 }
 
 /// Inverse-CDF exponential sample with the given mean; `1 - u` keeps the
-/// argument of `ln` in `(0, 1]`.
+/// argument of `ln` in `(0, 1]`. Adding `0.0` turns the `u = 0` draw's
+/// −0 into +0 (and changes no other value), so a zero sojourn still
+/// orders after its arrival at the same time under `total_cmp`.
 pub(crate) fn sample_exponential<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> f64 {
     let u: f64 = rng.gen();
-    -mean * (1.0 - u).ln()
+    -mean * (1.0 - u).ln() + 0.0
 }
 
 #[cfg(test)]
@@ -257,8 +277,18 @@ mod tests {
             let a = run(3);
             assert_eq!(a, run(3));
             assert_ne!(a, run(4));
-            // Time order, arrivals at t = 0 for the initial population.
-            assert!(a.windows(2).all(|w| w[0].at.as_secs() <= w[1].at.as_secs()));
+            // The full key order: time, then arrivals before departures,
+            // then id. So the initial population arrives first, at t = 0,
+            // ascending by id.
+            let key =
+                |e: &ChurnEvent| (e.at.as_secs(), e.kind == ChurnEventKind::Departure, e.user);
+            assert!(a.windows(2).all(|w| key(&w[0]) < key(&w[1])));
+            assert!(a[..initial]
+                .iter()
+                .zip(0..)
+                .all(|(e, id)| e.kind == ChurnEventKind::Arrival
+                    && e.at.as_secs() == 0.0
+                    && e.user == id));
             assert_eq!(
                 arrivals(&a).filter(|e| e.at.as_secs() == 0.0).count(),
                 initial

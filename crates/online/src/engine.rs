@@ -11,20 +11,24 @@
 //! 3. re-solve through [`ResolveMode::resolve`]: a warm refresh seeded
 //!    from the patched decision ([`ResolveMode::WarmStart`] or
 //!    [`ResolveMode::WarmTempered`]) or a full cold anneal
-//!    ([`ResolveMode::Cold`]),
-//! 4. score every active user against the SLA deadline and emit a
-//!    serializable [`OnlineEpochReport`].
+//!    ([`ResolveMode::Cold`]); [`OnlineEngine::step_with_solver`] cold-solves
+//!    with any [`Solver`] instead,
+//! 4. score every active user against the SLA deadline, count radio
+//!    handovers, and emit a serializable [`OnlineEpochReport`].
+//!
+//! [`OnlineEngine::with_static_population`] runs the same epoch over a
+//! fixed population that only moves: the mobility study's setting.
 //!
 //! Everything is driven by seeded RNG streams, so a run is a pure
 //! function of `(params, config, churn process, seed)` — equal seeds give
 //! bit-identical report streams.
 
-use crate::admission::{AdmissionContext, AdmissionDecision, AdmissionPolicy};
-use crate::churn::{sample_exponential, ChurnEvent, ChurnEventKind, ChurnProcess};
+use crate::admission::{AdmissionContext, AdmissionDecision, AdmissionPolicy, AdmitAll};
+use crate::churn::{sample_exponential, ChurnEvent, ChurnEventKind, ChurnProcess, PoissonChurn};
 use crate::events::{EngineEvent, EventSchedule, TimedEvent};
 use crate::sla::{CompletedUser, SlaLog};
-use mec_mobility::RandomWaypoint;
-use mec_system::{reassigned_survivors, survivor_map, Assignment, Evaluator, Scenario};
+use crate::waypoint::RandomWaypoint;
+use mec_system::{reassigned_survivors, survivor_map, Assignment, Evaluator, Scenario, Solver};
 use mec_topology::{NetworkLayout, Point2};
 use mec_types::{effective_parallelism, DeviceProfile, Error, Seconds, ServerId, Task, UserId};
 use mec_workloads::{epoch_seed, ExperimentParams, ScenarioGenerator, CHAIN_STREAM};
@@ -76,6 +80,14 @@ impl OnlineConfig {
             deadline: Seconds::new(1.0),
             threads: None,
         }
+    }
+
+    /// Vehicles: [`pedestrian`](Self::pedestrian) with 8–20 m/s motion
+    /// (≈ 30–70 km/h) and 5 s epochs.
+    pub fn vehicular() -> Self {
+        Self::pedestrian()
+            .with_speed_range((8.0, 20.0))
+            .with_epoch_duration(Seconds::new(5.0))
     }
 
     /// Replaces the base TTSA schedule.
@@ -169,6 +181,9 @@ pub struct OnlineEpochReport {
     pub num_offloaded: usize,
     /// Surviving scheduled users whose slot changed since last epoch.
     pub reassignments: usize,
+    /// Active users present last epoch whose nearest station changed
+    /// (radio handovers; decision-independent, 0 in the first epoch).
+    pub handovers: usize,
     /// Neighborhood proposals spent re-solving this epoch.
     pub proposals: u64,
     /// Whether the re-solve warm-started from the patched decision.
@@ -186,7 +201,7 @@ impl OnlineEpochReport {
     /// the schema contract that JSONL consumers of the `online`
     /// subcommand rely on. Keep in lockstep with the struct definition;
     /// the golden-schema tests diff serialized output against this list.
-    pub const FIELD_NAMES: [&'static str; 16] = [
+    pub const FIELD_NAMES: [&'static str; 17] = [
         "epoch",
         "time_s",
         "active_users",
@@ -198,6 +213,7 @@ impl OnlineEpochReport {
         "utility",
         "num_offloaded",
         "reassignments",
+        "handovers",
         "proposals",
         "warm_started",
         "deadline_hit_rate",
@@ -215,6 +231,9 @@ struct ActiveUser {
     epochs: u32,
     deadline_hits: u32,
     benefit_sum: f64,
+    /// Nearest station at the start of the user's last epoch (`None`
+    /// before its first).
+    station: Option<ServerId>,
 }
 
 /// The previous epoch's decision, keyed by stable user ids.
@@ -300,8 +319,7 @@ impl OnlineEngine {
             motion,
             users: Vec::new(),
             motion_rng,
-            // Decorrelate the solver stream from the motion stream (the
-            // same split `mec_mobility::dynamic` uses).
+            // Decorrelate the solver stream from the motion stream.
             chain_rng: StdRng::seed_from_u64(seed ^ CHAIN_STREAM),
             kernel: NeighborhoodKernel::new(),
             clock_s: 0.0,
@@ -321,6 +339,48 @@ impl OnlineEngine {
             events_applied_total: 0,
             timed_buf: Vec::new(),
         })
+    }
+
+    /// Creates an engine over a fixed population: `params.num_users` users
+    /// (ids `0..n`) present from the start, admitted, and never departing
+    /// (the churn process is silent). One [`RandomWaypoint::new`] draw
+    /// places them (all positions, then destinations, then speeds), so
+    /// they move exactly as a standalone model on the engine's seed would.
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](Self::new), and [`Error::InvalidParameter`] for an empty
+    /// population.
+    pub fn with_static_population(
+        params: ExperimentParams,
+        config: OnlineConfig,
+        seed: u64,
+    ) -> Result<Self, Error> {
+        let n = params.num_users;
+        if n == 0 {
+            return Err(Error::invalid("U", "need at least one user"));
+        }
+        // No user ever arrives, so the sojourn is never drawn.
+        let silent = PoissonChurn::new(0, 0.0, Seconds::new(1.0), seed)?;
+        let mut engine = Self::new(params, config, Box::new(silent), Box::new(AdmitAll), seed)?;
+        engine.motion = RandomWaypoint::new(
+            &engine.layout,
+            n,
+            config.speed_range_mps,
+            &mut engine.motion_rng,
+        );
+        engine.users = (0..n as u64)
+            .map(|id| ActiveUser {
+                id,
+                arrived_at_s: 0.0,
+                forced_local: false,
+                epochs: 0,
+                deadline_hits: 0,
+                benefit_sum: 0.0,
+                station: None,
+            })
+            .collect();
+        Ok(engine)
     }
 
     /// Attaches a scripted event timeline; events fire at the first epoch
@@ -475,6 +535,7 @@ impl OnlineEngine {
                         epochs: 0,
                         deadline_hits: 0,
                         benefit_sum: 0.0,
+                        station: None,
                     });
                     arrivals += 1;
                 }
@@ -508,6 +569,32 @@ impl OnlineEngine {
     ///
     /// Propagates scenario-generation, patching and evaluation errors.
     pub fn step(&mut self) -> Result<OnlineEpochReport, Error> {
+        self.advance(None)
+    }
+
+    /// Advances one epoch like [`step`](Self::step), but cold-solves it
+    /// with `make_solver(scenario seed)` instead of the configured
+    /// [`ResolveMode`]; the report's `warm_started` is `false`. The scenario
+    /// seed is the epoch's shadowing seed: `epoch_seed(seed, epoch)`, or
+    /// the engine seed while shadowing is held.
+    ///
+    /// # Errors
+    ///
+    /// As [`step`](Self::step), plus the solver's own errors.
+    pub fn step_with_solver(
+        &mut self,
+        make_solver: &dyn Fn(u64) -> Box<dyn Solver>,
+    ) -> Result<OnlineEpochReport, Error> {
+        self.advance(Some(make_solver))
+    }
+
+    /// The epoch body behind [`step`](Self::step) and
+    /// [`step_with_solver`](Self::step_with_solver); they differ only in
+    /// the re-solve.
+    fn advance(
+        &mut self,
+        make_solver: Option<&dyn Fn(u64) -> Box<dyn Solver>>,
+    ) -> Result<OnlineEpochReport, Error> {
         let events_applied = self.apply_events();
         let (arrivals, departures, rejected) = self.apply_churn();
 
@@ -521,6 +608,15 @@ impl OnlineEngine {
             .collect();
         let up_count = cur_server_ids.len();
 
+        // Radio handovers: users present last epoch whose nearest station
+        // changed. Arrivals have no previous station.
+        let mut handovers = 0;
+        for (user, &p) in self.users.iter_mut().zip(self.motion.positions()) {
+            let nearest = self.layout.nearest_station(p);
+            handovers += usize::from(user.station.is_some_and(|s| s != nearest));
+            user.station = Some(nearest);
+        }
+
         // The schedulable subset, in population order. `sched_pos[v]` is
         // the population index behind scenario user `v`.
         let mut sched_pos = Vec::new();
@@ -533,6 +629,7 @@ impl OnlineEngine {
                 positions.push(self.motion.positions()[i]);
             }
         }
+        let scheduled = sched_ids.len();
 
         let shadowing_seed = if self.config.redraw_shadowing {
             epoch_seed(self.seed, self.epoch as u64)
@@ -543,10 +640,11 @@ impl OnlineEngine {
         let deadline_s = self.config.deadline.as_secs();
         let mut epoch_hits = 0usize;
         let (utility, num_offloaded, proposals, reassignments, warm_started);
-        let prev_assignment;
         if sched_ids.is_empty() || up_count == 0 {
             // Nothing to schedule: an empty population, or a total outage
             // (offload-eligible users get no service until a recovery).
+            // `prev` keeps the last real decision, so a recovery patches
+            // from it.
             (
                 utility,
                 num_offloaded,
@@ -554,7 +652,6 @@ impl OnlineEngine {
                 reassignments,
                 warm_started,
             ) = (0.0, 0, 0, 0, false);
-            prev_assignment = Assignment::with_dims(0, up_count, self.params.num_subchannels);
             self.last = None;
         } else {
             let generator = ScenarioGenerator::new(self.params.with_users(sched_ids.len()));
@@ -593,20 +690,32 @@ impl OnlineEngine {
                 }
                 None => None,
             };
-            let outcome = self.config.mode.resolve(
-                &scenario,
-                &self.config.base,
-                &self.kernel,
-                &mut self.chain_rng,
-                effective_parallelism(self.config.threads),
-                patched.as_ref().map(|(warm, _)| warm.clone()),
-            );
-            warm_started = patched.is_some() && self.config.mode != ResolveMode::Cold;
+            let assignment;
+            (assignment, utility, proposals) = match make_solver {
+                None => {
+                    let outcome = self.config.mode.resolve(
+                        &scenario,
+                        &self.config.base,
+                        &self.kernel,
+                        &mut self.chain_rng,
+                        effective_parallelism(self.config.threads),
+                        patched.as_ref().map(|(warm, _)| warm.clone()),
+                    );
+                    (outcome.assignment, outcome.objective, outcome.proposals)
+                }
+                Some(make_solver) => {
+                    let solution = make_solver(shadowing_seed).solve(&scenario)?;
+                    let iterations = solution.stats.iterations;
+                    (solution.assignment, solution.utility, iterations)
+                }
+            };
+            warm_started =
+                make_solver.is_none() && patched.is_some() && self.config.mode != ResolveMode::Cold;
             reassignments = patched.as_ref().map_or(0, |(warm, map)| {
-                reassigned_survivors(map, warm, &outcome.assignment)
+                reassigned_survivors(map, warm, &assignment)
             });
 
-            let evaluation = Evaluator::new(&scenario).evaluate(&outcome.assignment)?;
+            let evaluation = Evaluator::new(&scenario).evaluate(&assignment)?;
             for (v, &pi) in sched_pos.iter().enumerate() {
                 let metrics = &evaluation.users[v];
                 let user = &mut self.users[pi];
@@ -617,11 +726,13 @@ impl OnlineEngine {
                     epoch_hits += 1;
                 }
             }
-            utility = outcome.objective;
-            num_offloaded = outcome.assignment.num_offloaded();
-            proposals = outcome.proposals;
-            prev_assignment = outcome.assignment.clone();
-            self.last = Some((scenario, outcome.assignment));
+            num_offloaded = assignment.num_offloaded();
+            self.prev = Some(PrevEpoch {
+                sched_ids,
+                server_ids: cur_server_ids,
+                assignment: assignment.clone(),
+            });
+            self.last = Some((scenario, assignment));
         }
 
         // Forced-local users run on their own CPU every epoch.
@@ -638,14 +749,15 @@ impl OnlineEngine {
             epoch: self.epoch,
             time_s: self.clock_s,
             active_users: active,
-            scheduled: sched_ids.len(),
-            forced_local: active - sched_ids.len(),
+            scheduled,
+            forced_local: active - scheduled,
             arrivals,
             departures,
             rejected,
             utility,
             num_offloaded,
             reassignments,
+            handovers,
             proposals,
             warm_started,
             deadline_hit_rate: if active == 0 {
@@ -657,11 +769,6 @@ impl OnlineEngine {
             servers_up: up_count,
         };
 
-        self.prev = Some(PrevEpoch {
-            sched_ids,
-            server_ids: cur_server_ids,
-            assignment: prev_assignment,
-        });
         self.rejected_total += rejected as u64;
         self.motion.step(
             &self.layout,
@@ -680,6 +787,12 @@ impl OnlineEngine {
     /// As [`step`](Self::step); stops at the first failing epoch.
     pub fn run(&mut self, epochs: usize) -> Result<Vec<OnlineEpochReport>, Error> {
         (0..epochs).map(|_| self.step()).collect()
+    }
+
+    /// Current user positions, in population order (after the epochs
+    /// stepped so far).
+    pub fn positions(&self) -> &[Point2] {
+        self.motion.positions()
     }
 
     /// Epochs simulated so far.
@@ -831,8 +944,10 @@ mod tests {
             assert!(r.num_offloaded <= r.scheduled);
             assert!((0.0..=1.0).contains(&r.deadline_hit_rate));
         }
-        // The first epoch has the initial arrivals and cold-solves.
+        // The first epoch has the initial arrivals (no handovers: an
+        // arrival has no previous station) and cold-solves.
         assert_eq!(reports[0].arrivals, 6);
+        assert_eq!(reports[0].handovers, 0);
         assert!(!reports[0].warm_started);
         // Every later epoch with a predecessor warm-starts.
         assert!(reports[1..].iter().all(|r| r.warm_started));
@@ -963,6 +1078,91 @@ mod tests {
             .is_err());
     }
 
+    fn greedy(_: u64) -> Box<dyn Solver> {
+        Box::new(mec_baselines::GreedySolver::new())
+    }
+
+    fn static_engine(users: usize, config: OnlineConfig, seed: u64) -> OnlineEngine {
+        let params = ExperimentParams::paper_default()
+            .with_users(users)
+            .with_servers(3);
+        OnlineEngine::with_static_population(params, config, seed).unwrap()
+    }
+
+    fn run_with_greedy(engine: &mut OnlineEngine, epochs: usize) -> Vec<OnlineEpochReport> {
+        (0..epochs)
+            .map(|_| engine.step_with_solver(&greedy).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn a_static_population_is_present_from_the_start_and_stays() {
+        let mut e = static_engine(8, OnlineConfig::vehicular(), 1);
+        assert_eq!(e.active_users(), 8);
+        assert_eq!(e.positions().len(), 8);
+        let reports = run_with_greedy(&mut e, 5);
+        for (i, r) in reports.iter().enumerate() {
+            assert_eq!(r.epoch, i);
+            assert_eq!((r.active_users, r.scheduled), (8, 8));
+            assert_eq!((r.arrivals, r.departures), (0, 0));
+            assert!(!r.warm_started, "a solver hook always solves cold");
+            assert!(r.utility.is_finite());
+            assert!(r.handovers <= 8 && r.reassignments <= 8);
+        }
+        // The first epoch has no predecessor.
+        assert_eq!(reports[0].handovers, 0);
+        assert_eq!(reports[0].reassignments, 0);
+        assert!(e.sla().is_empty(), "nobody departs");
+        assert_eq!(e.clock().as_secs(), 25.0, "vehicular epochs are 5 s");
+        // Seeded like every other run.
+        let again = run_with_greedy(&mut static_engine(8, OnlineConfig::vehicular(), 1), 5);
+        assert_eq!(reports, again);
+        let other = run_with_greedy(&mut static_engine(8, OnlineConfig::vehicular(), 2), 5);
+        assert_ne!(reports, other);
+        let nobody = ExperimentParams::paper_default().with_users(0);
+        assert!(
+            OnlineEngine::with_static_population(nobody, OnlineConfig::vehicular(), 1).is_err()
+        );
+    }
+
+    #[test]
+    fn static_users_on_held_shadowing_never_churn() {
+        let mut config = OnlineConfig::pedestrian().with_speed_range((0.0, 0.0));
+        config.redraw_shadowing = false;
+        let mut e = static_engine(8, config, 2);
+        let before = e.positions().to_vec();
+        // Greedy is deterministic, positions and channels frozen:
+        // identical decisions every epoch.
+        let reports = run_with_greedy(&mut e, 4);
+        assert_eq!(e.positions(), before.as_slice());
+        for r in &reports {
+            assert_eq!((r.handovers, r.reassignments), (0, 0));
+            assert_eq!(r.utility, reports[0].utility);
+        }
+    }
+
+    #[test]
+    fn fast_movers_hand_over_more_than_slow_ones() {
+        let handovers = |speed: (f64, f64), seed: u64| -> usize {
+            let mut config = OnlineConfig::pedestrian()
+                .with_speed_range(speed)
+                .with_epoch_duration(Seconds::new(30.0));
+            config.redraw_shadowing = false;
+            let params = ExperimentParams::paper_default().with_users(20);
+            let mut e = OnlineEngine::with_static_population(params, config, seed).unwrap();
+            run_with_greedy(&mut e, 12)
+                .iter()
+                .map(|r| r.handovers)
+                .sum()
+        };
+        let slow: usize = (0..3).map(|seed| handovers((0.5, 1.0), seed)).sum();
+        let fast: usize = (0..3).map(|seed| handovers((20.0, 40.0), seed)).sum();
+        assert!(
+            fast > slow,
+            "fast movers should hand over more: {fast} vs {slow}"
+        );
+    }
+
     fn timed(at: f64, event: EngineEvent) -> TimedEvent {
         TimedEvent {
             at: Seconds::new(at),
@@ -1003,6 +1203,36 @@ mod tests {
         for r in &reports {
             assert!(r.utility.is_finite());
         }
+    }
+
+    #[test]
+    fn service_resumes_after_a_total_outage() {
+        // Every server down for one epoch, then one back: the first
+        // recovery epoch warm-starts from the last real decision.
+        let params = ExperimentParams::paper_default().with_servers(2);
+        let churn = PoissonChurn::new(5, 0.0, Seconds::new(1.0e9), 8).unwrap();
+        let mut e = OnlineEngine::new(
+            params,
+            quick_config().with_mode(ResolveMode::warm(100)),
+            Box::new(churn),
+            Box::new(AdmitAll),
+            8,
+        )
+        .unwrap()
+        .with_events(EventSchedule::new(vec![
+            timed(10.0, EngineEvent::ServerOutage { server: 0 }),
+            timed(10.0, EngineEvent::ServerOutage { server: 1 }),
+            timed(20.0, EngineEvent::ServerRecovery { server: 0 }),
+        ]));
+        let reports = e.run(4).unwrap();
+        assert_eq!(
+            reports.iter().map(|r| r.servers_up).collect::<Vec<_>>(),
+            [2, 0, 1, 1]
+        );
+        assert_eq!(reports[1].utility, 0.0, "nothing is served in an outage");
+        assert!(reports[2..].iter().all(|r| r.warm_started));
+        let (scenario, assignment) = e.last_schedule().expect("service resumed");
+        assignment.verify_feasible(scenario).unwrap();
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //!   exponential sojourns) whose rate timeline `load_ramp` events scale.
 //! - [`AdmissionPolicy`] — pluggable overload control; [`AdmitAll`] and
 //!   [`CapacityGate`] (reject vs. force-local) are built in.
+//! - [`RandomWaypoint`] — the users' motion between epochs. A static
+//!   population ([`OnlineEngine::with_static_population`]) only moves:
+//!   the setting of the `dynamics` study and `tsajs-sim simulate`.
 //!
 //! # Example
 //!
@@ -48,8 +51,9 @@
 //! ```
 //!
 //! Determinism: a run is a pure function of `(params, config, churn,
-//! seed)`. The engine derives its per-epoch scenario seeds and its solver
-//! RNG stream exactly like `mec_mobility::dynamic`, so equal seeds yield
+//! seed)`. Motion draws from a stream seeded with `seed`, each epoch's
+//! scenario from `epoch_seed(seed, epoch)` (or `seed` while shadowing is
+//! held) and the re-solve from `seed ^ CHAIN_STREAM`, so equal seeds yield
 //! bit-identical report streams.
 
 #![warn(missing_docs)]
@@ -59,6 +63,7 @@ pub mod churn;
 pub mod engine;
 pub mod events;
 pub mod sla;
+pub mod waypoint;
 
 pub use admission::{
     AdmissionContext, AdmissionDecision, AdmissionPolicy, AdmitAll, CapacityGate, OverflowAction,
@@ -67,3 +72,4 @@ pub use churn::{ChurnEvent, ChurnEventKind, ChurnProcess, PoissonChurn};
 pub use engine::{OnlineConfig, OnlineEngine, OnlineEpochReport};
 pub use events::{EngineEvent, EventSchedule, TimedEvent};
 pub use sla::{CompletedUser, SlaLog};
+pub use waypoint::RandomWaypoint;

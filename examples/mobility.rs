@@ -7,35 +7,38 @@
 //! cargo run --release --example mobility
 //! ```
 
-use tsajs_mec::mobility::{DynamicSimulation, MobilityConfig};
+use tsajs_mec::online::{OnlineConfig, OnlineEngine};
 use tsajs_mec::prelude::*;
 
 fn main() -> Result<(), Error> {
     let params = ExperimentParams::paper_default()
         .with_users(30)
         .with_workload(Cycles::from_mega(2000.0));
-    let mut sim = DynamicSimulation::new(params, MobilityConfig::vehicular(), 11)?;
-
-    println!("epoch | utility | offloaded | handovers | reassignments");
-    println!("------|---------|-----------|-----------|--------------");
-    let history = sim.run(15, |seed| {
+    let mut engine = OnlineEngine::with_static_population(params, OnlineConfig::vehicular(), 11)?;
+    let tsajs = |seed| {
         Box::new(TsajsSolver::new(
             TtsaConfig::paper_default()
                 .with_min_temperature(1e-3)
                 .with_seed(seed),
-        ))
-    })?;
-    for e in &history.epochs {
+        )) as Box<dyn Solver>
+    };
+
+    println!("epoch | utility | offloaded | handovers | reassignments");
+    println!("------|---------|-----------|-----------|--------------");
+    let epochs = 15;
+    let (mut utility, mut churn) = (0.0, 0);
+    for _ in 0..epochs {
+        let r = engine.step_with_solver(&tsajs)?;
         println!(
             "{:>5} | {:>7.3} | {:>9} | {:>9} | {:>13}",
-            e.epoch, e.utility, e.num_offloaded, e.handovers, e.reassignments
+            r.epoch, r.utility, r.num_offloaded, r.handovers, r.reassignments
         );
+        utility += r.utility;
+        churn += r.reassignments;
     }
     println!(
-        "\navg utility {:.3}; total decision churn {} slot-changes over {} epochs",
-        history.average_utility(),
-        history.total_reassignments(),
-        history.epochs.len()
+        "\navg utility {:.3}; total decision churn {churn} slot-changes over {epochs} epochs",
+        utility / epochs as f64
     );
     Ok(())
 }

@@ -13,10 +13,8 @@
 //!   ([`mec_baselines`])
 //! * [`workloads`] — experiment harness for every paper figure
 //!   ([`mec_workloads`])
-//! * [`mobility`] — random-waypoint mobility + dynamic re-scheduling
-//!   ([`mec_mobility`])
-//! * [`online`] — event-driven online engine: churn, warm-started
-//!   re-solves, SLA tracking ([`mec_online`])
+//! * [`online`] — event-driven online engine: churn, random-waypoint
+//!   mobility, warm-started re-solves, SLA tracking ([`mec_online`])
 //! * [`conformance`] — seeded oracle harness: invariant checks, solver
 //!   differential/metamorphic testing, online replay
 //!   ([`mec_conformance`])
@@ -49,7 +47,6 @@
 
 pub use mec_baselines as baselines;
 pub use mec_conformance as conformance;
-pub use mec_mobility as mobility;
 pub use mec_online as online;
 pub use mec_radio as radio;
 pub use mec_service as service;

@@ -1,17 +1,17 @@
-//! Decision pins for the three epoch drivers: the online engine, the
-//! scheduler service core and the mobility simulation.
+//! Decision pins for the two epoch drivers: the online engine (with
+//! churn, and over a static population that only moves) and the
+//! scheduler service core.
 //!
 //! Every other driver test compares a run with its own replay, so a
 //! refactor that changed what a driver decides would still pass them.
 //! These tests fold each run into one FNV-1a fingerprint instead: every
 //! report's utility bits, proposals, reassignments, warm-start flag and
-//! tier, plus the final decision's slots (the mobility simulation, which
-//! does not expose its last decision, contributes its final positions).
+//! tier, plus the final decision's slots (the static-population runs
+//! contribute their final positions instead).
 //!
 //! If one of these fails after an *intentional* change to a driver's
 //! decisions, update the constant and say why in the changelog.
 
-use tsajs_mec::mobility::{DynamicSimulation, History, MobilityConfig};
 use tsajs_mec::online::{
     AdmitAll, EngineEvent, EventSchedule, OnlineConfig, OnlineEngine, OnlineEpochReport,
     PoissonChurn, TimedEvent,
@@ -309,25 +309,25 @@ fn service_depart_and_rearrive_in_one_batch_is_pinned() {
     );
 }
 
-// -------------------------------------------------------------- mobility
+// ----------------------------------------------- static population (mobility)
 
-fn simulation(seed: u64) -> DynamicSimulation {
+fn vehicles(seed: u64, config: OnlineConfig) -> OnlineEngine {
     let params = ExperimentParams::paper_default()
         .with_users(8)
         .with_servers(3);
-    DynamicSimulation::new(params, MobilityConfig::vehicular(), seed).unwrap()
+    OnlineEngine::with_static_population(params, config, seed).unwrap()
 }
 
-fn mobility_fingerprint(sim: &DynamicSimulation, history: &History) -> u64 {
+fn mobility_fingerprint(engine: &OnlineEngine, reports: &[OnlineEpochReport]) -> u64 {
     let mut fp = Fingerprint::new();
-    for e in &history.epochs {
-        fp.word(e.utility.to_bits());
-        fp.word(e.proposals);
-        fp.word(e.reassignments as u64);
-        fp.word(e.handovers as u64);
-        fp.word(e.num_offloaded as u64);
+    for r in reports {
+        fp.word(r.utility.to_bits());
+        fp.word(r.proposals);
+        fp.word(r.reassignments as u64);
+        fp.word(r.handovers as u64);
+        fp.word(r.num_offloaded as u64);
     }
-    for p in sim.positions() {
+    for p in engine.positions() {
         fp.word(p.x.to_bits());
         fp.word(p.y.to_bits());
     }
@@ -338,30 +338,34 @@ fn quick_ttsa() -> TtsaConfig {
     TtsaConfig::paper_default().with_min_temperature(1e-2)
 }
 
+fn solver_fingerprint(
+    seed: u64,
+    epochs: usize,
+    make_solver: &dyn Fn(u64) -> Box<dyn Solver>,
+) -> u64 {
+    let mut engine = vehicles(seed, OnlineConfig::vehicular());
+    let reports: Vec<OnlineEpochReport> = (0..epochs)
+        .map(|_| engine.step_with_solver(make_solver).unwrap())
+        .collect();
+    mobility_fingerprint(&engine, &reports)
+}
+
 #[test]
 fn mobility_run_with_greedy_is_pinned() {
-    let mut sim = simulation(31);
-    let history = sim
-        .run(5, |_| Box::new(GreedySolver::new()) as Box<dyn Solver>)
-        .unwrap();
     assert_pinned(
         "mobility run greedy",
-        mobility_fingerprint(&sim, &history),
+        solver_fingerprint(31, 5, &|_| Box::new(GreedySolver::new())),
         0x0bf5_1a53_b082_5d9e,
     );
 }
 
 #[test]
 fn mobility_run_with_tsajs_is_pinned() {
-    let mut sim = simulation(32);
-    let history = sim
-        .run(4, |seed| {
-            Box::new(TsajsSolver::new(quick_ttsa().with_seed(seed))) as Box<dyn Solver>
-        })
-        .unwrap();
     assert_pinned(
         "mobility run tsajs",
-        mobility_fingerprint(&sim, &history),
+        solver_fingerprint(32, 4, &|seed| {
+            Box::new(TsajsSolver::new(quick_ttsa().with_seed(seed)))
+        }),
         0xacf4_7cbd_de11_f971,
     );
 }
@@ -374,11 +378,14 @@ fn mobility_run_ttsa_is_pinned_in_every_mode() {
         ("warm tempered", tempered(120), 0x9b6b_f81a_7419_ecd2),
     ];
     for (name, mode, pinned) in cases {
-        let mut sim = simulation(33);
-        let history = sim.run_ttsa(4, quick_ttsa(), mode).unwrap();
+        let config = OnlineConfig::vehicular()
+            .with_base(quick_ttsa())
+            .with_mode(mode);
+        let mut engine = vehicles(33, config);
+        let reports = engine.run(4).unwrap();
         assert_pinned(
             &format!("mobility run_ttsa {name}"),
-            mobility_fingerprint(&sim, &history),
+            mobility_fingerprint(&engine, &reports),
             pinned,
         );
     }

@@ -6,7 +6,7 @@
 
 use rand::SeedableRng;
 use tsajs_mec::baselines::upper_bound;
-use tsajs_mec::mobility::{DynamicSimulation, MobilityConfig};
+use tsajs_mec::online::{OnlineConfig, OnlineEngine};
 use tsajs_mec::prelude::*;
 use tsajs_mec::service::{RequestKind, SchedulerCore, ServiceConfig, ServiceRuntime};
 use tsajs_mec::system::ScenarioSpec;
@@ -79,13 +79,16 @@ fn end_to_end_story() {
     assert_eq!(core.metrics().overload_rejections, 0);
 
     // 7. Mobility episode with incremental re-scheduling.
-    let mut sim = DynamicSimulation::new(params, MobilityConfig::vehicular(), 77).unwrap();
     let base = TtsaConfig::paper_default().with_min_temperature(1e-3);
-    let history = sim.run_ttsa(4, base, ResolveMode::warm(150)).unwrap();
-    assert_eq!(history.epochs.len(), 4);
-    assert!(history.average_utility().is_finite());
+    let config = OnlineConfig::vehicular()
+        .with_base(base)
+        .with_mode(ResolveMode::warm(150));
+    let mut engine = OnlineEngine::with_static_population(params, config, 77).unwrap();
+    let reports = engine.run(4).unwrap();
+    assert_eq!(reports.len(), 4);
+    assert!(reports.iter().all(|r| r.utility.is_finite()));
     // Refresh epochs stay within their budget (rounded up to an epoch).
-    for e in &history.epochs[1..] {
-        assert!(e.proposals <= 150 + base.inner_iterations as u64);
+    for r in &reports[1..] {
+        assert!(r.proposals <= 150 + base.inner_iterations as u64);
     }
 }
