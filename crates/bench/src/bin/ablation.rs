@@ -30,5 +30,5 @@ fn main() {
     let config = AblationConfig::paper(preset);
     let mut tables = ablation::run(&config).expect("ablation failed");
     tables.push(baseline_context(&config, preset));
-    mec_bench::emit(&tables, "ablation").expect("failed to write results");
+    mec_bench::emit(&tables, "ablation", preset).expect("failed to write results");
 }

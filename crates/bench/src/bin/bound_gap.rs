@@ -4,5 +4,5 @@
 fn main() {
     let preset = mec_bench::preset_from_args();
     let tables = mec_workloads::experiments::bound_gap::paper(preset).expect("experiment failed");
-    mec_bench::emit(&tables, "bound_gap").expect("failed to write results");
+    mec_bench::emit(&tables, "bound_gap", preset).expect("failed to write results");
 }

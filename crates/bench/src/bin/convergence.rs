@@ -4,11 +4,16 @@
 
 use mec_viz::{LineChart, Series};
 use mec_workloads::experiments::convergence::{run, ConvergenceConfig};
+use mec_workloads::Preset;
 
 fn main() {
+    // The study has no quick preset: its one configuration is the full
+    // one (what `convergence::paper(Preset::Full)` runs), so its table
+    // and chart are the committed ones.
+    let preset = Preset::Full;
     let config = ConvergenceConfig::default_comparison();
     let tables = run(&config).expect("experiment failed");
-    mec_bench::emit(&tables, "convergence").expect("failed to write results");
+    mec_bench::emit(&tables, "convergence", preset).expect("failed to write results");
 
     // Chart the (clipped) curves: the first epochs sit at J ≈ -10^5 and
     // would flatten everything else, so clip to the interesting range.
@@ -32,7 +37,7 @@ fn main() {
         }
     }
     let svg = chart.render();
-    let path = mec_bench::results_dir().join("convergence.svg");
+    let path = mec_bench::results_dir(preset).join("convergence.svg");
     std::fs::write(&path, svg).expect("failed to write chart");
     eprintln!("saved {}", path.display());
 }

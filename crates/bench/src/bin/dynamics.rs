@@ -121,7 +121,7 @@ fn main() {
     let mut config = StudyConfig::default_study();
     config.epochs = if preset.is_full() { 40 } else { 10 };
     let tables = run(&config).expect("study failed");
-    mec_bench::emit(&tables, "dynamics").expect("failed to write results");
+    mec_bench::emit(&tables, "dynamics", preset).expect("failed to write results");
 }
 
 #[cfg(test)]

@@ -5,5 +5,5 @@ fn main() {
     let preset = mec_bench::preset_from_args();
     eprintln!("running fig6 with preset {preset:?} ...");
     let tables = mec_workloads::experiments::fig6::paper(preset).expect("experiment failed");
-    mec_bench::emit(&tables, "fig6").expect("failed to write results");
+    mec_bench::emit(&tables, "fig6", preset).expect("failed to write results");
 }

@@ -5,5 +5,5 @@ fn main() {
     let preset = mec_bench::preset_from_args();
     eprintln!("running fig9 with preset {preset:?} ...");
     let tables = mec_workloads::experiments::fig9::paper(preset).expect("experiment failed");
-    mec_bench::emit(&tables, "fig9").expect("failed to write results");
+    mec_bench::emit(&tables, "fig9", preset).expect("failed to write results");
 }

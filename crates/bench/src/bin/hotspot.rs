@@ -3,5 +3,5 @@
 fn main() {
     let preset = mec_bench::preset_from_args();
     let tables = mec_workloads::experiments::hotspot::paper(preset).expect("experiment failed");
-    mec_bench::emit(&tables, "hotspot").expect("failed to write results");
+    mec_bench::emit(&tables, "hotspot", preset).expect("failed to write results");
 }

@@ -4,5 +4,5 @@
 fn main() {
     let preset = mec_bench::preset_from_args();
     let tables = mec_workloads::experiments::priority::paper(preset).expect("experiment failed");
-    mec_bench::emit(&tables, "priority").expect("failed to write results");
+    mec_bench::emit(&tables, "priority", preset).expect("failed to write results");
 }

@@ -26,7 +26,7 @@ fn main() {
         eprintln!("=== {id} ===");
         let start = std::time::Instant::now();
         let tables = run(preset).expect("experiment failed");
-        mec_bench::emit(&tables, id).expect("failed to write results");
+        mec_bench::emit(&tables, id, preset).expect("failed to write results");
         eprintln!("{id} done in {:.1}s", start.elapsed().as_secs_f64());
     }
 }

@@ -1,12 +1,14 @@
 //! # mec-bench
 //!
-//! Criterion benchmarks and per-figure regeneration binaries.
+//! Criterion benches and per-figure regeneration binaries.
 //!
 //! Run `cargo run -p mec-bench --release --bin run_all` to regenerate
-//! every table of the paper (markdown to stdout, CSVs under `results/`),
-//! or `--bin fig3` … `--bin fig9` for a single figure. Pass `--full` for
+//! every table of the paper (markdown to stdout, CSVs to disk), or
+//! `--bin fig3` … `--bin fig9` for a single figure. Pass `--full` for
 //! the paper-faithful trial counts and annealing schedule (the default is
-//! the quick preset).
+//! the quick preset). Only `--full` runs write the committed tables under
+//! `results/`; quick runs write theirs to the git-ignored `results/quick/`
+//! so that a smoke run never overwrites them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,23 +26,30 @@ pub fn preset_from_args() -> Preset {
     }
 }
 
-/// The workspace-level `results/` directory.
-pub fn results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+/// Where a run at `preset` writes its tables: the workspace-level
+/// `results/` directory for the paper-faithful preset, whose tables are
+/// committed, and `results/quick/` for anything less.
+pub fn results_dir(preset: Preset) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("..")
         .join("..")
-        .join("results")
+        .join("results");
+    if preset.is_full() {
+        dir
+    } else {
+        dir.join("quick")
+    }
 }
 
 /// Prints each table as markdown and saves it as
-/// `results/<figure_id>_<index>.csv`.
+/// `<results_dir(preset)>/<figure_id>_<index>.csv`.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from creating the results directory or writing
 /// files.
-pub fn emit(tables: &[Table], figure_id: &str) -> std::io::Result<()> {
-    let dir = results_dir();
+pub fn emit(tables: &[Table], figure_id: &str, preset: Preset) -> std::io::Result<()> {
+    let dir = results_dir(preset);
     std::fs::create_dir_all(&dir)?;
     for (i, table) in tables.iter().enumerate() {
         println!("{}", table.to_markdown());
@@ -57,17 +66,33 @@ mod tests {
 
     #[test]
     fn results_dir_points_into_the_workspace() {
-        let dir = results_dir();
-        assert!(dir.ends_with("results"));
+        assert!(results_dir(Preset::Full).ends_with("results"));
+        assert!(results_dir(Preset::Quick).ends_with("results/quick"));
     }
 
     #[test]
     fn emit_writes_csvs() {
         let mut t = Table::new("test", vec!["a".into()]);
         t.push_row(vec!["1".into()]);
-        emit(&[t], "unit_test_fig").unwrap();
-        let path = results_dir().join("unit_test_fig_0.csv");
+        emit(&[t], "unit_test_fig", Preset::Full).unwrap();
+        let path = results_dir(Preset::Full).join("unit_test_fig_0.csv");
         assert!(path.exists());
         std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn quick_emit_leaves_the_committed_table_untouched() {
+        let committed = results_dir(Preset::Full).join("unit_test_quick_0.csv");
+        std::fs::write(&committed, "full,table\n").unwrap();
+        let mut t = Table::new("test", vec!["a".into()]);
+        t.push_row(vec!["1".into()]);
+        emit(&[t], "unit_test_quick", Preset::Quick).unwrap();
+        let quick = results_dir(Preset::Quick).join("unit_test_quick_0.csv");
+        let kept = std::fs::read_to_string(&committed).unwrap();
+        let written = std::fs::read_to_string(&quick).unwrap();
+        std::fs::remove_file(committed).unwrap();
+        std::fs::remove_file(quick).unwrap();
+        assert_eq!(kept, "full,table\n");
+        assert!(written.starts_with('a'), "got {written:?}");
     }
 }
