@@ -30,7 +30,7 @@
 use mec_types::{effective_parallelism, UserId};
 use mec_workloads::{ExperimentParams, ScenarioGenerator};
 use std::time::Instant;
-use tsajs::{resolve_sharded, solve_sharded, ShardConfig, ShardRun, TtsaConfig};
+use tsajs::{resolve_sharded, solve_sharded, ShardConfig, TtsaConfig};
 
 const SEED: u64 = 11;
 
@@ -92,7 +92,6 @@ fn run_shard(
 struct StreamRun {
     resolve_seconds: f64,
     utility: f64,
-    fast_utility: f64,
     sweeps: usize,
     proposals: u64,
     converged: bool,
@@ -129,12 +128,11 @@ fn run_churn_stream(
             map
         })
         .collect();
-    // Timed stream: each round is a warm `ShardRun` closed by the cheap
-    // `finish_fast`, so a measurement point costs only what the warm
-    // patch + reconciler cost — never the audited `O(U·S)` resync, which
-    // would only dilute the measurement.
+    // Timed stream: each round is the audited warm re-solve, final
+    // re-score included; it costs O(offloaded·S), so it does not dilute
+    // the measurement.
     let mut best_seconds = f64::INFINITY;
-    let mut fast = None;
+    let mut last = None;
     for _ in 0..reps {
         let mut prev = cold.clone();
         let mut sweeps = 0usize;
@@ -142,42 +140,23 @@ fn run_churn_stream(
         let mut converged = true;
         let start = Instant::now();
         for map in &maps {
-            let mut run =
-                ShardRun::warm(scenario, *config, workers, &prev, map).expect("warm shard phase");
-            while run.sweeps() < config.max_sweeps {
-                if !run.sweep().expect("halo sweep") {
-                    break;
-                }
-            }
-            prev = run.finish_fast();
+            prev = resolve_sharded(scenario, config, workers, &prev, map).expect("warm re-solve");
             sweeps += prev.sweeps;
             proposals += prev.proposals;
             converged &= prev.converged;
         }
         best_seconds = best_seconds.min(start.elapsed().as_secs_f64());
-        fast = Some(StreamRun {
-            resolve_seconds: 0.0,
-            utility: f64::NAN,
-            fast_utility: prev.objective,
-            sweeps,
-            proposals,
-            converged,
-            halo_residual: f64::NAN,
-        });
+        last = Some((prev, sweeps, proposals, converged));
     }
-    // Audited replay, outside the timer: the same deterministic stream
-    // through `resolve_sharded` supplies the true final objective and
-    // accounting residual.
-    let mut audited = cold;
-    for map in &maps {
-        audited =
-            resolve_sharded(scenario, config, workers, &audited, map).expect("audited re-solve");
+    let (end, sweeps, proposals, converged) = last.expect("at least one repetition");
+    StreamRun {
+        resolve_seconds: best_seconds,
+        utility: end.objective,
+        sweeps,
+        proposals,
+        converged,
+        halo_residual: end.halo_residual,
     }
-    let mut run = fast.expect("at least one repetition");
-    run.resolve_seconds = best_seconds;
-    run.utility = audited.objective;
-    run.halo_residual = audited.halo_residual;
-    run
 }
 
 fn main() {
@@ -410,11 +389,10 @@ fn main() {
     let reconcile_json = format!(
         "{{\"users\":{r_users},\"servers\":{r_servers},\"cluster_budget\":{r_budget},\
          \"workers\":{r_workers},\"rounds\":{r_rounds},\"churn_cap\":{r_churn_cap},\
-         \"pipelined\":{{\"resolve_seconds\":{},\"utility\":{},\"fast_utility\":{},\
+         \"pipelined\":{{\"resolve_seconds\":{},\"utility\":{},\
          \"sweeps\":{},\"proposals\":{},\"converged\":{},\"halo_residual\":{}}}}}",
         pipelined.resolve_seconds,
         pipelined.utility,
-        pipelined.fast_utility,
         pipelined.sweeps,
         pipelined.proposals,
         pipelined.converged,

@@ -1986,7 +1986,9 @@ mod tests {
     use crate::evaluation::{EvalScratch, Evaluator};
     use crate::scenario::UserSpec;
     use mec_radio::{ChannelGains, OfdmaConfig};
-    use mec_types::{Cycles, Hertz, ServerProfile, UserPreferences, Watts};
+    use mec_types::{
+        Bits, BitsPerSecond, Cycles, Hertz, ServerProfile, Task, UserPreferences, Watts,
+    };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -2055,13 +2057,72 @@ mod tests {
 
     #[test]
     fn fresh_build_matches_reference() {
+        // A fresh build runs the reference evaluator's float operations in
+        // the same order, so the two agree to the bit on every input
+        // shape: dense and shared gains, zero-gain links, an external
+        // field, a downlink and random β. The shard engine's final
+        // re-score relies on this.
         let mut scratch = EvalScratch::default();
-        for seed in 0..6 {
-            let sc = random_scenario(seed, 9, 3, 3);
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed + 4_000);
+            let users = rng.gen_range(1..40);
+            let servers = rng.gen_range(1..12);
+            let subs = rng.gen_range(1..5);
+            let dead_links = seed % 5 == 0;
+            let draw = move |rng: &mut StdRng| {
+                if dead_links && rng.gen_bool(0.1) {
+                    0.0
+                } else {
+                    10.0_f64.powf(rng.gen_range(-13.0..-9.0))
+                }
+            };
+            let gains = if seed % 2 == 0 {
+                ChannelGains::from_fn(users, servers, subs, |_, _, _| draw(&mut rng))
+            } else {
+                ChannelGains::shared_from_fn(users, servers, subs, |_, _| draw(&mut rng))
+            }
+            .unwrap();
+            let specs = (0..users)
+                .map(|_| {
+                    let task = Task::with_output(
+                        Bits::from_kilobytes(rng.gen_range(100.0..800.0)),
+                        Cycles::from_mega(rng.gen_range(500.0..3000.0)),
+                        Bits::new(rng.gen_range(0.0..2.0e6)),
+                    )
+                    .unwrap();
+                    UserSpec {
+                        task,
+                        preferences: UserPreferences::new(rng.gen_range(0.0..=1.0)).unwrap(),
+                        ..UserSpec::paper_default_with_workload(Cycles::from_mega(1000.0)).unwrap()
+                    }
+                })
+                .collect();
+            let mut sc = Scenario::new(
+                specs,
+                vec![ServerProfile::paper_default(); servers],
+                OfdmaConfig::new(Hertz::from_mega(20.0), subs).unwrap(),
+                gains,
+                Watts::new(1e-13),
+            )
+            .unwrap();
+            if rng.gen_bool(0.3) {
+                sc = sc.with_downlink(BitsPerSecond::new(50.0e6)).unwrap();
+            }
+            if rng.gen_bool(0.5) {
+                let ext = (0..subs * servers)
+                    .map(|_| rng.gen_range(0.0..1e-11))
+                    .collect();
+                sc.set_external_rx(Some(ext)).unwrap();
+            }
             let x = random_assignment(&sc, seed + 40);
             let reference = Evaluator::new(&sc).objective_with(&x, &mut scratch);
             let inc = IncrementalObjective::new(&sc, x).unwrap();
-            assert_close(inc.current(), reference, "fresh build");
+            assert_eq!(
+                inc.current().to_bits(),
+                reference.to_bits(),
+                "seed {seed}: incremental {} vs reference {reference}",
+                inc.current()
+            );
         }
     }
 

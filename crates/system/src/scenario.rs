@@ -234,11 +234,13 @@ impl Scenario {
 
     /// Builds the sub-scenario restricted to the given users and servers:
     /// new user `v` is old `users[v]`, new server `t` is old `servers[t]`,
-    /// with gain rows carried along in their existing storage layout. All
-    /// derived per-user quantities are recomputed from the same specs, so
-    /// they are bit-identical to the parent's. Any external-rx field is
-    /// *not* inherited — callers that shard a scenario install each
-    /// cluster's halo explicitly per sweep.
+    /// with gain rows carried along in their existing storage layout. The
+    /// derived per-user quantities (local costs, linear powers and the
+    /// objective coefficients, download cost included) are copied from
+    /// the parent, not recomputed, so they are the parent's bit for bit.
+    /// The downlink is inherited; any external-rx field is *not* —
+    /// callers that shard a scenario install each cluster's halo
+    /// explicitly per sweep.
     ///
     /// # Errors
     ///
@@ -263,15 +265,27 @@ impl Scenario {
                 });
             }
         }
-        let sub_users: Vec<UserSpec> = users.iter().map(|&u| self.users[u.index()]).collect();
-        let sub_servers: Vec<ServerProfile> =
-            servers.iter().map(|&s| self.servers[s.index()]).collect();
-        let gains = self.gains.subset(users, servers)?;
-        let base = Self::new(sub_users, sub_servers, self.ofdma, gains, self.noise)?;
-        match self.downlink {
-            Some(rate) => base.with_downlink(rate),
-            None => Ok(base),
+        if users.is_empty() {
+            return Err(Error::invalid("U", "scenario needs at least one user"));
         }
+        if servers.is_empty() {
+            return Err(Error::invalid("S", "scenario needs at least one server"));
+        }
+        Ok(Self {
+            users: users.iter().map(|u| self.users[u.index()]).collect(),
+            servers: servers.iter().map(|s| self.servers[s.index()]).collect(),
+            ofdma: self.ofdma,
+            gains: self.gains.subset(users, servers)?,
+            noise: self.noise,
+            downlink: self.downlink,
+            external_rx: None,
+            local_costs: users.iter().map(|u| self.local_costs[u.index()]).collect(),
+            tx_powers_watts: users
+                .iter()
+                .map(|u| self.tx_powers_watts[u.index()])
+                .collect(),
+            coefficients: users.iter().map(|u| self.coefficients[u.index()]).collect(),
+        })
     }
 
     /// Overrides user `u`'s uplink transmit power — the mutation hook for
@@ -696,6 +710,41 @@ mod tests {
             .unwrap()
             .external_rx()
             .is_none());
+        // It does inherit the downlink, and the copied coefficients carry
+        // the download cost bit for bit.
+        let mut specs = s.users().to_vec();
+        for (u, spec) in specs.iter_mut().enumerate() {
+            spec.task = Task::with_output(
+                spec.task.data(),
+                spec.task.workload(),
+                mec_types::Bits::new(2.0e5 * (u + 1) as f64),
+            )
+            .unwrap();
+        }
+        let downlinked = Scenario::new(
+            specs,
+            s.servers().to_vec(),
+            *s.ofdma(),
+            s.gains().clone(),
+            s.noise(),
+        )
+        .unwrap()
+        .with_downlink(BitsPerSecond::new(50.0e6))
+        .unwrap();
+        let sub = downlinked.subset(&users, &servers).unwrap();
+        assert_eq!(sub.downlink(), downlinked.downlink());
+        for (v, &old) in users.iter().enumerate() {
+            let (copied, parent) = (
+                sub.coefficients(UserId::new(v)),
+                downlinked.coefficients(old),
+            );
+            assert!(parent.download_cost > 0.0);
+            assert_eq!(
+                copied.download_cost.to_bits(),
+                parent.download_cost.to_bits()
+            );
+            assert_eq!(copied, parent);
+        }
         // Degenerate and out-of-range subsets are rejected.
         assert!(s.subset(&[], &servers).is_err());
         assert!(s.subset(&users, &[]).is_err());

@@ -59,10 +59,11 @@ fn shard_seeded_runs_are_pinned() {
             "seed {seed} halo accounting broke: {}",
             stats.halo_residual
         );
-        // The reported utility is the monolithic resync, bit for bit.
+        // The reported utility is the monolithic re-score, bit for bit.
         let recomputed = Evaluator::new(&sc).objective(&solution.assignment);
-        assert!(
-            (solution.utility - recomputed).abs() <= TOL * recomputed.abs().max(1.0),
+        assert_eq!(
+            solution.utility.to_bits(),
+            recomputed.to_bits(),
             "seed {seed}: reported {} vs monolithic {recomputed}",
             solution.utility
         );
@@ -107,4 +108,11 @@ fn shard_large_population_run_is_pinned() {
     solution.assignment.verify_feasible(&sc).unwrap();
     let stats = solver.last_stats().expect("stats recorded");
     assert!(stats.halo_residual <= TOL);
+    let recomputed = Evaluator::new(&sc).objective(&solution.assignment);
+    assert_eq!(
+        solution.utility.to_bits(),
+        recomputed.to_bits(),
+        "U=10k: reported {} vs monolithic {recomputed}",
+        solution.utility
+    );
 }
