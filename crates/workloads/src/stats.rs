@@ -76,6 +76,10 @@ impl SampleStats {
     }
 }
 
+/// Relative tolerance within which two paired values count as equal: the
+/// workspace's agreement tolerance, the conformance oracle's default.
+const PAIR_TOLERANCE: f64 = 1e-9;
+
 /// Statistics of the paired differences `a[i] − b[i]`.
 ///
 /// In the experiment harness every scheme sees the same scenario
@@ -84,12 +88,29 @@ impl SampleStats {
 /// raw CIs. The comparison is *significant at 95 %* when the differences'
 /// confidence interval excludes zero.
 ///
+/// A pair whose values agree within a relative `1e-9` (of the larger
+/// magnitude, floored at 1) counts as a zero difference. Two schemes that
+/// reach the same decision can report utilities a few ulps apart, because
+/// they sum its terms in different orders, and that noise must not read
+/// as a significant gap.
+///
 /// # Panics
 ///
 /// Panics if the samples are empty or of different lengths.
 pub fn paired_difference(a: &[f64], b: &[f64]) -> SampleStats {
     assert_eq!(a.len(), b.len(), "paired samples must have equal length");
-    let diffs: Vec<f64> = a.iter().zip(b).map(|(x, y)| x - y).collect();
+    let diffs: Vec<f64> = a
+        .iter()
+        .zip(b)
+        .map(|(x, y)| {
+            let scale = x.abs().max(y.abs()).max(1.0);
+            if (x - y).abs() <= PAIR_TOLERANCE * scale {
+                0.0
+            } else {
+                x - y
+            }
+        })
+        .collect();
     SampleStats::from_sample(&diffs)
 }
 
@@ -189,6 +210,24 @@ mod tests {
     fn equal_schemes_are_not_significant() {
         let a = [1.0, 2.0, 3.0, 4.0];
         let diff = paired_difference(&a, &a);
+        assert_eq!(diff.mean, 0.0);
+        assert!(!diff.significantly_nonzero());
+
+        // The same decisions summed in another order: most pairs differ
+        // by an ulp or two, always upward, which a plain paired t-test
+        // calls significant.
+        let a: Vec<f64> = (0..60).map(|i| 1.5 + 0.05 * i as f64).collect();
+        let b: Vec<f64> = a
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| match i % 4 {
+                0 => x,
+                k => x - k as f64 * f64::EPSILON * x,
+            })
+            .collect();
+        let raw: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x - y).collect();
+        assert!(SampleStats::from_sample(&raw).significantly_nonzero());
+        let diff = paired_difference(&a, &b);
         assert_eq!(diff.mean, 0.0);
         assert!(!diff.significantly_nonzero());
     }
