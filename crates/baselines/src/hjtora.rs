@@ -188,13 +188,13 @@ impl HJtoraSolver {
     /// Steepest ascent from `x` until no adjustment improves; returns the
     /// local optimum and its objective.
     ///
-    /// Every candidate is scored speculatively against persistent
+    /// Every candidate is scored against persistent
     /// [`IncrementalObjective`] state
-    /// ([`score`](IncrementalObjective::score) replays the apply-path
-    /// arithmetic bit-exactly without mutating anything), so a round
-    /// costs `O(candidates · S)` with no per-candidate journaling or
-    /// undo. The state is re-synchronized after each applied adjustment,
-    /// which bounds drift to a single round.
+    /// ([`score`](IncrementalObjective::score) equals the apply-path
+    /// arithmetic bit for bit and leaves the state as it found it), so a
+    /// round costs `O(candidates · S)`. The state is re-synchronized
+    /// after each applied adjustment, which bounds drift to a single
+    /// round.
     fn ascend(
         &self,
         scenario: &Scenario,

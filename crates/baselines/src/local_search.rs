@@ -67,9 +67,9 @@ impl Solver for LocalSearchSolver {
         let kernel = NeighborhoodKernel::new();
 
         // Delta-evaluation hot loop: propose a compact move and score it
-        // speculatively against the maintained sums — rejected proposals
-        // (the vast majority once the climb stalls) never mutate the
-        // state, so they cost no journaling and no undo. Draw order and
+        // against the maintained sums; only an accepted move is applied
+        // and committed, and a rejected one (the vast majority once the
+        // climb stalls) leaves the state as it found it. Draw order and
         // trajectory match the historical apply/undo loop bit for bit.
         let mut inc = IncrementalObjective::new(scenario, Assignment::all_local(scenario))?;
         let mut current_obj = 0.0;

@@ -204,8 +204,8 @@ pub enum Step {
 /// Metropolis uniform `r` (lines 20-22) is drawn at once, and the move
 /// is rejected unpriced when `r > 0` and `exp(b/T)` (with a rounding
 /// margin) cannot beat `r`; below `b/T = −37` that needs no `exp` at
-/// all. Every other move is priced speculatively (bit-identical to
-/// `apply` + `current`, without touching the state) and judged: an
+/// all. Every other move is priced (bit-identical to `apply` +
+/// `current`, leaving the state as it found it) and judged: an
 /// improving move is accepted outright, otherwise against the same
 /// uniform, drawn now if it was not drawn yet. The gate settles
 /// rejections only and the null-move shortcut changes no decision. The
