@@ -1,12 +1,11 @@
 //! The objective-evaluation hot path: per-proposal cost and data-layout
 //! ablation at the paper's largest population (U = 90).
 //!
-//! Not a criterion bench: the acceptance criterion is a per-proposal
-//! speedup ratio of the speculative scoring path over the apply/undo
-//! incremental baseline at equal mean quality over fixed seeds, so this
-//! is a plain harness that measures both paths over seeds 11/23/47,
-//! prints two tables (per-proposal metrics and the SoA layout ablation)
-//! and writes the machine-readable verdict to `BENCH_objective.json`
+//! A plain harness: it times each evaluation path per proposal (among
+//! them the scoring path against the apply/undo loop) over seeds
+//! 11/23/47, checks the mean solver quality on the same seeds, prints
+//! two tables (per-proposal metrics and the SoA layout ablation) and
+//! writes the machine-readable verdict to `BENCH_objective.json`
 //! (override the path with `TSAJS_BENCH_OUT`).
 //!
 //! Modes:
@@ -17,7 +16,6 @@
 //!   tier-1 suite never pays for a benchmark.
 
 use mec_radio::ChannelGains;
-use mec_system::pr1_baseline::Pr1IncrementalObjective;
 use mec_system::simd::{add_assign_rows, padded_len};
 use mec_system::{
     Assignment, CoefficientBlocks, Evaluator, IncrementalObjective, Scenario, Solver,
@@ -35,12 +33,6 @@ const SEEDS: [u64; 3] = [11, 23, 47];
 
 /// Fixed temperature of the timed `solver_step` walk.
 const STEP_TEMPERATURE: f64 = 0.5;
-
-/// The PR-1 `incremental_delta` per-proposal figure at U = 90 recorded
-/// in EXPERIMENTS.md (criterion harness, propose included, this
-/// machine) — the denominator of the headline speedup. The same-day
-/// cross-check lives in the same-harness `incremental_delta` column.
-const PR1_RECORDED_NS: f64 = 276.0;
 
 /// One timed pass of `iters` iterations, in nanoseconds per iteration.
 ///
@@ -78,7 +70,6 @@ struct Metrics {
     full_evaluate: f64,
     propose_only: f64,
     cloning_proposal: f64,
-    pr1_incremental_delta: f64,
     incremental_delta: f64,
     score_path: f64,
     bound_path: f64,
@@ -101,7 +92,6 @@ fn measure(scenario: &Scenario, reps: u32, iters: u64) -> Metrics {
         full_evaluate: inf,
         propose_only: inf,
         cloning_proposal: inf,
-        pr1_incremental_delta: inf,
         incremental_delta: inf,
         score_path: inf,
         bound_path: inf,
@@ -121,8 +111,6 @@ fn measure(scenario: &Scenario, reps: u32, iters: u64) -> Metrics {
     let mut rng_propose = StdRng::seed_from_u64(7);
     let mut scratch = mec_system::EvalScratch::default();
     let mut rng_clone = StdRng::seed_from_u64(7);
-    let mut pr1_inc = Pr1IncrementalObjective::new(scenario, x.clone()).expect("feasible");
-    let mut rng_pr1 = StdRng::seed_from_u64(7);
     let mut inc_delta = IncrementalObjective::new(scenario, x.clone()).expect("feasible");
     let mut rng_delta = StdRng::seed_from_u64(7);
     let mut inc_score = IncrementalObjective::new(scenario, x.clone()).expect("feasible");
@@ -185,23 +173,9 @@ fn measure(scenario: &Scenario, reps: u32, iters: u64) -> Metrics {
             black_box(evaluator.objective_with(&candidate, &mut scratch));
         }));
 
-        // The PR-1 incremental baseline, measured live: the AoS/scalar
-        // evaluator exactly as it shipped in PR 1 is vendored into
-        // `mec_system::pr1_baseline` so this runs in the same process
-        // on the same machine state as the new paths — a same-run
-        // denominator immune to the container's clock-phase swings that
-        // a recorded number from another day is hostage to.
-        m.pr1_incremental_delta = m.pr1_incremental_delta.min(time_ns(iters, || {
-            let (mv, _) = kernel.propose_move(scenario, pr1_inc.assignment(), &mut rng_pr1);
-            pr1_inc.apply(&mv);
-            black_box(pr1_inc.current());
-            pr1_inc.undo();
-        }));
-
-        // The same loop shape on this tree's evaluator: propose a
-        // compact move, apply it to the maintained sums, read the
-        // objective, roll it back. Every rejected proposal pays the
-        // mutation, the journal and the undo.
+        // The incremental loop: propose a compact move, apply it to the
+        // maintained sums, read the objective, roll it back. Every
+        // proposal pays the mutation, the journal and the undo.
         m.incremental_delta = m.incremental_delta.min(time_ns(iters, || {
             let (mv, _) = kernel.propose_move(scenario, inc_delta.assignment(), &mut rng_delta);
             inc_delta.apply(&mv);
@@ -209,9 +183,9 @@ fn measure(scenario: &Scenario, reps: u32, iters: u64) -> Metrics {
             inc_delta.undo();
         }));
 
-        // This PR's speculative path: propose, then *score* the move —
-        // the same arithmetic as apply, replayed against borrowed
-        // state, with no mutation, no journal and no undo.
+        // The scoring path: propose, then *score* the move. A slot take
+        // is priced straight-line without touching the state; any other
+        // move is applied, read and undone.
         m.score_path = m.score_path.min(time_ns(iters, || {
             let (mv, _) = kernel.propose_move(scenario, inc_score.assignment(), &mut rng_score);
             black_box(inc_score.score(&mv));
@@ -333,9 +307,8 @@ fn main() {
     for seed in SEEDS {
         let scenario = generator.generate(seed).expect("scenario");
         all.push(measure(&scenario, reps, iters));
-        // Solution quality: the solver replays the PR-1 trajectory bit
-        // for bit (pinned by the determinism tests), so its J IS the
-        // baseline J.
+        // Solution quality: the solver's seeded trajectory is pinned by
+        // the regression tests, so this J only moves with a decision.
         let mut solver = TsajsSolver::new(base.with_seed(seed));
         utilities.push(solver.solve(&scenario).expect("solve").utility);
     }
@@ -345,7 +318,6 @@ fn main() {
     let full_evaluate = agg(|m| m.full_evaluate);
     let propose_only = agg(|m| m.propose_only);
     let cloning = agg(|m| m.cloning_proposal);
-    let pr1_incremental = agg(|m| m.pr1_incremental_delta);
     let incremental = agg(|m| m.incremental_delta);
     let score = agg(|m| m.score_path);
     let bound_path = agg(|m| m.bound_path);
@@ -363,7 +335,6 @@ fn main() {
         ("full_evaluate", full_evaluate),
         ("propose_only", propose_only),
         ("cloning_proposal", cloning),
-        ("pr1_incremental_delta", pr1_incremental),
         ("incremental_delta", incremental),
         ("score_path", score),
         ("bound_path", bound_path),
@@ -388,22 +359,14 @@ fn main() {
         println!("{name:<22} {ns:>12.2}");
     }
 
-    let speedup_vs_recorded = PR1_RECORDED_NS / score;
-    let speedup_same_run = pr1_incremental / score;
     let speedup = incremental / score;
     let speedup_vs_clone = cloning / score;
     let mean_j = mean(utilities.iter().copied());
     println!(
-        "\nspeculative scoring vs the PR-1 incremental baseline: \
-         {speedup_vs_recorded:.2}x per proposal vs the {PR1_RECORDED_NS:.0} ns recorded in \
-         EXPERIMENTS.md, {speedup_same_run:.2}x vs the vendored PR-1 evaluator measured in \
-         this run ({speedup:.2}x vs this tree's apply/undo, {speedup_vs_clone:.0}x vs the \
-         cloning path)"
+        "\nscore path: {speedup:.2}x per proposal vs the apply/undo loop, \
+         {speedup_vs_clone:.0}x vs the cloning path"
     );
-    println!(
-        "mean J: {mean_j:.6} (trajectory-identical to the PR-1 baseline, so it \
-         is the baseline J)"
-    );
+    println!("mean J: {mean_j:.6}");
 
     let per_seed: Vec<String> = SEEDS
         .iter()
@@ -415,7 +378,6 @@ fn main() {
          \"per_proposal_ns\": {{\n    \"closed_form\": {closed_form},\n    \
          \"full_evaluate\": {full_evaluate},\n    \"propose_only\": {propose_only},\n    \
          \"cloning_proposal\": {cloning},\n    \
-         \"pr1_incremental_delta\": {pr1_incremental},\n    \
          \"incremental_delta\": {incremental},\n    \
          \"score_path\": {score},\n    \"bound_path\": {bound_path},\n    \
          \"solver_step\": {solver_step}\n  }},\n  \
@@ -423,19 +385,9 @@ fn main() {
          \"solver_step_settled_share\": {settled_share},\n  \
          \"layout_ns_per_row\": {{\n    \"aos_scalar\": {aos},\n    \
          \"soa_scalar\": {soa},\n    \"soa_chunked\": {chunked}\n  }},\n  \
-         \"pr1_recorded_baseline_ns\": {PR1_RECORDED_NS},\n  \
-         \"speedup_score_vs_pr1_recorded\": {speedup_vs_recorded},\n  \
-         \"speedup_score_vs_pr1_same_run\": {speedup_same_run},\n  \
          \"speedup_score_vs_applyundo\": {speedup},\n  \
          \"speedup_score_vs_cloning\": {speedup_vs_clone},\n  \
          \"mean_utility\": {mean_j},\n  \
-         \"baseline_note\": \"pr1_recorded_baseline_ns is the U=90 incremental_delta figure \
-         recorded by PR 1 in EXPERIMENTS.md on this machine; part of that ratio is \
-         methodology (criterion mean there vs keep-fastest here). \
-         pr1_incremental_delta is the PR-1 evaluator itself (vendored, bit-exact against \
-         this tree, same loop shape) measured live in this run — the same-machine-state \
-         denominator. The solver replays the PR-1 apply/undo trajectory bit-exactly (pinned \
-         by determinism tests), so mean_utility equals the baseline mean J\",\n  \
          \"solves\": [{}]\n}}\n",
         per_seed.join(",")
     );

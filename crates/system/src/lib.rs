@@ -61,8 +61,6 @@ pub mod cra_numeric;
 pub mod evaluation;
 pub mod incremental;
 pub mod metrics;
-#[doc(hidden)]
-pub mod pr1_baseline;
 pub mod scenario;
 pub mod simd;
 pub mod solver;
