@@ -5,22 +5,44 @@
 //! Mirrors `mec_online::OnlineEngine`'s epoch pipeline with the raw
 //! primitives so the two arms differ only in the re-solve strategy. The
 //! achieved utilities of both arms are printed once so the speed/quality
-//! trade-off can be read off the same run (see EXPERIMENTS.md).
+//! trade-off can be read off the same run (see EXPERIMENTS.md). Each arm
+//! is timed over [`SAMPLES`] re-solves and reported as the median
+//! (`cargo bench -p mec-bench --bench online`).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use mec_online::RandomWaypoint;
 use mec_system::Evaluator;
 use mec_types::{Seconds, UserId};
 use mec_workloads::{epoch_seed, ExperimentParams, ScenarioGenerator, CHAIN_STREAM};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
 use tsajs::{anneal, anneal_from, NeighborhoodKernel, ResolveMode, TtsaConfig};
 
 const USERS: usize = 90;
 const CHURNED: usize = 9; // 10% of the population replaced per epoch
 const SEED: u64 = 7;
+/// Timed re-solves per arm.
+const SAMPLES: usize = 10;
 
-fn bench_online_resolve(c: &mut Criterion) {
+/// Runs `solve` [`SAMPLES`] times and prints the median and fastest
+/// wall-clock time of one run.
+fn report<T>(name: &str, mut solve: impl FnMut() -> T) {
+    let mut times: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(solve());
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    println!(
+        "online_resolve/{name}: median {:.3} ms, fastest {:.3} ms over {SAMPLES} runs",
+        times[SAMPLES / 2],
+        times[0]
+    );
+}
+
+fn main() {
     let params = ExperimentParams::paper_default().with_users(USERS);
     let generator = ScenarioGenerator::new(params);
     let layout = generator.layout().expect("layout");
@@ -82,22 +104,12 @@ fn bench_online_resolve(c: &mut Criterion) {
         "warm outcome must be self-consistent"
     );
 
-    let mut group = c.benchmark_group("online_resolve");
-    group.sample_size(10);
-    group.bench_function("cold_u90_churn10", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(SEED ^ CHAIN_STREAM);
-            anneal(&next_scenario, &base, &kernel, &mut rng)
-        })
+    report("cold_u90_churn10", || {
+        let mut rng = StdRng::seed_from_u64(SEED ^ CHAIN_STREAM);
+        anneal(&next_scenario, &base, &kernel, &mut rng)
     });
-    group.bench_function("warm_u90_churn10", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(SEED ^ CHAIN_STREAM);
-            anneal_from(&next_scenario, &refresh, &kernel, &mut rng, patched.clone())
-        })
+    report("warm_u90_churn10", || {
+        let mut rng = StdRng::seed_from_u64(SEED ^ CHAIN_STREAM);
+        anneal_from(&next_scenario, &refresh, &kernel, &mut rng, patched.clone())
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_online_resolve);
-criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! # mec-bench
 //!
-//! Criterion benches and per-figure regeneration binaries.
+//! Plain bench harnesses and per-figure regeneration binaries.
 //!
 //! Run `cargo run -p mec-bench --release --bin run_all` to regenerate
 //! every table of the paper (markdown to stdout, CSVs to disk), or
