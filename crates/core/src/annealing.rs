@@ -3,9 +3,10 @@
 use crate::config::{Cooling, InitialSolution, InitialTemperature, TtsaConfig};
 use crate::moves::{NeighborhoodKernel, Proposal};
 use crate::trace::{EpochRecord, SearchTrace};
-use mec_system::{Assignment, IncrementalObjective, Scenario};
+use mec_system::{Assignment, IncrementalObjective, ObjectiveTables, Scenario};
 use mec_types::{ServerId, UserId};
 use rand::Rng;
+use std::sync::Arc;
 
 /// The result of one annealing run.
 #[derive(Debug, Clone)]
@@ -110,13 +111,19 @@ pub(crate) struct ChainState<'a> {
 }
 
 impl<'a> ChainState<'a> {
-    /// Builds a chain seeded with `initial`.
+    /// Builds a chain seeded with `initial` on `tables`, the scenario's
+    /// shared [`ObjectiveTables`] pack.
     ///
     /// # Panics
     ///
-    /// Panics if `initial` does not fit the scenario's geometry.
-    pub(crate) fn from_initial(scenario: &'a Scenario, initial: Assignment) -> Self {
-        let inc = IncrementalObjective::new(scenario, initial)
+    /// Panics if `initial` or the pack does not fit the scenario's
+    /// geometry.
+    pub(crate) fn from_initial(
+        scenario: &'a Scenario,
+        tables: Arc<ObjectiveTables>,
+        initial: Assignment,
+    ) -> Self {
+        let inc = IncrementalObjective::with_tables(scenario, tables, initial)
             .expect("warm-start decision must fit the scenario");
         let current_obj = inc.current();
         let best = inc.assignment().clone();
@@ -390,7 +397,8 @@ pub fn anneal_from<R: Rng + ?Sized>(
     // incremental delta-evaluation state: each proposal below costs
     // O(S · affected subchannels) instead of a clone plus a full O(T·S)
     // re-evaluation.
-    let mut state = ChainState::from_initial(scenario, initial);
+    let tables = Arc::new(ObjectiveTables::new(scenario));
+    let mut state = ChainState::from_initial(scenario, tables, initial);
 
     let mut epochs: u64 = 0;
     let mut trace = config.record_trace.then(SearchTrace::default);
@@ -717,8 +725,9 @@ mod tests {
             start
                 .assign(UserId::new(1), ServerId::new(1), SubchannelId::new(1))
                 .unwrap();
-            let mut settled = ChainState::from_initial(&sc, start.clone());
-            let mut priced = ChainState::from_initial(&sc, start);
+            let tables = Arc::new(ObjectiveTables::new(&sc));
+            let mut settled = ChainState::from_initial(&sc, Arc::clone(&tables), start.clone());
+            let mut priced = ChainState::from_initial(&sc, tables, start);
             assert_eq!(settled.current_obj, f64::NEG_INFINITY);
             let mut rng_settled = StdRng::seed_from_u64(seed);
             let mut rng_priced = StdRng::seed_from_u64(seed);

@@ -74,16 +74,17 @@
 
 use crate::config::{InitialTemperature, TemperingConfig, TtsaConfig, DEFAULT_REFRESH_TEMPERATURE};
 use crate::moves::NeighborhoodKernel;
-use crate::tempering::{temper, temper_from};
+use crate::tempering;
 use mec_system::{
-    Assignment, EvalScratch, Evaluator, IncrementalObjective, MoveDesc, Scenario, Solution, Solver,
-    SolverStats,
+    Assignment, EvalScratch, Evaluator, IncrementalObjective, MoveDesc, ObjectiveTables, Scenario,
+    Solution, Solver, SolverStats,
 };
 use mec_types::threads::fan_out;
 use mec_types::{effective_parallelism, Error, ServerId, SubchannelId, UserId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of the sharded engine.
@@ -499,13 +500,18 @@ pub fn publish_halo_delta(totals: &mut [f64], previous: &[f64], next: &[f64]) ->
 }
 
 /// One non-empty cluster's solving state: the subset scenario (whose
-/// `external_rx` is refreshed before every visit) and the local↔global id
-/// maps, plus the persistent per-cluster exchange state the reconciler
-/// ages between epochs.
+/// `external_rx` is refreshed before every visit), its objective tables
+/// and the local↔global id maps, plus the persistent per-cluster exchange
+/// state the reconciler ages between epochs.
 struct ClusterWork {
     /// Index into the partition's cluster list.
     index: usize,
     scenario: Scenario,
+    /// The subset's [`ObjectiveTables`], packed once for the run: the
+    /// tempered solve and every epoch visit build their states on it.
+    /// Installing a halo changes only the subset's `external_rx`, which
+    /// the pack never reads.
+    tables: Arc<ObjectiveTables>,
     users: Vec<UserId>,
     servers: Vec<ServerId>,
     /// Current local schedule (the source of truth between reconciliation
@@ -557,6 +563,7 @@ impl ClusterWork {
             eligible: true,
             changed: false,
             spent: 0,
+            tables: Arc::new(ObjectiveTables::new(&subset)),
             scenario: subset,
             users,
             servers,
@@ -719,22 +726,25 @@ impl<'a> ShardRun<'a> {
         let spent: Vec<Option<u64>> = fan_out(workers, jobs, |(work, plan)| {
             let mut rng = StdRng::seed_from_u64(cluster_seeds[work.index]);
             let outcome = match plan {
-                Plan::Fresh => temper(
+                Plan::Fresh => tempering::run(
                     &work.scenario,
+                    &work.tables,
                     &config.tempering,
                     &config.ttsa,
                     &kernel,
                     &mut rng,
                     1,
+                    None,
                 ),
-                Plan::Dirty(start) => temper_from(
+                Plan::Dirty(start) => tempering::run(
                     &work.scenario,
+                    &work.tables,
                     &config.tempering,
                     &refresh,
                     &kernel,
                     &mut rng,
                     1,
-                    start,
+                    Some(start),
                 ),
                 Plan::Clean(slice) => {
                     work.local = slice;
@@ -1227,7 +1237,8 @@ fn install_snapshot(work: &mut ClusterWork) -> Result<(), Error> {
     work.scenario.set_external_rx(Some(buf))
 }
 
-/// One epoch visit: install the frozen snapshot, descend, and
+/// One epoch visit: install the frozen snapshot, descend on a state
+/// built on the cluster's run-long [`ObjectiveTables`] pack, and
 /// stage the results (`changed`/`spent`/`settled`, the refreshed
 /// contribution, the aging reference) for the barrier. Reads
 /// nothing outside its own cluster's state, which is what makes the
@@ -1240,7 +1251,8 @@ fn pipelined_visit(
 ) -> Result<(), Error> {
     install_snapshot(work)?;
     let local = std::mem::replace(&mut work.local, Assignment::with_dims(0, 0, 0));
-    let mut inc = IncrementalObjective::new(&work.scenario, local)?;
+    let mut inc =
+        IncrementalObjective::with_tables(&work.scenario, Arc::clone(&work.tables), local)?;
     let outcome = descent(&mut inc, budget, floor);
     work.local = inc.into_assignment();
     work.settled = !outcome.exhausted;

@@ -45,10 +45,10 @@ use crate::config::{Cooling, TemperingConfig, TtsaConfig};
 use crate::moves::NeighborhoodKernel;
 use crate::shard::descent;
 use crate::trace::{EpochRecord, SearchTrace};
-use mec_system::{Assignment, IncrementalObjective, Scenario};
+use mec_system::{Assignment, IncrementalObjective, ObjectiveTables, Scenario};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 /// One rung of the ladder: its temperature schedule, its RNG stream, and
 /// the chain state currently living there. Exchanges swap the *state*
@@ -161,7 +161,10 @@ pub fn temper<R: Rng + ?Sized>(
     rng: &mut R,
     workers: usize,
 ) -> AnnealOutcome {
-    run(scenario, tempering, base, kernel, rng, workers, None)
+    let tables = Arc::new(ObjectiveTables::new(scenario));
+    run(
+        scenario, &tables, tempering, base, kernel, rng, workers, None,
+    )
 }
 
 /// [`temper`] with an explicit starting decision: every replica starts
@@ -185,7 +188,17 @@ pub fn temper_from<R: Rng + ?Sized>(
     workers: usize,
     warm: Assignment,
 ) -> AnnealOutcome {
-    run(scenario, tempering, base, kernel, rng, workers, Some(warm))
+    let tables = Arc::new(ObjectiveTables::new(scenario));
+    run(
+        scenario,
+        &tables,
+        tempering,
+        base,
+        kernel,
+        rng,
+        workers,
+        Some(warm),
+    )
 }
 
 /// The coordinator's sequential between-rounds step: fold rung bests
@@ -275,8 +288,20 @@ fn coordinate_round<'a>(
     }
 }
 
-fn run<'a, R: Rng + ?Sized>(
+/// The engine behind [`temper`] and [`temper_from`] on `tables`, the
+/// scenario's [`ObjectiveTables`] pack: every replica and the quench
+/// build their states on it, so the ladder packs the scenario once. The
+/// shard engine lends each cluster's run-long pack here (`warm = None`
+/// for a fresh cluster, the patched slice for a dirty one).
+///
+/// # Panics
+///
+/// As [`temper_from`]; additionally if the pack does not fit the
+/// scenario's geometry.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run<'a, R: Rng + ?Sized>(
     scenario: &'a Scenario,
+    tables: &Arc<ObjectiveTables>,
     tcfg: &TemperingConfig,
     base: &TtsaConfig,
     kernel: &NeighborhoodKernel,
@@ -313,7 +338,7 @@ fn run<'a, R: Rng + ?Sized>(
                 None => initial_solution(scenario, base.initial_solution, &mut rung_rng),
             };
             Some(Replica {
-                state: ChainState::from_initial(scenario, initial),
+                state: ChainState::from_initial(scenario, Arc::clone(tables), initial),
                 rng: rung_rng,
                 temperature: t0 / tcfg.ladder_ratio.powi((k - 1 - i) as i32),
                 round_stats: EpochStats::default(),
@@ -423,8 +448,8 @@ fn run<'a, R: Rng + ?Sized>(
     // finite incumbent.
     if tcfg.quench_epochs > 0 && best_obj.is_finite() && best_obj >= 0.0 {
         let l = base.inner_iterations as u64;
-        let mut inc =
-            IncrementalObjective::new(scenario, best.clone()).expect("global best is feasible");
+        let mut inc = IncrementalObjective::with_tables(scenario, Arc::clone(tables), best.clone())
+            .expect("global best is feasible");
         let spent = descent(&mut inc, tcfg.quench_epochs * l, 0.0).spent;
         let current = inc.current();
         proposals += spent;

@@ -32,7 +32,10 @@
 //! `chunks_exact`-based kernels of [`crate::simd`], which are
 //! bit-identical to the scalar loops they replace (per-slot arithmetic is
 //! independent across servers). Per-user constants live in flat
-//! [`CoefficientBlocks`] columns instead of per-user structs.
+//! [`CoefficientBlocks`] columns instead of per-user structs. Everything
+//! that depends on the scenario alone (the weighted gains, the columns,
+//! the capacities and the bound's noise-only floors) is packed once into
+//! an [`ObjectiveTables`] that every state on the scenario shares.
 //!
 //! ## Scoring
 //!
@@ -92,6 +95,7 @@ use crate::scenario::Scenario;
 use crate::simd;
 use mec_types::{Error, ServerId, SubchannelId, UserId};
 use std::fmt;
+use std::sync::Arc;
 
 /// One primitive mutation of an [`Assignment`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -416,12 +420,167 @@ struct MoveLog {
     num_offloaded: usize,
 }
 
+/// The scenario-only half of an [`IncrementalObjective`]: the tables a
+/// state reads but never writes, packed once per scenario.
+///
+/// It holds the lane-padded weighted gains `p_u·h`, the per-user
+/// coefficient columns, the server capacities, the noise power and the
+/// noise-only uplink floors Γ⁰ the bounds charge. None of it depends on
+/// the decision or on the scenario's `external_rx`, so every state on
+/// one scenario can share one pack by [`Arc`]: a tempering ladder packs
+/// once for its replicas and its quench, and a shard cluster packs once
+/// for its tempered solve and every reconcile visit of the run
+/// (DESIGN.md §5, "One pack per scenario").
+#[derive(Debug)]
+pub struct ObjectiveTables {
+    num_sub: usize,
+    /// The server-row stride: `num_servers` padded up to a multiple of
+    /// [`simd::LANES`], so every per-server row is `chunks_exact`-clean.
+    stride: usize,
+    noise: f64,
+    /// Per-user constants (`√η`, `φ+ψ·p`, net gain), hoisted out of the
+    /// hot loop as flat SoA columns.
+    coeffs: CoefficientBlocks,
+    capacity: Vec<f64>,
+    /// Weighted gains `p_u·h[u][s][j]`, laid out `[u][j][s]` with the
+    /// server dimension padded to `stride` (padding lanes hold `0.0`), so
+    /// the fused totals pass sweeps one lane-aligned row per op. When the
+    /// gain tensor is subchannel-shared the `j` dimension is collapsed:
+    /// one `[u][s]` row per user, shared by every subchannel
+    /// (`wgain_shared`), cutting the dominant allocation by `N×`.
+    wgain: Vec<f64>,
+    /// Whether `wgain` stores one row per user (subchannel-shared gains)
+    /// instead of one per `(user, subchannel)`.
+    wgain_shared: bool,
+    /// Noise-only uplink floors Γ⁰ for
+    /// [`bound`](IncrementalObjective::bound), one per `wgain` entry,
+    /// filled at pack time for every real lane (padding lanes hold
+    /// `0.0` and are never read). Empty when the table would exceed
+    /// [`FLOOR_TABLE_MAX`] entries; such packs compute every floor on
+    /// demand.
+    floors: Vec<f64>,
+}
+
+impl ObjectiveTables {
+    /// Packs the tables of `scenario` in `O(U·S·N)`, plus one `log2` per
+    /// real weighted-gain entry when the floor table fits its 4 096-entry
+    /// cap (32 KB).
+    pub fn new(scenario: &Scenario) -> Self {
+        let users = scenario.num_users();
+        let servers = scenario.num_servers();
+        let num_sub = scenario.num_subchannels();
+        let stride = simd::padded_len(servers);
+        let powers = scenario.tx_powers_watts();
+        let gains = scenario.gains();
+        // Repack the gain tensor into lane-padded SoA rows (padding lanes
+        // stay 0.0 and never contribute). Subchannel-shared tensors get
+        // one `[u][·]` row per user instead of one per `(u, j)` — same
+        // values, `N×` less memory, which is what keeps U=100k instances
+        // affordable.
+        let wgain_shared = gains.is_subchannel_shared();
+        let rows_per_user = if wgain_shared { 1 } else { num_sub };
+        let mut wgain = vec![0.0; users * rows_per_user * stride];
+        for u in 0..users {
+            for j in 0..rows_per_user {
+                for s in 0..servers {
+                    wgain[(u * rows_per_user + j) * stride + s] = powers[u]
+                        * gains.gain(UserId::new(u), ServerId::new(s), SubchannelId::new(j));
+                }
+            }
+        }
+        let mut tables = Self {
+            num_sub,
+            stride,
+            noise: scenario.noise().as_watts(),
+            coeffs: CoefficientBlocks::pack(
+                (0..users).map(|u| (scenario.coefficients(UserId::new(u)), powers[u])),
+            ),
+            capacity: (0..servers)
+                .map(|s| scenario.server(ServerId::new(s)).capacity().as_hz())
+                .collect(),
+            wgain,
+            wgain_shared,
+            floors: Vec::new(),
+        };
+        if tables.wgain.len() <= FLOOR_TABLE_MAX {
+            let mut floors = vec![0.0; tables.wgain.len()];
+            for (at, floor) in floors.iter_mut().enumerate() {
+                if at % stride < servers {
+                    *floor = tables.floor_at(at / (rows_per_user * stride), at);
+                }
+            }
+            tables.floors = floors;
+        }
+        tables
+    }
+
+    /// Start of the lane-padded weighted-gain row `p_u·h[u][·][j]` —
+    /// per-`(user, subchannel)` in the dense layout, per-user when the
+    /// gain tensor is subchannel-shared.
+    #[inline]
+    fn wgain_base(&self, u: usize, j: usize) -> usize {
+        if self.wgain_shared {
+            u * self.stride
+        } else {
+            (u * self.num_sub + j) * self.stride
+        }
+    }
+
+    /// The contiguous lane-padded weighted-gain row `p_u·h[u][·][j]`.
+    #[inline]
+    fn wgain_row(&self, u: usize, j: usize) -> &[f64] {
+        &self.wgain[self.wgain_base(u, j)..][..self.stride]
+    }
+
+    /// Γ⁰: the noise-only uplink floor of `user` transmitting at
+    /// `(server, subchannel)` — Eq. 24's uplink term at zero interference,
+    /// the value `mec_baselines::upper_bound` relaxes every slot to. It
+    /// depends on the scenario only, so the pack computes it once per
+    /// entry, unless the table would hold more than [`FLOOR_TABLE_MAX`]
+    /// entries, in which case every floor is computed on demand.
+    #[inline]
+    fn noise_floor(&self, user: UserId, server: ServerId, subchannel: SubchannelId) -> f64 {
+        let at = self.wgain_base(user.index(), subchannel.index()) + server.index();
+        match self.floors.get(at) {
+            Some(&floor) => floor,
+            None => self.floor_at(user.index(), at),
+        }
+    }
+
+    /// Γ⁰ of user `u` at the `wgain` entry `at`, computed afresh.
+    fn floor_at(&self, u: usize, at: usize) -> f64 {
+        let signal = self.wgain[at];
+        gamma_term_from(self.coeffs.gamma_num[u], signal, signal, self.noise)
+    }
+
+    /// Whether two packs hold the same geometry and the same bits in
+    /// every table — what [`IncrementalObjective::with_tables`] checks in
+    /// debug builds against a fresh pack of its scenario.
+    fn same_bits(&self, other: &Self) -> bool {
+        fn bits(a: &[f64], b: &[f64]) -> bool {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        }
+        let (c, d) = (&self.coeffs, &other.coeffs);
+        self.num_sub == other.num_sub
+            && self.stride == other.stride
+            && self.wgain_shared == other.wgain_shared
+            && self.noise.to_bits() == other.noise.to_bits()
+            && bits(&c.sqrt_eta, &d.sqrt_eta)
+            && bits(&c.gamma_num, &d.gamma_num)
+            && bits(&c.gain_const, &d.gain_const)
+            && bits(&self.capacity, &other.capacity)
+            && bits(&self.wgain, &other.wgain)
+            && bits(&self.floors, &other.floors)
+    }
+}
+
 /// Persistent incremental state for `J*(X)` (Eq. 24) over one scenario.
 ///
 /// Owns the current [`Assignment`] and keeps the per-`(s,j)` received-power
 /// totals, per-user cached Γ terms, per-server `Σ√η` sums and the benefit
 /// sum synchronized with it under [`apply`](Self::apply) /
-/// [`undo`](Self::undo).
+/// [`undo`](Self::undo). The scenario-only tables it reads live in a
+/// shared [`ObjectiveTables`] pack.
 ///
 /// # Example
 ///
@@ -458,25 +617,9 @@ struct MoveLog {
 pub struct IncrementalObjective<'a> {
     scenario: &'a Scenario,
     x: Assignment,
-    num_sub: usize,
-    /// The server-row stride: `num_servers` padded up to a multiple of
-    /// [`simd::LANES`], so every per-server row is `chunks_exact`-clean.
-    stride: usize,
-    noise: f64,
-    /// Per-user constants (`√η`, `φ+ψ·p`, net gain), hoisted out of the
-    /// hot loop as flat SoA columns.
-    coeffs: CoefficientBlocks,
-    capacity: Vec<f64>,
-    /// Weighted gains `p_u·h[u][s][j]`, laid out `[u][j][s]` with the
-    /// server dimension padded to `stride` (padding lanes hold `0.0`), so
-    /// the fused totals pass sweeps one lane-aligned row per op. When the
-    /// gain tensor is subchannel-shared the `j` dimension is collapsed:
-    /// one `[u][s]` row per user, shared by every subchannel
-    /// (`wgain_shared`), cutting the dominant allocation by `N×`.
-    wgain: Vec<f64>,
-    /// Whether `wgain` stores one row per user (subchannel-shared gains)
-    /// instead of one per `(user, subchannel)`.
-    wgain_shared: bool,
+    /// The scenario-only tables, shared with every other state on the
+    /// same scenario.
+    tables: Arc<ObjectiveTables>,
     // Persistent sums.
     /// `totals[j·stride + s] = Σ_{k transmitting on j} p_k·h[k][s][j]` —
     /// per-subchannel lane-padded rows, contiguous for the hot loops.
@@ -508,59 +651,87 @@ pub struct IncrementalObjective<'a> {
     /// [`apply`](Self::apply) and [`score_take`](Self::score_take) —
     /// gathered call-free, consumed by the `log2` pass.
     score_fold: Vec<(f64, f64)>,
-    /// Noise-only uplink floors Γ⁰ for [`bound`](Self::bound), one per
-    /// `wgain` entry, filled on first use (`0.0` = not yet computed).
-    /// Empty until the first bound, so a state that never bounds pays
-    /// nothing for it, and empty for good when the table would exceed
-    /// [`FLOOR_TABLE_MAX`] entries.
-    floors: Vec<f64>,
 }
 
 impl<'a> IncrementalObjective<'a> {
     /// Builds the incremental state for `x` in `O(T·S)` — the same cost as
-    /// one full evaluation.
+    /// one full evaluation — on a fresh [`ObjectiveTables`] pack of its
+    /// own.
     ///
     /// # Errors
     ///
     /// Fails if `x` does not fit the scenario's geometry.
     pub fn new(scenario: &'a Scenario, x: Assignment) -> Result<Self, Error> {
         x.verify_feasible(scenario)?;
-        let users = scenario.num_users();
-        let servers = scenario.num_servers();
-        let num_sub = scenario.num_subchannels();
-        let stride = simd::padded_len(servers);
-        let powers = scenario.tx_powers_watts();
-        let gains = scenario.gains();
-        // Repack the gain tensor into lane-padded SoA rows (padding lanes
-        // stay 0.0 and never contribute). Subchannel-shared tensors get
-        // one `[u][·]` row per user instead of one per `(u, j)` — same
-        // values, `N×` less memory, which is what keeps U=100k instances
-        // affordable.
-        let wgain_shared = gains.is_subchannel_shared();
-        let rows_per_user = if wgain_shared { 1 } else { num_sub };
-        let mut wgain = vec![0.0; users * rows_per_user * stride];
-        for u in 0..users {
-            for j in 0..rows_per_user {
-                for s in 0..servers {
-                    wgain[(u * rows_per_user + j) * stride + s] = powers[u]
-                        * gains.gain(UserId::new(u), ServerId::new(s), SubchannelId::new(j));
-                }
+        Ok(Self::build(
+            scenario,
+            Arc::new(ObjectiveTables::new(scenario)),
+            x,
+        ))
+    }
+
+    /// [`new`](Self::new) on a shared pack: every state built from one
+    /// pack reads the same tables, so only the per-state sums are built.
+    ///
+    /// The pack must come from this scenario
+    /// (`ObjectiveTables::new(scenario)`). Only the scenario's
+    /// `external_rx` may have changed since, because the pack never
+    /// reads it; a pack of another scenario with the same geometry
+    /// prices every move against the wrong gains. Debug builds assert
+    /// that the pack equals a fresh pack of `scenario`.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`Error::DimensionMismatch`] if the pack's users,
+    /// servers or subchannels differ from the scenario's, and if `x` does
+    /// not fit the scenario's geometry.
+    pub fn with_tables(
+        scenario: &'a Scenario,
+        tables: Arc<ObjectiveTables>,
+        x: Assignment,
+    ) -> Result<Self, Error> {
+        for (what, expected, actual) in [
+            (
+                "objective tables vs users",
+                scenario.num_users(),
+                tables.coeffs.len(),
+            ),
+            (
+                "objective tables vs servers",
+                scenario.num_servers(),
+                tables.capacity.len(),
+            ),
+            (
+                "objective tables vs subchannels",
+                scenario.num_subchannels(),
+                tables.num_sub,
+            ),
+        ] {
+            if expected != actual {
+                return Err(Error::DimensionMismatch {
+                    what,
+                    expected,
+                    actual,
+                });
             }
         }
+        debug_assert!(
+            tables.same_bits(&ObjectiveTables::new(scenario)),
+            "the objective tables were packed from another scenario"
+        );
+        x.verify_feasible(scenario)?;
+        Ok(Self::build(scenario, tables, x))
+    }
+
+    /// The per-state sums for `x` on `tables`, resynced.
+    fn build(scenario: &'a Scenario, tables: Arc<ObjectiveTables>, x: Assignment) -> Self {
+        let users = scenario.num_users();
+        let servers = scenario.num_servers();
+        let (num_sub, stride) = (tables.num_sub, tables.stride);
         let mut inc = Self {
             scenario,
             x,
-            num_sub,
-            stride,
-            noise: scenario.noise().as_watts(),
-            coeffs: CoefficientBlocks::pack(
-                (0..users).map(|u| (scenario.coefficients(UserId::new(u)), powers[u])),
-            ),
-            capacity: (0..servers)
-                .map(|s| scenario.server(ServerId::new(s)).capacity().as_hz())
-                .collect(),
-            wgain,
-            wgain_shared,
+            tables,
             totals: vec![0.0; stride * num_sub],
             gamma_of: vec![0.0; users],
             signal_of: vec![0.0; users],
@@ -575,10 +746,9 @@ impl<'a> IncrementalObjective<'a> {
             num_offloaded: 0,
             log: MoveLog::with_capacity(servers, stride),
             score_fold: Vec::with_capacity(stride),
-            floors: Vec::new(),
         };
         inc.resync();
-        Ok(inc)
+        inc
     }
 
     /// The scenario this state is bound to.
@@ -628,28 +798,10 @@ impl<'a> IncrementalObjective<'a> {
         self.gain_sum - self.gamma_sum - self.lambda_sum
     }
 
-    /// Start of the lane-padded weighted-gain row `p_u·h[u][·][j]` —
-    /// per-`(user, subchannel)` in the dense layout, per-user when the
-    /// gain tensor is subchannel-shared.
-    #[inline]
-    fn wgain_base(&self, u: usize, j: usize) -> usize {
-        if self.wgain_shared {
-            u * self.stride
-        } else {
-            (u * self.num_sub + j) * self.stride
-        }
-    }
-
-    /// The contiguous lane-padded weighted-gain row `p_u·h[u][·][j]`.
-    #[inline]
-    fn wgain_row(&self, u: usize, j: usize) -> &[f64] {
-        &self.wgain[self.wgain_base(u, j)..][..self.stride]
-    }
-
     /// Λ term of one server from its current `Σ√η` sum (Eq. 23).
     #[inline]
     fn lambda_term(&self, s: usize) -> f64 {
-        lambda_term_from(self.sum_sqrt_eta[s], self.capacity[s])
+        lambda_term_from(self.sum_sqrt_eta[s], self.tables.capacity[s])
     }
 
     /// Rebuilds every sum from the assignment, discarding accumulated
@@ -661,7 +813,7 @@ impl<'a> IncrementalObjective<'a> {
     pub fn resync(&mut self) {
         self.log.discard();
         let servers = self.scenario.num_servers();
-        let stride = self.stride;
+        let stride = self.tables.stride;
         self.totals.iter_mut().for_each(|t| *t = 0.0);
         if let Some(ext) = self.scenario.external_rx() {
             // Seed each subchannel row with the frozen external received
@@ -677,10 +829,10 @@ impl<'a> IncrementalObjective<'a> {
             }
         }
         for (u, _, j) in self.x.offloaded() {
-            let row = self.wgain_base(u.index(), j.index());
+            let row = self.tables.wgain_base(u.index(), j.index());
             simd::add_assign_rows(
                 &mut self.totals[j.index() * stride..][..stride],
-                &self.wgain[row..][..stride],
+                &self.tables.wgain[row..][..stride],
             );
         }
 
@@ -692,8 +844,8 @@ impl<'a> IncrementalObjective<'a> {
         self.gamma_bad.iter_mut().for_each(|b| *b = false);
         for (u, s, j) in self.x.offloaded() {
             self.num_offloaded += 1;
-            self.gain_sum += self.coeffs.gain_const[u.index()];
-            self.signal_of[u.index()] = self.wgain_row(u.index(), j.index())[s.index()];
+            self.gain_sum += self.tables.coeffs.gain_const[u.index()];
+            self.signal_of[u.index()] = self.tables.wgain_row(u.index(), j.index())[s.index()];
             let term = self.gamma_term(u, s, j);
             if term.is_finite() {
                 self.gamma_sum += term;
@@ -703,7 +855,7 @@ impl<'a> IncrementalObjective<'a> {
                 self.nonfinite += 1;
             }
         }
-        for j in 0..self.num_sub {
+        for j in 0..self.tables.num_sub {
             self.relief[j] = self.scan_relief(j);
         }
 
@@ -711,9 +863,9 @@ impl<'a> IncrementalObjective<'a> {
         for s in 0..servers {
             let mut sum = 0.0;
             let mut count = 0;
-            for j in 0..self.num_sub {
+            for j in 0..self.tables.num_sub {
                 if let Some(u) = self.x.occupant(ServerId::new(s), SubchannelId::new(j)) {
-                    sum += self.coeffs.sqrt_eta[u.index()];
+                    sum += self.tables.coeffs.sqrt_eta[u.index()];
                     count += 1;
                 }
             }
@@ -727,9 +879,14 @@ impl<'a> IncrementalObjective<'a> {
     /// totals — the exact expression of the reference evaluator.
     #[inline]
     fn gamma_term(&self, u: UserId, s: ServerId, j: SubchannelId) -> f64 {
-        let signal = self.wgain_row(u.index(), j.index())[s.index()];
-        let total = self.totals[j.index() * self.stride + s.index()];
-        gamma_term_from(self.coeffs.gamma_num[u.index()], signal, total, self.noise)
+        let signal = self.tables.wgain_row(u.index(), j.index())[s.index()];
+        let total = self.totals[j.index() * self.tables.stride + s.index()];
+        gamma_term_from(
+            self.tables.coeffs.gamma_num[u.index()],
+            signal,
+            total,
+            self.tables.noise,
+        )
     }
 
     /// Applies `mv` to the assignment and all sums, returning
@@ -823,7 +980,7 @@ impl<'a> IncrementalObjective<'a> {
         // sequential scalar updates), then refresh every slot occupant's
         // Γ term from the buffered value.
         let servers = self.scenario.num_servers();
-        let stride = self.stride;
+        let stride = self.tables.stride;
         for j in touched.iter().flatten() {
             let ji = j.index();
             self.log.touched_subs.push(ji);
@@ -835,8 +992,8 @@ impl<'a> IncrementalObjective<'a> {
                 if ja != j {
                     continue;
                 }
-                let wb = self.wgain_base(user.index(), ji);
-                let row = &self.wgain[wb..][..stride];
+                let wb = self.tables.wgain_base(user.index(), ji);
+                let row = &self.tables.wgain[wb..][..stride];
                 let slots = &mut self.log.new_totals[base..][..stride];
                 if *joined {
                     simd::add_assign_rows(slots, row);
@@ -872,8 +1029,8 @@ impl<'a> IncrementalObjective<'a> {
                     };
                     row_old += old;
                     self.score_fold.push((
-                        self.coeffs.gamma_num[u],
-                        sinr_from(self.signal_of[u], total, self.noise),
+                        self.tables.coeffs.gamma_num[u],
+                        sinr_from(self.signal_of[u], total, self.tables.noise),
                     ));
                     self.log.new_gammas.push((u, 0.0, false));
                 }
@@ -904,7 +1061,7 @@ impl<'a> IncrementalObjective<'a> {
     /// subchannel is updated by the caller's fused totals pass.
     fn leave(&mut self, user: UserId, s: ServerId) {
         let u = user.index();
-        self.gain_sum -= self.coeffs.gain_const[u];
+        self.gain_sum -= self.tables.coeffs.gain_const[u];
         self.num_offloaded -= 1;
 
         // Retire the user's Γ term eagerly (journaling the old cache), so
@@ -932,7 +1089,7 @@ impl<'a> IncrementalObjective<'a> {
             // leave a phantom Λ term behind.
             self.sum_sqrt_eta[si] = 0.0;
         } else {
-            self.sum_sqrt_eta[si] -= self.coeffs.sqrt_eta[u];
+            self.sum_sqrt_eta[si] -= self.tables.coeffs.sqrt_eta[u];
         }
         self.lambda_sum += self.lambda_term(si) - old_term;
     }
@@ -943,11 +1100,11 @@ impl<'a> IncrementalObjective<'a> {
     /// received-signal cache is rewritten here, eagerly and journaled.
     fn join(&mut self, user: UserId, s: ServerId, j: SubchannelId) {
         let u = user.index();
-        self.gain_sum += self.coeffs.gain_const[u];
+        self.gain_sum += self.tables.coeffs.gain_const[u];
         self.num_offloaded += 1;
 
         self.log.old_signals.push((u, self.signal_of[u]));
-        self.signal_of[u] = self.wgain_row(u, j.index())[s.index()];
+        self.signal_of[u] = self.tables.wgain_row(u, j.index())[s.index()];
 
         let si = s.index();
         self.log
@@ -955,7 +1112,7 @@ impl<'a> IncrementalObjective<'a> {
             .push((si, self.sum_sqrt_eta[si], self.users_on[si]));
         let old_term = self.lambda_term(si);
         self.users_on[si] += 1;
-        self.sum_sqrt_eta[si] += self.coeffs.sqrt_eta[u];
+        self.sum_sqrt_eta[si] += self.tables.coeffs.sqrt_eta[u];
         self.lambda_sum += self.lambda_term(si) - old_term;
     }
 
@@ -1022,7 +1179,7 @@ impl<'a> IncrementalObjective<'a> {
 
     /// The flush of [`commit`](Self::commit) for a pending move.
     fn flush(&mut self) {
-        let stride = self.stride;
+        let stride = self.tables.stride;
         for (k, &j) in self.log.touched_subs.iter().enumerate() {
             self.totals[j * stride..][..stride]
                 .copy_from_slice(&self.log.new_totals[k * stride..][..stride]);
@@ -1119,7 +1276,7 @@ impl IncrementalObjective<'_> {
         let from = self.x.slot(user).map(|(s, j)| (s.index(), j.index()));
         debug_assert_ne!(from, Some((si, ji)), "a take moves its user");
         let victim = self.x.occupant(server, subchannel).map(UserId::index);
-        let capacity = self.capacity[si];
+        let capacity = self.tables.capacity[si];
         let mut gain_sum = self.gain_sum;
         let mut gamma_sum = self.gamma_sum;
         let mut lambda_sum = self.lambda_sum;
@@ -1127,53 +1284,54 @@ impl IncrementalObjective<'_> {
         // The target server's `(Σ√η, user count)` as the ops step it.
         let mut target = (self.sum_sqrt_eta[si], self.users_on[si]);
         if let Some(v) = victim {
-            gain_sum -= self.coeffs.gain_const[v];
+            gain_sum -= self.tables.coeffs.gain_const[v];
             if self.gamma_bad[v] {
                 nonfinite -= 1;
             } else {
                 gamma_sum -= self.gamma_of[v];
             }
-            let (after, change) = lambda_step(target, self.coeffs.sqrt_eta[v], false, capacity);
+            let (after, change) =
+                lambda_step(target, self.tables.coeffs.sqrt_eta[v], false, capacity);
             target = after;
             lambda_sum += change;
         }
         if let Some((s0, _)) = from {
-            gain_sum -= self.coeffs.gain_const[u];
+            gain_sum -= self.tables.coeffs.gain_const[u];
             if self.gamma_bad[u] {
                 nonfinite -= 1;
             } else {
                 gamma_sum -= self.gamma_of[u];
             }
-            let sqrt_eta = self.coeffs.sqrt_eta[u];
+            let sqrt_eta = self.tables.coeffs.sqrt_eta[u];
             let change = if s0 == si {
                 let (after, change) = lambda_step(target, sqrt_eta, false, capacity);
                 target = after;
                 change
             } else {
                 let source = (self.sum_sqrt_eta[s0], self.users_on[s0]);
-                lambda_step(source, sqrt_eta, false, self.capacity[s0]).1
+                lambda_step(source, sqrt_eta, false, self.tables.capacity[s0]).1
             };
             lambda_sum += change;
         }
-        gain_sum += self.coeffs.gain_const[u];
-        lambda_sum += lambda_step(target, self.coeffs.sqrt_eta[u], true, capacity).1;
+        gain_sum += self.tables.coeffs.gain_const[u];
+        lambda_sum += lambda_step(target, self.tables.coeffs.sqrt_eta[u], true, capacity).1;
 
         // Γ refresh of the touched subchannels, in `apply`'s first-seen
         // order: the target first when there is an occupant, the user's
         // old subchannel first otherwise. The joiner is read as retired
         // (old term 0) when the move released it first, as `leave`
         // retires eagerly.
-        let joined_row = self.wgain_base(u, ji);
+        let joined_row = self.tables.wgain_base(u, ji);
         let joiner = (
             si,
             u,
-            self.wgain[joined_row + si],
+            self.tables.wgain[joined_row + si],
             match from {
                 Some(_) => (0.0, false),
                 None => (self.gamma_of[u], self.gamma_bad[u]),
             },
         );
-        let victim_row = victim.map_or(joined_row, |v| self.wgain_base(v, ji));
+        let victim_row = victim.map_or(joined_row, |v| self.tables.wgain_base(v, ji));
         let rows = [victim_row, joined_row, joined_row];
         let nf = &mut nonfinite;
         match (from, victim.is_some()) {
@@ -1195,7 +1353,7 @@ impl IncrementalObjective<'_> {
                 });
             }
             (Some((s0, j0)), evicts) => {
-                let left_row = self.wgain_base(u, j0);
+                let left_row = self.tables.wgain_base(u, j0);
                 let source = [left_row; 3];
                 if evicts {
                     gamma_sum +=
@@ -1238,15 +1396,12 @@ impl IncrementalObjective<'_> {
         nonfinite: &mut u32,
         total: impl Fn(f64, f64, f64, f64) -> f64,
     ) -> f64 {
-        let servers = self.capacity.len();
+        let servers = self.tables.capacity.len();
         // Field-wise borrows: the fold scratch is written while the rows
         // are read.
         let Self {
             x,
-            stride,
-            noise,
-            coeffs,
-            wgain,
+            tables,
             totals,
             gamma_of,
             signal_of,
@@ -1254,6 +1409,13 @@ impl IncrementalObjective<'_> {
             score_fold,
             ..
         } = self;
+        let ObjectiveTables {
+            stride,
+            noise,
+            coeffs,
+            wgain,
+            ..
+        } = &**tables;
         let [victim, leaver, joined] = rows.map(|at| &wgain[at..][..servers]);
         let committed = &totals[j * *stride..][..servers];
         let occupants = &x.occupants_on(SubchannelId::new(j))[..servers];
@@ -1308,9 +1470,10 @@ impl IncrementalObjective<'_> {
     /// DESIGN.md §5 states the argument.
     ///
     /// The only `log2` the bound can pay is an arrival's floor, which
-    /// depends on the scenario alone and is cached per `(user, server,
-    /// subchannel)` after its first use (see `FLOOR_TABLE_MAX` for the
-    /// size limit).
+    /// depends on the scenario alone: the [`ObjectiveTables`] pack holds
+    /// one per `(user, server, subchannel)`, computed at pack time (see
+    /// `FLOOR_TABLE_MAX` for the size limit, above which every floor is
+    /// computed on demand).
     ///
     /// The bound is `+∞` for an empty move and on a non-finite state, and
     /// `−∞` when an arrival's floor is non-finite (zero SNR prices the
@@ -1333,7 +1496,7 @@ impl IncrementalObjective<'_> {
 
     /// The bound of [`bound`](Self::bound) for any move on a committed
     /// state, accumulated op by op.
-    fn general_bound(&mut self, mv: &MoveDesc) -> f64 {
+    fn general_bound(&self, mv: &MoveDesc) -> f64 {
         if mv.is_empty() || self.nonfinite > 0 {
             return f64::INFINITY;
         }
@@ -1368,7 +1531,7 @@ impl IncrementalObjective<'_> {
                     subchannel,
                 } => {
                     assigned = true;
-                    let floor = self.noise_floor(user, server, subchannel);
+                    let floor = self.tables.noise_floor(user, server, subchannel);
                     if !floor.is_finite() {
                         return f64::NEG_INFINITY;
                     }
@@ -1378,12 +1541,12 @@ impl IncrementalObjective<'_> {
                 }
             };
             let u = user.index();
-            let g = self.coeffs.gain_const[u];
+            let g = self.tables.coeffs.gain_const[u];
             gain += f64::from(sign) * g;
             magnitude += g.abs();
             step(
                 server.index(),
-                f64::from(sign) * self.coeffs.sqrt_eta[u],
+                f64::from(sign) * self.tables.coeffs.sqrt_eta[u],
                 i64::from(sign),
             );
             if !touched.contains(&Some(subchannel)) {
@@ -1401,8 +1564,8 @@ impl IncrementalObjective<'_> {
             } else {
                 sum + d_sum
             };
-            let after = lambda_term_from(after, self.capacity[si]);
-            lambda += after - lambda_term_from(sum, self.capacity[si]);
+            let after = lambda_term_from(after, self.tables.capacity[si]);
+            lambda += after - lambda_term_from(sum, self.tables.capacity[si]);
             magnitude += after;
         }
         let relief: f64 = touched
@@ -1431,12 +1594,12 @@ impl IncrementalObjective<'_> {
     /// bound. A local user's take resolves the general bound's terms with
     /// the single touched server and subchannel statically; an offloaded
     /// user's relocation is [`relocation_bound`](Self::relocation_bound).
-    fn take_bound(&mut self, user: UserId, server: ServerId, subchannel: SubchannelId) -> f64 {
+    fn take_bound(&self, user: UserId, server: ServerId, subchannel: SubchannelId) -> f64 {
         let from = self.x.slot(user);
         if self.nonfinite > 0 || from == Some((server, subchannel)) {
             return f64::INFINITY;
         }
-        let floor = self.noise_floor(user, server, subchannel);
+        let floor = self.tables.noise_floor(user, server, subchannel);
         if !floor.is_finite() {
             return f64::NEG_INFINITY;
         }
@@ -1445,20 +1608,20 @@ impl IncrementalObjective<'_> {
         if let Some((s0, j0)) = from {
             return self.relocation_bound(u, (s0.index(), j0.index()), (si, ji), victim, floor);
         }
-        let capacity = self.capacity[si];
+        let capacity = self.tables.capacity[si];
         let sum = self.sum_sqrt_eta[si];
-        let mut gain = self.coeffs.gain_const[u];
+        let mut gain = self.tables.coeffs.gain_const[u];
         let mut magnitude = gain.abs() + floor;
-        let mut after = sum + self.coeffs.sqrt_eta[u];
+        let mut after = sum + self.tables.coeffs.sqrt_eta[u];
         if let Some(v) = victim {
-            let g = self.coeffs.gain_const[v];
+            let g = self.tables.coeffs.gain_const[v];
             gain -= g;
             magnitude += g.abs();
             // Same empty-server pin to exactly zero as `leave`.
             after = if self.users_on[si] == 1 {
-                self.coeffs.sqrt_eta[u]
+                self.tables.coeffs.sqrt_eta[u]
             } else {
-                sum - self.coeffs.sqrt_eta[v] + self.coeffs.sqrt_eta[u]
+                sum - self.tables.coeffs.sqrt_eta[v] + self.tables.coeffs.sqrt_eta[u]
             };
         }
         let after = lambda_term_from(after, capacity);
@@ -1483,8 +1646,8 @@ impl IncrementalObjective<'_> {
         victim: Option<usize>,
         floor: f64,
     ) -> f64 {
-        let g_u = self.coeffs.gain_const[u];
-        let sqrt_eta_u = self.coeffs.sqrt_eta[u];
+        let g_u = self.tables.coeffs.gain_const[u];
+        let sqrt_eta_u = self.tables.coeffs.sqrt_eta[u];
         let mut gain = 0.0;
         let mut magnitude = 0.0;
         // `(server, Σ√η change, user-count change)` in first-touched
@@ -1495,10 +1658,10 @@ impl IncrementalObjective<'_> {
             steps[k] = (si, steps[k].1 + sqrt_eta, steps[k].2 + count);
         };
         if let Some(v) = victim {
-            let g = self.coeffs.gain_const[v];
+            let g = self.tables.coeffs.gain_const[v];
             gain -= g;
             magnitude += g.abs();
-            step(si, -self.coeffs.sqrt_eta[v], -1);
+            step(si, -self.tables.coeffs.sqrt_eta[v], -1);
         }
         gain -= g_u;
         magnitude += g_u.abs();
@@ -1516,8 +1679,8 @@ impl IncrementalObjective<'_> {
             } else {
                 sum + d_sum
             };
-            let after = lambda_term_from(after, self.capacity[si]);
-            lambda += after - lambda_term_from(sum, self.capacity[si]);
+            let after = lambda_term_from(after, self.tables.capacity[si]);
+            lambda += after - lambda_term_from(sum, self.tables.capacity[si]);
             magnitude += after;
         }
         let other = (j0 != ji).then_some(j0);
@@ -1566,48 +1729,12 @@ impl IncrementalObjective<'_> {
         matches.then_some((user, server, subchannel))
     }
 
-    /// Γ⁰: the noise-only uplink floor of `user` transmitting at
-    /// `(server, subchannel)` — Eq. 24's uplink term at zero interference,
-    /// the value `mec_baselines::upper_bound` relaxes every slot to. It
-    /// depends on the scenario only, so each entry costs one `log2` once:
-    /// the first bound allocates the `floors` table, unless it would hold
-    /// more than [`FLOOR_TABLE_MAX`] entries, in which case every floor is
-    /// computed on demand.
-    #[inline]
-    fn noise_floor(&mut self, user: UserId, server: ServerId, subchannel: SubchannelId) -> f64 {
-        let at = self.wgain_base(user.index(), subchannel.index()) + server.index();
-        match self.floors.get(at) {
-            Some(&cached) if cached != 0.0 => cached,
-            _ => self.fill_floor(user, at),
-        }
-    }
-
-    /// The miss path of [`noise_floor`](Self::noise_floor): allocates the
-    /// table on the first bound unless it would be too large, computes
-    /// the floor of the `wgain` entry `at` and caches it when it can.
-    fn fill_floor(&mut self, user: UserId, at: usize) -> f64 {
-        if self.floors.is_empty() && self.wgain.len() <= FLOOR_TABLE_MAX {
-            self.floors = vec![0.0; self.wgain.len()];
-        }
-        let signal = self.wgain[at];
-        let floor = gamma_term_from(
-            self.coeffs.gamma_num[user.index()],
-            signal,
-            signal,
-            self.noise,
-        );
-        if let Some(slot) = self.floors.get_mut(at) {
-            *slot = floor;
-        }
-        floor
-    }
-
     /// Σ of the cached Γ terms of every current occupant of subchannel
     /// `j`, in server order — the most a move touching `j` can relieve
     /// them by. [`resync`](Self::resync) and [`commit`](Self::commit)
     /// store it per subchannel in `relief`, which the bounds read.
     fn scan_relief(&self, j: usize) -> f64 {
-        self.x.occupants_on(SubchannelId::new(j))[..self.capacity.len()]
+        self.x.occupants_on(SubchannelId::new(j))[..self.tables.capacity.len()]
             .iter()
             .flatten()
             .map(|w| self.gamma_of[w.index()])
@@ -1630,12 +1757,12 @@ impl IncrementalObjective<'_> {
 /// by, far below any objective change a search could act on.
 const BOUND_SLACK: f64 = 1e-9;
 
-/// Largest Γ⁰ table (entries, 8 bytes each) a state keeps: 32 KB, so a
-/// ladder of 8 tempering replicas adds at most 256 KB. The paper's
-/// U = 90, S = 9, N = 3 state needs 3 240 entries and a two-server city
-/// cluster slice 12 per user. A replica at the service's U = 300,
-/// S = 36, N = 3 would need 32 400 (259 KB each), so such states compute
-/// their floors on demand rather than grow the process's memory.
+/// Largest Γ⁰ table (entries, 8 bytes each) an [`ObjectiveTables`] pack
+/// keeps: 32 KB, shared by every state built on the pack. The paper's
+/// U = 90, S = 9, N = 3 scenario needs 3 240 entries and a two-server
+/// city cluster slice 12 per user. The service's U = 300, S = 36, N = 3
+/// would need 32 400 (259 KB), so such packs compute their floors on
+/// demand rather than grow the process's memory.
 const FLOOR_TABLE_MAX: usize = 4_096;
 
 /// One server's `(Σ√η, user count)` after a user with `sqrt_eta` joins
@@ -2259,7 +2386,7 @@ mod tests {
             let x = random_assignment(&shared, seed + 3);
             let mut inc_s = IncrementalObjective::new(&shared, x.clone()).unwrap();
             let mut inc_d = IncrementalObjective::new(&dense, x).unwrap();
-            assert!(inc_s.wgain_shared && !inc_d.wgain_shared);
+            assert!(inc_s.tables.wgain_shared && !inc_d.tables.wgain_shared);
             assert_eq!(inc_s.current().to_bits(), inc_d.current().to_bits());
             let mut rng = StdRng::seed_from_u64(seed + 500);
             for _ in 0..200 {
@@ -2416,7 +2543,7 @@ mod tests {
             let mut inc = IncrementalObjective::new(&sc, x).unwrap();
             // Leave server 2 to one user whose Σ√η sum drifted: empty it,
             // let `a` and then `b` join, and release `a`.
-            let e = &inc.coeffs.sqrt_eta;
+            let e = &inc.tables.coeffs.sqrt_eta;
             let (a, b) = (1..6)
                 .flat_map(|a| (1..6).map(move |b| (a, b)))
                 .find(|&(a, b)| a != b && (e[a] + e[b]) - e[a] != e[b])
@@ -2468,7 +2595,7 @@ mod tests {
                             let si = s0.index();
                             if inc.current().is_finite()
                                 && inc.users_on[si] == 1
-                                && inc.sum_sqrt_eta[si] != inc.coeffs.sqrt_eta[u.index()]
+                                && inc.sum_sqrt_eta[si] != inc.tables.coeffs.sqrt_eta[u.index()]
                             {
                                 drifted_last_user += 1;
                             }
@@ -2581,12 +2708,40 @@ mod tests {
     }
 
     #[test]
-    fn floor_table_is_kept_for_small_states_only() {
+    fn floor_table_is_packed_for_small_scenarios_only() {
+        // Within the cap the pack holds every real lane's floor, bit-equal
+        // to the floor computed on demand from the scenario itself, in the
+        // dense and the subchannel-shared layout.
+        for sc in [
+            random_scenario(5, 6, 3, 2),
+            shared_random_scenario(5, 6, 3, 2),
+        ] {
+            let tables = ObjectiveTables::new(&sc);
+            assert!(tables.wgain.len() <= FLOOR_TABLE_MAX);
+            assert_eq!(tables.floors.len(), tables.wgain.len());
+            let powers = sc.tx_powers_watts();
+            let subchannels = sc.num_subchannels();
+            for (u, s, j) in sc.user_ids().flat_map(|u| {
+                sc.server_ids()
+                    .flat_map(move |s| (0..subchannels).map(move |j| (u, s, SubchannelId::new(j))))
+            }) {
+                let c = sc.coefficients(u);
+                let power = powers[u.index()];
+                let signal = power * sc.gains().gain(u, s, j);
+                let on_demand = gamma_term_from(c.phi + c.psi * power, signal, signal, 1e-13);
+                let at = tables.wgain_base(u.index(), j.index()) + s.index();
+                assert_eq!(tables.floors[at].to_bits(), on_demand.to_bits());
+                assert_eq!(tables.noise_floor(u, s, j).to_bits(), on_demand.to_bits());
+            }
+        }
+
         // 48 users × 4 subchannels × 24 servers: a table above the cap,
-        // so every floor is computed on demand — and still sound.
+        // so the pack keeps none and every floor is computed on demand —
+        // and the bounds still dominate.
         let sc = random_scenario(5, 48, 24, 4);
         let mut inc = IncrementalObjective::new(&sc, random_assignment(&sc, 6)).unwrap();
-        assert!(inc.wgain.len() > FLOOR_TABLE_MAX);
+        assert!(inc.tables.wgain.len() > FLOOR_TABLE_MAX);
+        assert!(inc.tables.floors.is_empty());
         for u in 0..3 {
             for s in 0..24 {
                 let (u, s, j) = (UserId::new(u), ServerId::new(s), SubchannelId::new(s % 4));
@@ -2594,18 +2749,32 @@ mod tests {
                 assert_dominates(&mut inc, &take, "large state");
             }
         }
-        assert!(inc.floors.is_empty());
+        assert!(inc.tables.floors.is_empty());
+    }
 
-        let sc = random_scenario(5, 6, 2, 2);
-        let mut inc = IncrementalObjective::new(&sc, Assignment::all_local(&sc)).unwrap();
-        assert!(
-            inc.floors.is_empty(),
-            "a state that never bounds keeps no table"
-        );
-        let (u, s, j) = (UserId::new(0), ServerId::new(1), SubchannelId::new(1));
-        let first = inc.bound_take(u, s, j);
-        assert_eq!(inc.floors.len(), inc.wgain.len());
-        assert_eq!(first.to_bits(), inc.bound_take(u, s, j).to_bits());
+    #[test]
+    fn with_tables_rejects_a_pack_of_another_geometry() {
+        let sc = random_scenario(3, 6, 3, 2);
+        for other in [
+            random_scenario(3, 7, 3, 2),
+            random_scenario(3, 6, 2, 2),
+            random_scenario(3, 6, 3, 3),
+        ] {
+            let tables = Arc::new(ObjectiveTables::new(&other));
+            let err = IncrementalObjective::with_tables(&sc, tables, Assignment::all_local(&sc))
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::DimensionMismatch { .. }),
+                "got {err:?}"
+            );
+        }
+        // Its own pack, shared by two states, is accepted.
+        let tables = Arc::new(ObjectiveTables::new(&sc));
+        let x = random_assignment(&sc, 4);
+        let a = IncrementalObjective::with_tables(&sc, Arc::clone(&tables), x.clone()).unwrap();
+        let b = IncrementalObjective::with_tables(&sc, Arc::clone(&tables), x).unwrap();
+        assert_eq!(a.current().to_bits(), b.current().to_bits());
+        assert_eq!(Arc::strong_count(&tables), 3);
     }
 
     #[test]
@@ -2689,7 +2858,7 @@ mod tests {
 
     /// Asserts every stored relief sum equals a fresh scan bit for bit.
     fn assert_relief_is_a_fresh_scan(inc: &IncrementalObjective<'_>, what: &str) {
-        for j in 0..inc.num_sub {
+        for j in 0..inc.tables.num_sub {
             assert_eq!(
                 inc.relief[j].to_bits(),
                 inc.scan_relief(j).to_bits(),

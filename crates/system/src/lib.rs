@@ -73,7 +73,7 @@ pub use assignment::{reassigned_survivors, survivor_map, Assignment};
 pub use coefficients::{CoefficientBlocks, UserCoefficients};
 pub use cra_numeric::{numeric_allocation, solve_server_numeric, NumericCraOptions};
 pub use evaluation::{EvalScratch, Evaluator};
-pub use incremental::{IncrementalObjective, MoveDesc, PrimOp};
+pub use incremental::{IncrementalObjective, MoveDesc, ObjectiveTables, PrimOp};
 pub use metrics::{SystemEvaluation, UserMetrics};
 pub use scenario::{Scenario, UserSpec};
 pub use solver::{Solution, Solver, SolverStats};

@@ -15,15 +15,21 @@
 //!   relative over long committed walks (the documented drift bound);
 //! * `bound(mv)` and `bound_take(u, s, j)` never fall below the priced
 //!   change `score − current`, for every move shape the constructors
-//!   build and every slot take.
+//!   build and every slot take;
+//! * a state built on a shared [`ObjectiveTables`] pack
+//!   ([`IncrementalObjective::with_tables`]) is indistinguishable, bit for
+//!   bit, from one that packs its own tables.
 
 use mec_radio::{ChannelGains, OfdmaConfig};
 use mec_system::{simd, UserSpec};
-use mec_system::{Assignment, EvalScratch, Evaluator, IncrementalObjective, MoveDesc, Scenario};
+use mec_system::{
+    Assignment, EvalScratch, Evaluator, IncrementalObjective, MoveDesc, ObjectiveTables, Scenario,
+};
 use mec_types::{Cycles, Hertz, ServerId, ServerProfile, SubchannelId, UserId, Watts};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A random geometry whose links are zero with probability `zero_share`
 /// (users offloaded over a zero link carry a non-finite Γ term).
@@ -36,13 +42,38 @@ fn random_scenario(
 ) -> Scenario {
     let mut rng = StdRng::seed_from_u64(seed);
     let gains = ChannelGains::from_fn(users, servers, subs, |_, _, _| {
-        if zero_share > 0.0 && rng.gen_bool(zero_share) {
-            0.0
-        } else {
-            10.0_f64.powf(rng.gen_range(-13.0..-9.0))
-        }
+        random_gain(&mut rng, zero_share)
     })
     .unwrap();
+    scenario_with(gains, users, servers, subs)
+}
+
+/// As [`random_scenario`], with one gain per `(user, server)` shared by
+/// every subchannel (the compact layout city generators use).
+fn shared_random_scenario(
+    seed: u64,
+    users: usize,
+    servers: usize,
+    subs: usize,
+    zero_share: f64,
+) -> Scenario {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let gains = ChannelGains::shared_from_fn(users, servers, subs, |_, _| {
+        random_gain(&mut rng, zero_share)
+    })
+    .unwrap();
+    scenario_with(gains, users, servers, subs)
+}
+
+fn random_gain(rng: &mut StdRng, zero_share: f64) -> f64 {
+    if zero_share > 0.0 && rng.gen_bool(zero_share) {
+        0.0
+    } else {
+        10.0_f64.powf(rng.gen_range(-13.0..-9.0))
+    }
+}
+
+fn scenario_with(gains: ChannelGains, users: usize, servers: usize, subs: usize) -> Scenario {
     Scenario::new(
         vec![UserSpec::paper_default_with_workload(Cycles::from_mega(2000.0)).unwrap(); users],
         vec![ServerProfile::paper_default(); servers],
@@ -350,6 +381,78 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// A state on a shared pack is a state on its own pack, bit for bit.
+    /// The pack is packed once from the cluster's scenario and lent to a
+    /// live state on it; a second state is then built on the same pack
+    /// after `set_external_rx` installed a new halo, as a shard reconcile
+    /// visit is. Along a walk of random moves and takes — halo on or off,
+    /// dead links, dense and subchannel-shared gains — it agrees with a
+    /// state `new` builds on the visit's scenario on `current`, `score`,
+    /// `score_take`, `bound`, `bound_take` and every `apply` delta.
+    #[test]
+    fn shared_pack_states_match_own_pack_states_bit_exact(
+        seed in 0u64..1_000_000,
+        users in 2usize..10,
+        servers in 1usize..7,
+        subs in 1usize..4,
+        halo in 0u8..2,
+        dead in 0u8..2,
+        shared in 0u8..2,
+    ) {
+        let zero_share = if dead == 1 { 0.25 } else { 0.0 };
+        let base = if shared == 1 {
+            shared_random_scenario(seed, users, servers, subs, zero_share)
+        } else {
+            random_scenario(seed, users, servers, subs, zero_share)
+        };
+        let packed = with_halo(base, seed, halo == 1);
+        let tables = Arc::new(ObjectiveTables::new(&packed));
+        let start = random_assignment(&packed, seed.wrapping_add(11));
+        let mut live =
+            IncrementalObjective::with_tables(&packed, Arc::clone(&tables), start.clone())
+                .unwrap();
+        let mut visit = with_halo(packed.clone(), seed ^ 0x1_0000, true);
+        if halo == 1 && seed % 2 == 0 {
+            visit.set_external_rx(None).unwrap();
+        }
+        let mut lent =
+            IncrementalObjective::with_tables(&visit, Arc::clone(&tables), start.clone()).unwrap();
+        let mut own = IncrementalObjective::new(&visit, start).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7ab1e);
+        prop_assert_eq!(lent.current().to_bits(), own.current().to_bits());
+        for step in 0..120 {
+            // The live state on the packed scenario keeps walking too.
+            let other = random_move(&packed, live.assignment(), &mut rng);
+            live.apply(&other);
+            live.commit();
+
+            let mv = random_move(&visit, own.assignment(), &mut rng);
+            prop_assert_eq!(lent.bound(&mv).to_bits(), own.bound(&mv).to_bits(), "step {}", step);
+            prop_assert_eq!(lent.score(&mv).to_bits(), own.score(&mv).to_bits(), "step {}", step);
+            let u = UserId::new(rng.gen_range(0..users));
+            let s = ServerId::new(rng.gen_range(0..servers));
+            let j = SubchannelId::new(rng.gen_range(0..subs));
+            prop_assert_eq!(lent.bound_take(u, s, j).to_bits(), own.bound_take(u, s, j).to_bits());
+            prop_assert_eq!(lent.score_take(u, s, j).to_bits(), own.score_take(u, s, j).to_bits());
+            let delta = lent.apply(&mv);
+            prop_assert_eq!(delta.to_bits(), own.apply(&mv).to_bits(), "step {}", step);
+            prop_assert_eq!(lent.current().to_bits(), own.current().to_bits());
+            if rng.gen_bool(0.5) {
+                lent.commit();
+                own.commit();
+            } else {
+                lent.undo();
+                own.undo();
+            }
+            prop_assert_eq!(lent.current().to_bits(), own.current().to_bits());
+            prop_assert_eq!(lent.assignment(), own.assignment());
+        }
+        prop_assert_eq!(Arc::strong_count(&tables), 3);
+        lent.resync();
+        own.resync();
+        prop_assert_eq!(lent.current().to_bits(), own.current().to_bits());
     }
 
     /// The chunked row kernels are bit-identical to scalar sweeps for any
