@@ -12,8 +12,10 @@
 //! - `cargo bench --bench objective` — full run, U = 90.
 //! - `TSAJS_BENCH_QUICK=1 cargo bench --bench objective` — CI smoke
 //!   run, U = 30 with shortened measurement loops.
-//! - `cargo test` passes `--test`, which exits immediately so the
-//!   tier-1 suite never pays for a benchmark.
+//! - The harness runs only when `cargo bench` passes it `--bench`.
+//!   `cargo test` runs a `harness = false` target with no arguments, so
+//!   there it returns at once and the test suite never pays for a
+//!   benchmark.
 
 use mec_radio::ChannelGains;
 use mec_system::simd::{add_assign_rows, padded_len};
@@ -284,9 +286,10 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 }
 
 fn main() {
-    // `cargo test` executes bench targets with `--test`; there is
-    // nothing to smoke-test here beyond compilation.
-    if std::env::args().any(|a| a == "--test") {
+    // `cargo bench` passes `--bench`; `cargo test` passes no arguments
+    // to a `harness = false` target, and there is nothing to test here
+    // beyond compilation.
+    if !std::env::args().any(|a| a == "--bench") {
         return;
     }
     let quick = mec_service::quick_from_env();

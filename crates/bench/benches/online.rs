@@ -8,6 +8,10 @@
 //! trade-off can be read off the same run (see EXPERIMENTS.md). Each arm
 //! is timed over [`SAMPLES`] re-solves and reported as the median
 //! (`cargo bench -p mec-bench --bench online`).
+//!
+//! The harness runs only when `cargo bench` passes it `--bench`.
+//! `cargo test` runs a `harness = false` target with no arguments, so
+//! there it returns at once.
 
 use mec_online::RandomWaypoint;
 use mec_system::Evaluator;
@@ -43,6 +47,12 @@ fn report<T>(name: &str, mut solve: impl FnMut() -> T) {
 }
 
 fn main() {
+    // `cargo bench` passes `--bench`; `cargo test` passes no arguments
+    // to a `harness = false` target, and there is nothing to test here
+    // beyond compilation.
+    if !std::env::args().any(|a| a == "--bench") {
+        return;
+    }
     let params = ExperimentParams::paper_default().with_users(USERS);
     let generator = ScenarioGenerator::new(params);
     let layout = generator.layout().expect("layout");

@@ -13,13 +13,18 @@
 //!   5 s probes.
 //! - `TSAJS_BENCH_QUICK=1 cargo bench --bench service` — CI smoke run,
 //!   sub-second probes on the quick service preset.
-//! - `cargo test` passes `--test`, which exits immediately so the
-//!   tier-1 suite never pays for a benchmark.
+//! - The harness runs only when `cargo bench` passes it `--bench`.
+//!   `cargo test` runs a `harness = false` target with no arguments, so
+//!   there it returns at once and the test suite never pays for a
+//!   benchmark.
 
 use mec_service::{quick_from_env, run_loadtest, LoadtestConfig};
 
 fn main() {
-    if std::env::args().any(|a| a == "--test") {
+    // `cargo bench` passes `--bench`; `cargo test` passes no arguments
+    // to a `harness = false` target, and there is nothing to test here
+    // beyond compilation.
+    if !std::env::args().any(|a| a == "--bench") {
         return;
     }
     let quick = quick_from_env();

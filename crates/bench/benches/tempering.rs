@@ -11,8 +11,10 @@
 //! - `cargo bench --bench tempering` — full run, U = 90.
 //! - `TSAJS_BENCH_QUICK=1 cargo bench --bench tempering` — CI smoke
 //!   run, U = 30 with a shortened ladder.
-//! - `cargo test` passes `--test`, which exits immediately so the
-//!   tier-1 suite never pays for a benchmark.
+//! - The harness runs only when `cargo bench` passes it `--bench`.
+//!   `cargo test` runs a `harness = false` target with no arguments, so
+//!   there it returns at once and the test suite never pays for a
+//!   benchmark.
 
 use mec_system::Solver;
 use mec_workloads::{ExperimentParams, ScenarioGenerator};
@@ -76,9 +78,10 @@ fn json_runs(runs: &[Run]) -> String {
 }
 
 fn main() {
-    // `cargo test` executes bench targets with `--test`; there is
-    // nothing to smoke-test here beyond compilation.
-    if std::env::args().any(|a| a == "--test") {
+    // `cargo bench` passes `--bench`; `cargo test` passes no arguments
+    // to a `harness = false` target, and there is nothing to test here
+    // beyond compilation.
+    if !std::env::args().any(|a| a == "--bench") {
         return;
     }
     let quick = mec_service::quick_from_env();
