@@ -29,11 +29,15 @@ pub fn preset_from_args() -> Preset {
 /// Where a run at `preset` writes its tables: the workspace-level
 /// `results/` directory for the paper-faithful preset, whose tables are
 /// committed, and `results/quick/` for anything less.
+///
+/// The workspace is the one `cargo run` (or `cargo test`) names in the
+/// process's `CARGO_MANIFEST_DIR`, so a checkout that reuses another
+/// checkout's `target/` still writes into its own tree. A binary started
+/// without cargo falls back to the directory it was compiled in.
 pub fn results_dir(preset: Preset) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("results");
+    let manifest = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from);
+    let dir = manifest.join("..").join("..").join("results");
     if preset.is_full() {
         dir
     } else {
