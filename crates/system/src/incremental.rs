@@ -1758,10 +1758,11 @@ impl IncrementalObjective<'_> {
 const BOUND_SLACK: f64 = 1e-9;
 
 /// Largest Γ⁰ table (entries, 8 bytes each) an [`ObjectiveTables`] pack
-/// keeps: 32 KB, shared by every state built on the pack. The paper's
-/// U = 90, S = 9, N = 3 scenario needs 3 240 entries and a two-server
-/// city cluster slice 12 per user. The service's U = 300, S = 36, N = 3
-/// would need 32 400 (259 KB), so such packs compute their floors on
+/// keeps: 32 KB, shared by every state built on the pack. Generated
+/// gains are subchannel-shared (one row per user), so the paper's
+/// U = 90, S = 9, N = 3 scenario needs 1 080 entries and a two-server
+/// city cluster slice 4 per user. The service's U = 300, S = 36, N = 3
+/// would need 10 800 (86 KB), so such packs compute their floors on
 /// demand rather than grow the process's memory.
 const FLOOR_TABLE_MAX: usize = 4_096;
 
