@@ -1330,8 +1330,13 @@ pub struct Descent {
 /// acceptance threshold `floor · max(|current|, 1)`; a skipped candidate
 /// could not have been accepted, and it still counts toward the budget,
 /// so the decisions, `spent` and `exhausted` are those of pricing every
-/// candidate. Slot takes are bounded and priced straight-line
-/// ([`IncrementalObjective::bound_take`],
+/// candidate. A local user's takes are asked first a server at a time
+/// ([`IncrementalObjective::settles_local_takes`]): when that gate
+/// proves every take of the server's `N` slots bounded at or below the
+/// threshold and all `N` fit in the budget, the block is settled whole,
+/// as the per-candidate bounds would have settled it one by one, so
+/// `bounded` is unchanged too. Slot takes are bounded and priced
+/// straight-line ([`IncrementalObjective::bound_take`],
 /// [`IncrementalObjective::score_take`]), so a [`MoveDesc`] is built
 /// only for the other shapes and for an accepted move. The loop reuses
 /// the incremental state's buffers only, so at a fixed point it
@@ -1346,55 +1351,70 @@ pub fn descent(inc: &mut IncrementalObjective<'_>, budget: u64, floor: f64) -> D
     let mut exhausted = false;
     let mut improved = true;
     let n = scenario.num_subchannels();
+    let width = n as u64;
     let total_slots = scenario.num_servers() * n;
     let slot = |p: usize| (ServerId::new(p / n), SubchannelId::new(p % n));
     'descent: while improved && spent < budget {
         improved = false;
         // Phase 1: every single-user relocation — back to local, or onto
-        // any slot, evicting its occupant when taken.
+        // any slot, evicting its occupant when taken — a server's block
+        // of `n` slots at a time.
         for u in scenario.user_ids() {
-            let slots = scenario
-                .server_ids()
-                .flat_map(|s| SubchannelId::all(n).map(move |j| Some((s, j))));
-            for target in std::iter::once(None).chain(slots) {
-                if spent >= budget {
-                    exhausted = true;
-                    break 'descent;
-                }
-                let from = inc.assignment().slot(u);
-                if from == target {
-                    continue;
-                }
-                spent += 1;
-                debug_assert_eq!(current.to_bits(), inc.current().to_bits());
-                let threshold = floor * current.abs().max(1.0);
-                let candidate = match target {
-                    None => {
-                        let mv = MoveDesc::relocate(inc.assignment(), u, None);
-                        if inc.bound(&mv) <= threshold {
-                            bounded += 1;
-                            continue;
-                        }
-                        inc.score(&mv)
+            for block in std::iter::once(None).chain(scenario.server_ids().map(Some)) {
+                // A local user's block whose every take the server gate
+                // bounds at or below the threshold is settled whole, as
+                // the per-candidate loop would settle it one by one.
+                if let Some(s) = block {
+                    if budget - spent >= width
+                        && inc.settles_local_takes(u, s, floor * current.abs().max(1.0))
+                    {
+                        spent += width;
+                        bounded += width;
+                        continue;
                     }
-                    Some((s, j)) => {
-                        if inc.bound_take(u, s, j) <= threshold {
-                            bounded += 1;
-                            continue;
-                        }
-                        inc.score_take(u, s, j)
+                }
+                let slots = if block.is_some() { n } else { 1 };
+                for j in 0..slots {
+                    let target = block.map(|s| (s, SubchannelId::new(j)));
+                    if spent >= budget {
+                        exhausted = true;
+                        break 'descent;
                     }
-                };
-                if candidate - current > threshold {
-                    let mv = match target {
-                        None => MoveDesc::relocate(inc.assignment(), u, None),
-                        Some((s, j)) => MoveDesc::relocate_evicting(inc.assignment(), u, s, j),
+                    let from = inc.assignment().slot(u);
+                    if from == target {
+                        continue;
+                    }
+                    spent += 1;
+                    debug_assert_eq!(current.to_bits(), inc.current().to_bits());
+                    let threshold = floor * current.abs().max(1.0);
+                    let candidate = match target {
+                        None => {
+                            let mv = MoveDesc::relocate(inc.assignment(), u, None);
+                            if inc.bound(&mv) <= threshold {
+                                bounded += 1;
+                                continue;
+                            }
+                            inc.score(&mv)
+                        }
+                        Some((s, j)) => {
+                            if inc.bound_take(u, s, j) <= threshold {
+                                bounded += 1;
+                                continue;
+                            }
+                            inc.score_take(u, s, j)
+                        }
                     };
-                    inc.apply(&mv);
-                    inc.commit();
-                    current = candidate;
-                    improved = true;
-                    changed = true;
+                    if candidate - current > threshold {
+                        let mv = match target {
+                            None => MoveDesc::relocate(inc.assignment(), u, None),
+                            Some((s, j)) => MoveDesc::relocate_evicting(inc.assignment(), u, s, j),
+                        };
+                        inc.apply(&mv);
+                        inc.commit();
+                        current = candidate;
+                        improved = true;
+                        changed = true;
+                    }
                 }
             }
         }

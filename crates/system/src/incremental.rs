@@ -651,6 +651,15 @@ pub struct IncrementalObjective<'a> {
     /// [`apply`](Self::apply) and [`score_take`](Self::score_take) —
     /// gathered call-free, consumed by the `log2` pass.
     score_fold: Vec<(f64, f64)>,
+    /// Per server, the `(ceiling, magnitude)` pair the server gate of
+    /// [`settles_local_takes`](Self::settles_local_takes) reads: the
+    /// largest state-only part of a local take's bound over the server's
+    /// slots, and the magnitudes that part rounds against.
+    server_gate: Vec<(f64, f64)>,
+    /// Whether `server_gate` describes the committed state. `flush` and
+    /// `resync` clear it; the next gate query refills it. `undo` leaves
+    /// it set: it restores the committed state bit for bit.
+    server_gate_fresh: bool,
 }
 
 impl<'a> IncrementalObjective<'a> {
@@ -746,6 +755,8 @@ impl<'a> IncrementalObjective<'a> {
             num_offloaded: 0,
             log: MoveLog::with_capacity(servers, stride),
             score_fold: Vec::with_capacity(stride),
+            server_gate: vec![(0.0, 0.0); servers],
+            server_gate_fresh: false,
         };
         inc.resync();
         inc
@@ -812,6 +823,7 @@ impl<'a> IncrementalObjective<'a> {
     /// [`Evaluator::objective_with`]: crate::Evaluator::objective_with
     pub fn resync(&mut self) {
         self.log.discard();
+        self.server_gate_fresh = false;
         let servers = self.scenario.num_servers();
         let stride = self.tables.stride;
         self.totals.iter_mut().for_each(|t| *t = 0.0);
@@ -1193,6 +1205,7 @@ impl<'a> IncrementalObjective<'a> {
             self.relief[j] = self.scan_relief(j);
         }
         self.log.discard();
+        self.server_gate_fresh = false;
     }
 }
 
@@ -1693,6 +1706,97 @@ impl IncrementalObjective<'_> {
         self.slack_bound(gain - floor + relief - lambda, magnitude)
     }
 
+    /// Whether every take of one of `server`'s slots by the local `user`
+    /// bounds at or below `threshold`: `true` only when
+    /// [`bound_take`](Self::bound_take)`(user, server, j)` is at most
+    /// `threshold` for each of the server's subchannels `j`, so a caller
+    /// that gates pricing on the bound can settle the server's whole
+    /// block of takes with one comparison. `false` proves nothing: some
+    /// take may still bound at or below `threshold`. Always `false` for
+    /// an offloaded user, on a non-finite state and when one of the
+    /// user's floors at the server is non-finite (a dead link).
+    ///
+    /// It relaxes the take bound's formula per server (DESIGN.md §5, "The
+    /// server gate"): a user key read from the pack, the server's ceiling
+    /// over its slots and a `1e-12` relative rounding allowance must
+    /// sum to at most `threshold`. The ceilings come from a per-state
+    /// cache that the first query after an accepted move or a resync
+    /// refills in `O(S·N)`. Any pending move is committed first, as in
+    /// `bound_take`. Debug builds check every settled block against the
+    /// exact bounds.
+    pub fn settles_local_takes(&mut self, user: UserId, server: ServerId, threshold: f64) -> bool {
+        self.commit();
+        if self.nonfinite > 0 || self.x.is_offloaded(user) {
+            return false;
+        }
+        if !self.server_gate_fresh {
+            self.refresh_server_gate();
+        }
+        // The lowest floor enters the user's key and the largest its
+        // magnitude; subchannel-shared gains hold one floor per server.
+        let rows = if self.tables.wgain_shared {
+            1
+        } else {
+            self.tables.num_sub
+        };
+        let (mut lowest, mut largest) = (f64::INFINITY, 0.0_f64);
+        for j in 0..rows {
+            let floor = self.tables.noise_floor(user, server, SubchannelId::new(j));
+            if !floor.is_finite() {
+                return false;
+            }
+            lowest = lowest.min(floor);
+            largest = largest.max(floor.abs());
+        }
+        let g = self.tables.coeffs.gain_const[user.index()];
+        let key = g + BOUND_SLACK * g.abs() - (1.0 - BOUND_SLACK) * lowest;
+        let (ceiling, magnitude) = self.server_gate[server.index()];
+        let settles =
+            key + ceiling + SERVER_GATE_SLACK * (g.abs() + largest + magnitude) <= threshold;
+        debug_assert!(
+            !settles
+                || SubchannelId::all(self.tables.num_sub)
+                    .all(|j| self.take_bound(user, server, j) <= threshold),
+            "the server gate settled a block of {user} at {server} that the exact bound does not"
+        );
+        settles
+    }
+
+    /// Refills the server gate's per-server `(ceiling, magnitude)` pairs
+    /// from the committed state. A take of `(s, j)` from its occupant `v`
+    /// (if any) leaves `a₀` on the server before the taker's `√η` joins:
+    /// `Σ√η_s` on a free slot, `0` when `v` is the server's only user and
+    /// `Σ√η_s − √η_v` otherwise, as `take_bound` pins it. The ceiling is
+    /// `max_j (−g_v + ε|g_v| + R_j + Λ(Σ√η_s) − (1 − ε)·Λ(a₀)) + ε·P` and
+    /// the magnitude `max_j (|g_v| + |R_j| + 2·Λ(a₀)) + Λ(Σ√η_s) + P`,
+    /// with `P` the bound's `1 + |Σ gain| + |Σ Γ| + |Σ Λ|`.
+    fn refresh_server_gate(&mut self) {
+        let scale = 1.0 + self.gain_sum.abs() + self.gamma_sum.abs() + self.lambda_sum.abs();
+        let coeffs = &self.tables.coeffs;
+        for (si, gate) in self.server_gate.iter_mut().enumerate() {
+            let capacity = self.tables.capacity[si];
+            let sum = self.sum_sqrt_eta[si];
+            let held = lambda_term_from(sum, capacity);
+            let (mut ceiling, mut peak) = (f64::NEG_INFINITY, 0.0_f64);
+            for (j, &relief) in self.relief.iter().enumerate() {
+                let (g, rest) = match self.x.occupant(ServerId::new(si), SubchannelId::new(j)) {
+                    None => (0.0, sum),
+                    Some(v) if self.users_on[si] == 1 => (coeffs.gain_const[v.index()], 0.0),
+                    Some(v) => (
+                        coeffs.gain_const[v.index()],
+                        sum - coeffs.sqrt_eta[v.index()],
+                    ),
+                };
+                let rest = lambda_term_from(rest, capacity);
+                ceiling = ceiling
+                    .max(-g + BOUND_SLACK * g.abs() + relief + held - (1.0 - BOUND_SLACK) * rest);
+                peak = peak.max(g.abs() + relief.abs() + 2.0 * rest);
+            }
+            *gate = (ceiling + BOUND_SLACK * scale, peak + held + scale);
+        }
+        self.server_gate_fresh = true;
+    }
+
     /// The take a move describes, if its ops are exactly those
     /// [`MoveDesc::relocate_evicting`] builds against the current
     /// assignment: `[Assign u]` onto a free slot or `[Release v, Assign
@@ -1756,6 +1860,13 @@ impl IncrementalObjective<'_> {
 /// magnitude above the few ulps the bound and the score path each round
 /// by, far below any objective change a search could act on.
 const BOUND_SLACK: f64 = 1e-9;
+
+/// Relative rounding allowance of
+/// [`IncrementalObjective::settles_local_takes`]: the exact bound and the
+/// gate each round by a few ulps of the magnitudes they add, about
+/// 30·2⁻⁵³ ≈ 3.3e-15 of them in all, so this is 300 times that
+/// (DESIGN.md §5, "The server gate").
+const SERVER_GATE_SLACK: f64 = 1e-12;
 
 /// Largest Γ⁰ table (entries, 8 bytes each) an [`ObjectiveTables`] pack
 /// keeps: 32 KB, shared by every state built on the pack. Generated
@@ -2659,7 +2770,10 @@ mod tests {
     fn bound_dominates_score_for_every_shape_and_take() {
         // Four users on two servers and two subchannels, a quarter of the
         // links dead (zero gain), with and without a halo: every random
-        // move shape from fresh and walked states, and every take.
+        // move shape from fresh and walked states, and every take. The
+        // server gate settles a local user's block of takes only at or
+        // above every bound of the block, after each accepted move too.
+        let mut settled = 0;
         for seed in 0..4u64 {
             let mut rng = StdRng::seed_from_u64(seed + 900);
             let gains = ChannelGains::from_fn(4, 2, 2, |_, _, _| {
@@ -2698,6 +2812,23 @@ mod tests {
                         inc.bound(&take).to_bits()
                     );
                 }
+                for (u, s) in (0..4).flat_map(|u| (0..2).map(move |s| (u, s))) {
+                    let (u, s) = (UserId::new(u), ServerId::new(s));
+                    if inc.assignment().is_offloaded(u) {
+                        continue;
+                    }
+                    let largest = (0..2)
+                        .map(|j| inc.bound_take(u, s, SubchannelId::new(j)))
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    assert!(
+                        !inc.settles_local_takes(u, s, largest.next_down()),
+                        "{what}: the gate settles {u} at {s} below its largest bound {largest}"
+                    );
+                    if inc.settles_local_takes(u, s, 0.0) {
+                        assert!(largest <= 0.0, "{what}: {u} at {s} bounds at {largest}");
+                        settled += 1;
+                    }
+                }
                 if !inc.current().is_finite() {
                     assert_eq!(inc.bound(&mv), f64::INFINITY, "{what}: non-finite state");
                 }
@@ -2706,6 +2837,7 @@ mod tests {
                 inc.commit();
             }
         }
+        assert!(settled > 0, "the server gate never settled a block");
     }
 
     #[test]
