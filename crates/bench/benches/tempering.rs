@@ -91,27 +91,7 @@ fn main() {
     } else {
         TtsaConfig::paper_default()
     };
-    // Tuning overrides, so a ladder sweep doesn't need a recompile:
-    // TSAJS_BENCH_REPLICAS / _LADDER / _FACTOR / _QUENCH / _INTERVAL.
-    let mut tempering = TemperingConfig::paper_default();
-    if let Ok(v) = std::env::var("TSAJS_BENCH_REPLICAS") {
-        tempering.replicas = v.parse().expect("TSAJS_BENCH_REPLICAS");
-    }
-    if let Ok(v) = std::env::var("TSAJS_BENCH_LADDER") {
-        tempering.ladder_ratio = v.parse().expect("TSAJS_BENCH_LADDER");
-    }
-    if let Ok(v) = std::env::var("TSAJS_BENCH_FACTOR") {
-        tempering.schedule_factor = v.parse().expect("TSAJS_BENCH_FACTOR");
-    }
-    if let Ok(v) = std::env::var("TSAJS_BENCH_QUENCH") {
-        tempering.quench_epochs = v.parse().expect("TSAJS_BENCH_QUENCH");
-    }
-    if let Ok(v) = std::env::var("TSAJS_BENCH_INTERVAL") {
-        tempering.exchange_interval = v.parse().expect("TSAJS_BENCH_INTERVAL");
-    }
-    if let Ok(v) = std::env::var("TSAJS_BENCH_BIAS") {
-        tempering.cold_bias = v.parse().expect("TSAJS_BENCH_BIAS");
-    }
+    let tempering = TemperingConfig::paper_default();
 
     let generator = ScenarioGenerator::new(ExperimentParams::paper_default().with_users(users));
     let mut single = Vec::new();

@@ -1,6 +1,6 @@
 //! The TTSA loop (Algorithm 1).
 
-use crate::config::{Cooling, InitialSolution, InitialTemperature, TtsaConfig};
+use crate::config::{Cooling, InitialTemperature, TtsaConfig};
 use crate::moves::{NeighborhoodKernel, Proposal};
 use crate::trace::{EpochRecord, SearchTrace};
 use mec_system::{Assignment, IncrementalObjective, ObjectiveTables, Scenario};
@@ -23,24 +23,22 @@ pub struct AnnealOutcome {
     pub trace: Option<SearchTrace>,
 }
 
-/// Generates the initial feasible solution (Algorithm 1, line 5).
-pub(crate) fn initial_solution<R: Rng + ?Sized>(
-    scenario: &Scenario,
-    policy: InitialSolution,
-    rng: &mut R,
-) -> Assignment {
+/// Per-user offload probability of the random initial solution.
+pub(crate) const INITIAL_OFFLOAD_PROBABILITY: f64 = 0.5;
+
+/// Generates the initial feasible solution (Algorithm 1, line 5): each
+/// user is offloaded with probability [`INITIAL_OFFLOAD_PROBABILITY`] to a
+/// uniformly random server with a free subchannel, and stays local if the
+/// chosen server is full. This is how we realize the paper's "randomly
+/// generate an initial set of solutions that satisfy the constraints".
+pub(crate) fn initial_solution<R: Rng + ?Sized>(scenario: &Scenario, rng: &mut R) -> Assignment {
     let mut x = Assignment::all_local(scenario);
-    if let InitialSolution::RandomFeasible {
-        offload_probability,
-    } = policy
-    {
-        for u in 0..scenario.num_users() {
-            if rng.gen_bool(offload_probability) {
-                let s = ServerId::new(rng.gen_range(0..scenario.num_servers()));
-                if let Some(j) = x.free_subchannel(s) {
-                    x.assign(UserId::new(u), s, j)
-                        .expect("slot was reported free");
-                }
+    for u in 0..scenario.num_users() {
+        if rng.gen_bool(INITIAL_OFFLOAD_PROBABILITY) {
+            let s = ServerId::new(rng.gen_range(0..scenario.num_servers()));
+            if let Some(j) = x.free_subchannel(s) {
+                x.assign(UserId::new(u), s, j)
+                    .expect("slot was reported free");
             }
         }
     }
@@ -66,7 +64,7 @@ pub fn anneal<R: Rng + ?Sized>(
     kernel: &NeighborhoodKernel,
     rng: &mut R,
 ) -> AnnealOutcome {
-    let initial = initial_solution(scenario, config.initial_solution, rng);
+    let initial = initial_solution(scenario, rng);
     anneal_from(scenario, config, kernel, rng, initial)
 }
 
@@ -504,13 +502,7 @@ mod tests {
         let sc = scenario(6, 3, 2, 1e-10);
         for seed in 0..5 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let init = initial_solution(
-                &sc,
-                InitialSolution::RandomFeasible {
-                    offload_probability: 0.5,
-                },
-                &mut rng,
-            );
+            let init = initial_solution(&sc, &mut rng);
             let init_obj = Evaluator::new(&sc).objective(&init);
             let mut rng = StdRng::seed_from_u64(seed);
             let out = anneal(&sc, &quick_config(), &NeighborhoodKernel::new(), &mut rng);
@@ -618,15 +610,6 @@ mod tests {
             &mut rng,
             wrong,
         );
-    }
-
-    #[test]
-    fn all_local_initial_solution_is_supported() {
-        let sc = scenario(4, 2, 2, 1e-10);
-        let cfg = quick_config().with_initial_solution(InitialSolution::AllLocal);
-        let mut rng = StdRng::seed_from_u64(5);
-        let out = anneal(&sc, &cfg, &NeighborhoodKernel::new(), &mut rng);
-        assert!(out.objective >= 0.0);
     }
 
     #[test]

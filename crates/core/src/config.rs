@@ -152,57 +152,28 @@ impl ResolveMode {
 /// [`tempering`](crate::tempering) engine.
 ///
 /// `K = replicas` chains run on a geometric temperature ladder anchored at
-/// the base config's `T₀` (the hottest rung), exchanging states every
-/// `exchange_interval` epochs. The ensemble's total proposal budget is a
-/// `schedule_factor` fraction of the single-chain schedule's estimated
-/// epoch count — the cooperation is what buys back the quality the
-/// shortened schedule gives up.
+/// the base config's `T₀` (the hottest rung). The ladder's shape — its
+/// ratio, exchange interval, cold-end work bias, elite migration, quench
+/// and the fraction of the single-chain schedule the ensemble may spend —
+/// is fixed by the constants of the [`tempering`](crate::tempering)
+/// module.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TemperingConfig {
     /// Number of replicas `K` on the ladder.
     pub replicas: usize,
-    /// Geometric spacing `r` between adjacent rungs (`T_k = T₀ / r^(K−1−k)`,
-    /// rung `K−1` hottest). Must exceed 1.
-    pub ladder_ratio: f64,
-    /// Epochs each replica runs between exchange sweeps (`E`).
-    pub exchange_interval: u64,
-    /// Fraction of the single-chain schedule's estimated epoch count the
-    /// whole ensemble may spend (ignored when [`rounds`](Self::rounds) is
-    /// set). Values well below `1/2` are what produce the wall-clock win.
-    pub schedule_factor: f64,
-    /// Explicit number of exchange rounds, overriding the
-    /// `schedule_factor` estimate.
+    /// Explicit number of exchange rounds, overriding the estimate from
+    /// the single-chain schedule.
     pub rounds: Option<u64>,
-    /// Whether the global best-so-far is migrated into the hottest
-    /// replica after each exchange sweep.
-    pub elite_migration: bool,
-    /// Greedy polish epochs run on the global best after the ladder
-    /// finishes (accept-improving-only, at `T_min`).
-    pub quench_epochs: u64,
-    /// Work bias toward the cold end of the ladder: rung `i` (0 coldest)
-    /// gets a per-round epoch share proportional to
-    /// `cold_bias^(K−1−i)`, normalized so a round still spends `K·E`
-    /// epochs in total. `1.0` is the uniform split; values above 1 turn
-    /// the hot rungs into cheap scouts and concentrate refinement where
-    /// worsening moves are actually rejected. Must be at least 1.
-    pub cold_bias: f64,
 }
 
 impl TemperingConfig {
     /// Tuned defaults (see `EXPERIMENTS.md` for the U = 90 sweep that
-    /// chose them): `K = 8`, ratio 1.7, exchange every 4 epochs,
-    /// ensemble budget 40% of the single-chain schedule, elite migration
-    /// on, 16 quench epochs, cold-end work bias 5.
+    /// chose them): `K = 8`, with the round count estimated from the
+    /// single-chain schedule.
     pub fn paper_default() -> Self {
         Self {
             replicas: 8,
-            ladder_ratio: 1.7,
-            exchange_interval: 4,
-            schedule_factor: 0.40,
             rounds: None,
-            elite_migration: true,
-            quench_epochs: 16,
-            cold_bias: 5.0,
         }
     }
 
@@ -218,44 +189,18 @@ impl TemperingConfig {
         self
     }
 
-    /// Sets the ensemble budget as a fraction of the single-chain
-    /// schedule.
-    pub fn with_schedule_factor(mut self, f: f64) -> Self {
-        self.schedule_factor = f;
-        self
-    }
-
-    /// Sets the cold-end work bias (`1.0` = uniform epoch split).
-    pub fn with_cold_bias(mut self, bias: f64) -> Self {
-        self.cold_bias = bias;
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParameter`] for fewer than two replicas, a
-    /// ladder ratio not above 1, a zero exchange interval, a non-positive
-    /// schedule factor, or an explicit zero round count.
+    /// Returns [`Error::InvalidParameter`] for fewer than two replicas or
+    /// an explicit zero round count.
     pub fn validate(&self) -> Result<(), Error> {
         if self.replicas < 2 {
             return Err(Error::invalid("replicas", "ladder needs at least 2 rungs"));
         }
-        if !self.ladder_ratio.is_finite() || self.ladder_ratio <= 1.0 {
-            return Err(Error::invalid("ladder_ratio", "must exceed 1"));
-        }
-        if self.exchange_interval == 0 {
-            return Err(Error::invalid("exchange_interval", "must be at least 1"));
-        }
-        if !self.schedule_factor.is_finite() || self.schedule_factor <= 0.0 {
-            return Err(Error::invalid("schedule_factor", "must be positive"));
-        }
         if self.rounds == Some(0) {
             return Err(Error::invalid("rounds", "must run at least one round"));
-        }
-        if !self.cold_bias.is_finite() || self.cold_bias < 1.0 {
-            return Err(Error::invalid("cold_bias", "must be at least 1"));
         }
         Ok(())
     }
@@ -300,22 +245,6 @@ pub enum Cooling {
     },
 }
 
-/// How the initial feasible solution is generated (Algorithm 1, line 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum InitialSolution {
-    /// Start from `X = 0` (everyone local).
-    AllLocal,
-    /// Independently offload each user with the given probability to a
-    /// uniformly random server with a free subchannel (skipped if the
-    /// chosen server is full), which is how we realize the paper's
-    /// "randomly generate an initial set of solutions that satisfy the
-    /// constraints".
-    RandomFeasible {
-        /// Per-user offload probability.
-        offload_probability: f64,
-    },
-}
-
 /// Full TTSA configuration.
 ///
 /// Use [`TtsaConfig::paper_default`] for the constants of Algorithm 1 and
@@ -341,8 +270,6 @@ pub struct TtsaConfig {
     /// Cooling schedule (paper: threshold-triggered with `α₁ = 0.97`,
     /// `α₂ = 0.90`, `maxCount = 1.75·L`).
     pub cooling: Cooling,
-    /// Initial feasible solution policy.
-    pub initial_solution: InitialSolution,
     /// RNG seed; two runs with equal seeds and inputs are identical.
     pub seed: u64,
     /// Whether to record a per-epoch [`SearchTrace`](crate::SearchTrace).
@@ -367,9 +294,6 @@ impl TtsaConfig {
                 alpha_slow: 0.97,
                 alpha_fast: 0.90,
                 max_count_factor: 1.75,
-            },
-            initial_solution: InitialSolution::RandomFeasible {
-                offload_probability: 0.5,
             },
             seed: 0,
             record_trace: false,
@@ -407,12 +331,6 @@ impl TtsaConfig {
         self
     }
 
-    /// Sets the initial-solution policy.
-    pub fn with_initial_solution(mut self, init: InitialSolution) -> Self {
-        self.initial_solution = init;
-        self
-    }
-
     /// Enables per-epoch trace recording.
     pub fn with_trace(mut self) -> Self {
         self.record_trace = true;
@@ -430,9 +348,8 @@ impl TtsaConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameter`] for non-positive temperatures,
-    /// a zero epoch length, cooling multipliers outside `(0, 1)`, a
-    /// non-positive trigger factor, or an offload probability outside
-    /// `[0, 1]`.
+    /// a zero epoch length, cooling multipliers outside `(0, 1)`, or a
+    /// non-positive trigger factor.
     pub fn validate(&self) -> Result<(), Error> {
         if let InitialTemperature::Fixed(t) = self.initial_temperature {
             if !t.is_finite() || t <= 0.0 {
@@ -467,14 +384,6 @@ impl TtsaConfig {
                 if !(0.0..1.0).contains(&alpha) || alpha == 0.0 {
                     return Err(Error::invalid("alpha", "cooling rate must lie in (0, 1)"));
                 }
-            }
-        }
-        if let InitialSolution::RandomFeasible {
-            offload_probability,
-        } = self.initial_solution
-        {
-            if !(0.0..=1.0).contains(&offload_probability) {
-                return Err(Error::invalid("offload_probability", "must lie in [0, 1]"));
             }
         }
         if self.proposal_budget == Some(0) {
@@ -524,14 +433,12 @@ mod tests {
             .with_min_temperature(1e-6)
             .with_initial_temperature(InitialTemperature::Fixed(10.0))
             .with_cooling(Cooling::Geometric { alpha: 0.95 })
-            .with_initial_solution(InitialSolution::AllLocal)
             .with_trace();
         assert_eq!(c.seed, 9);
         assert_eq!(c.inner_iterations, 50);
         assert_eq!(c.min_temperature, 1e-6);
         assert_eq!(c.initial_temperature, InitialTemperature::Fixed(10.0));
         assert_eq!(c.cooling, Cooling::Geometric { alpha: 0.95 });
-        assert_eq!(c.initial_solution, InitialSolution::AllLocal);
         assert!(c.record_trace);
         assert!(c.validate().is_ok());
     }
@@ -597,12 +504,6 @@ mod tests {
                 alpha_slow: 0.97,
                 alpha_fast: 0.9,
                 max_count_factor: 0.0,
-            })
-            .validate()
-            .is_err());
-        assert!(base
-            .with_initial_solution(InitialSolution::RandomFeasible {
-                offload_probability: 1.5,
             })
             .validate()
             .is_err());

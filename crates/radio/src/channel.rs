@@ -1,6 +1,6 @@
-//! Channel-gain generation: the `h[u][s][j]` tensor.
+//! Channel-gain generation: the `h[u][s]` gain of every link.
 
-use crate::pathloss::{FreeSpace, LogDistance, PathLossModel};
+use crate::pathloss::path_loss_db;
 use crate::shadowing::Shadowing;
 use mec_topology::{NetworkLayout, Point2};
 use mec_types::{Decibels, Error, ServerId, SubchannelId, UserId};
@@ -9,63 +9,22 @@ use serde::{Deserialize, Serialize};
 
 /// The large-scale channel model used to generate gains.
 ///
-/// Gain from user `u` to station `s` is
-/// `h = 10^(−(L(d_us) + X_shadow − G_ant)/10)` where `L` is the path loss,
-/// `X_shadow ~ N(0, σ_sh²)` in dB, and `G_ant` a fixed antenna gain.
+/// Gain from user `u` to station `s` is `h = 10^(−(L(d_us) + X_us)/10)`
+/// where `L` is the paper's log-distance path loss ([`path_loss_db`]) and
+/// `X_us ~ N(0, σ_sh²)` in dB is drawn independently for every link.
 /// Fast fading is averaged out over the long-term association timescale
-/// (§III-A.2), so by default the gain is identical across subchannels; an
-/// optional per-subchannel dB jitter is available for sensitivity studies.
+/// (§III-A.2), so a link carries the same gain on every subchannel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChannelModel {
-    path_loss: PathLossKind,
     shadowing_stddev_db: f64,
-    shadowing_correlation: f64,
-    antenna_gain_db: f64,
-    subchannel_jitter_db: f64,
-}
-
-/// The deterministic path-loss component of a [`ChannelModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum PathLossKind {
-    /// `L = a + b·log10(d_km)` (the paper's model).
-    LogDistance {
-        /// Intercept at 1 km, in dB.
-        intercept_db: f64,
-        /// Slope in dB per decade of distance.
-        slope_db_per_decade: f64,
-    },
-    /// Free-space loss at a carrier frequency.
-    FreeSpace {
-        /// Carrier frequency in Hz.
-        carrier_hz: f64,
-    },
-}
-
-impl PathLossKind {
-    fn loss_db(&self, distance: mec_types::Meters) -> f64 {
-        match *self {
-            PathLossKind::LogDistance {
-                intercept_db,
-                slope_db_per_decade,
-            } => LogDistance::new(intercept_db, slope_db_per_decade).loss_db(distance),
-            PathLossKind::FreeSpace { carrier_hz } => FreeSpace::new(carrier_hz).loss_db(distance),
-        }
-    }
 }
 
 impl ChannelModel {
-    /// The paper's model: `140.7 + 36.7·log10(d_km)` path loss, 8 dB
-    /// shadowing, no extra antenna gain, no per-subchannel jitter.
+    /// The paper's model: `140.7 + 36.7·log10(d_km)` path loss and 8 dB
+    /// i.i.d. shadowing.
     pub fn paper_default() -> Self {
         Self {
-            path_loss: PathLossKind::LogDistance {
-                intercept_db: mec_types::constants::PATHLOSS_INTERCEPT_DB,
-                slope_db_per_decade: mec_types::constants::PATHLOSS_SLOPE_DB,
-            },
             shadowing_stddev_db: mec_types::constants::SHADOWING_STDDEV_DB,
-            shadowing_correlation: 0.0,
-            antenna_gain_db: 0.0,
-            subchannel_jitter_db: 0.0,
         }
     }
 
@@ -74,14 +33,7 @@ impl ChannelModel {
     pub fn deterministic() -> Self {
         Self {
             shadowing_stddev_db: 0.0,
-            ..Self::paper_default()
         }
-    }
-
-    /// Replaces the path-loss component.
-    pub fn with_path_loss(mut self, path_loss: PathLossKind) -> Self {
-        self.path_loss = path_loss;
-        self
     }
 
     /// Sets the shadowing standard deviation in dB.
@@ -95,37 +47,10 @@ impl ChannelModel {
         self
     }
 
-    /// Sets the inter-site shadowing correlation `ρ ∈ [0, 1]`: the
-    /// shadowing on a user's links is `√ρ·a_u + √(1−ρ)·b_us` with a
-    /// user-common component `a_u` — the standard 3GPP-style model
-    /// (`ρ = 0.5` is typical; the paper's experiments use i.i.d.
-    /// shadowing, `ρ = 0`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ρ ∉ [0, 1]`.
-    pub fn with_shadowing_correlation(mut self, rho: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rho), "correlation must lie in [0, 1]");
-        self.shadowing_correlation = rho;
-        self
-    }
-
-    /// Sets a fixed antenna/array gain in dB applied to every link.
-    pub fn with_antenna_gain_db(mut self, gain_db: f64) -> Self {
-        self.antenna_gain_db = gain_db;
-        self
-    }
-
-    /// Enables independent per-subchannel gain jitter (dB stddev). The
-    /// paper's experiments keep this at zero.
-    pub fn with_subchannel_jitter_db(mut self, stddev_db: f64) -> Self {
-        assert!(stddev_db.is_finite() && stddev_db >= 0.0);
-        self.subchannel_jitter_db = stddev_db;
-        self
-    }
-
-    /// Generates the channel-gain tensor for `user_positions` against every
-    /// station in `layout`, over `num_subchannels` subchannels.
+    /// Generates the channel gains of `user_positions` against every
+    /// station in `layout`, over `num_subchannels` subchannels, in the
+    /// subchannel-shared layout: one value per link, drawn in user-major,
+    /// station-minor order.
     pub fn generate<R: Rng + ?Sized>(
         &self,
         layout: &NetworkLayout,
@@ -136,48 +61,18 @@ impl ChannelModel {
         let num_users = user_positions.len();
         let num_servers = layout.num_stations();
         let mut shadowing = Shadowing::new(self.shadowing_stddev_db);
-        let mut jitter = Shadowing::new(self.subchannel_jitter_db);
-        let rho = self.shadowing_correlation;
-        // Without per-subchannel jitter every subchannel carries the same
-        // gain, so one value per (user, server) link suffices — the
-        // compact representation city-scale instances rely on. The dense
-        // path draws the exact same RNG stream it always did, and the
-        // shared path draws none for the jitter, so both layouts are
-        // bit-identical to the historical dense tensor.
-        let shared = self.subchannel_jitter_db <= 0.0;
-        let values_per_link = if shared { 1 } else { num_subchannels };
-        let mut gains = vec![0.0; num_users * num_servers * values_per_link];
-        for (u, pos) in user_positions.iter().enumerate() {
-            // User-common shadowing component (correlated across stations).
-            let common_db = if rho > 0.0 {
-                shadowing.sample_db(rng)
-            } else {
-                0.0
-            };
-            for (s, station) in layout.stations().iter().enumerate() {
-                let loss_db = self.path_loss.loss_db(pos.distance(*station));
-                let link_db = if rho >= 1.0 {
-                    common_db
-                } else {
-                    rho.sqrt() * common_db + (1.0 - rho).sqrt() * shadowing.sample_db(rng)
-                };
-                let base_db = -(loss_db + link_db) + self.antenna_gain_db;
-                if shared {
-                    gains[u * num_servers + s] = Decibels::new(base_db).to_linear();
-                } else {
-                    for j in 0..num_subchannels {
-                        let db = base_db + jitter.sample_db(rng);
-                        gains[(u * num_servers + s) * num_subchannels + j] =
-                            Decibels::new(db).to_linear();
-                    }
-                }
+        let mut gains = Vec::with_capacity(num_users * num_servers);
+        for pos in user_positions {
+            for station in layout.stations() {
+                let loss_db = path_loss_db(pos.distance(*station));
+                gains.push(Decibels::new(-(loss_db + shadowing.sample_db(rng))).to_linear());
             }
         }
         ChannelGains {
             num_users,
             num_servers,
             num_subchannels,
-            shared,
+            shared: true,
             gains,
         }
     }
@@ -193,15 +88,16 @@ impl Default for ChannelModel {
 /// Linear channel gains `h[u][s][j]` in one of two layouts.
 ///
 /// * **Dense** — one value per `(u, s, j)` at
-///   `gains[(u·S + s)·N + j]`: required when per-subchannel jitter makes
-///   subchannels distinguishable.
+///   `gains[(u·S + s)·N + j]`: built by [`ChannelGains::from_fn`] for
+///   explicit gains that may differ by subchannel (explicit specs, legacy
+///   JSON snapshots, tests).
 /// * **Subchannel-shared** — one value per `(u, s)` at `gains[u·S + s]`,
 ///   identical across subchannels. This is exact for the paper's model
-///   (fast fading averages out over the association timescale, §III-A.2)
-///   and cuts storage by `N×`, which is what lets U=100k–1M metro
-///   instances fit in memory.
+///   (fast fading averages out over the association timescale, §III-A.2),
+///   is what [`ChannelModel::generate`] builds, and cuts storage by `N×`,
+///   which is what lets U=100k–1M metro instances fit in memory.
 ///
-/// Generated once per scenario; lookups during search are branch-free
+/// Built once per scenario; lookups during search are branch-free
 /// multiplies into a flat buffer plus one well-predicted layout branch.
 /// Equality is *logical*: two tensors compare equal iff every
 /// `h[u][s][j]` matches, regardless of representation.
@@ -475,7 +371,7 @@ impl ChannelGains {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mec_types::{constants, Meters};
+    use mec_types::constants;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -493,7 +389,7 @@ mod tests {
         let expected = 10.0_f64.powf(-10.4);
         let got = g.gain(UserId::new(0), ServerId::new(0), SubchannelId::new(0));
         assert!((got / expected - 1.0).abs() < 1e-9, "got {got}");
-        // Identical across subchannels without jitter.
+        // Identical across subchannels.
         assert_eq!(
             got,
             g.gain(UserId::new(0), ServerId::new(0), SubchannelId::new(1))
@@ -528,34 +424,6 @@ mod tests {
         let b = clean.gain(UserId::new(0), ServerId::new(0), SubchannelId::new(0));
         assert_ne!(a, b);
         assert!(a > 0.0 && a.is_finite());
-    }
-
-    #[test]
-    fn subchannel_jitter_decorrelates_subchannels() {
-        let l = layout();
-        let users = vec![Point2::new(100.0, 0.0)];
-        let mut rng = StdRng::seed_from_u64(9);
-        let g = ChannelModel::deterministic()
-            .with_subchannel_jitter_db(3.0)
-            .generate(&l, &users, 3, &mut rng);
-        let g0 = g.gain(UserId::new(0), ServerId::new(0), SubchannelId::new(0));
-        let g1 = g.gain(UserId::new(0), ServerId::new(0), SubchannelId::new(1));
-        assert_ne!(g0, g1);
-    }
-
-    #[test]
-    fn antenna_gain_scales_linearly() {
-        let l = layout();
-        let users = vec![Point2::new(100.0, 0.0)];
-        let mut rng = StdRng::seed_from_u64(0);
-        let base = ChannelModel::deterministic().generate(&l, &users, 1, &mut rng);
-        let mut rng = StdRng::seed_from_u64(0);
-        let boosted = ChannelModel::deterministic()
-            .with_antenna_gain_db(10.0)
-            .generate(&l, &users, 1, &mut rng);
-        let r = boosted.gain(UserId::new(0), ServerId::new(0), SubchannelId::new(0))
-            / base.gain(UserId::new(0), ServerId::new(0), SubchannelId::new(0));
-        assert!((r - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -617,48 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn full_correlation_shares_shadowing_across_stations() {
-        let l = layout();
-        let users = vec![Point2::new(100.0, 0.0)];
-        let mut rng = StdRng::seed_from_u64(21);
-        let g = ChannelModel::paper_default()
-            .with_shadowing_correlation(1.0)
-            .generate(&l, &users, 1, &mut rng);
-        // With rho = 1 the shadowing is identical on every link, so the
-        // gain ratios between stations equal the pure path-loss ratios.
-        let mut rng = StdRng::seed_from_u64(99);
-        let clean = ChannelModel::deterministic().generate(&l, &users, 1, &mut rng);
-        let r01 = |g: &ChannelGains| {
-            g.gain(UserId::new(0), ServerId::new(0), SubchannelId::new(0))
-                / g.gain(UserId::new(0), ServerId::new(1), SubchannelId::new(0))
-        };
-        assert!((r01(&g) / r01(&clean) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn partial_correlation_still_varies_links() {
-        let l = layout();
-        let users = vec![Point2::new(100.0, 0.0); 3];
-        let mut rng = StdRng::seed_from_u64(22);
-        let g = ChannelModel::paper_default()
-            .with_shadowing_correlation(0.5)
-            .generate(&l, &users, 1, &mut rng);
-        // Same position, different users: gains still differ (independent
-        // components), and are positive/finite.
-        let g0 = g.gain(UserId::new(0), ServerId::new(0), SubchannelId::new(0));
-        let g1 = g.gain(UserId::new(1), ServerId::new(0), SubchannelId::new(0));
-        assert_ne!(g0, g1);
-        assert!(g0 > 0.0 && g0.is_finite());
-    }
-
-    #[test]
-    #[should_panic(expected = "correlation")]
-    fn out_of_range_correlation_panics() {
-        let _ = ChannelModel::paper_default().with_shadowing_correlation(1.5);
-    }
-
-    #[test]
-    fn no_jitter_generation_uses_shared_layout() {
+    fn generation_uses_shared_layout() {
         let l = layout();
         let users: Vec<Point2> = (0..5).map(|i| Point2::new(40.0 * i as f64, 10.0)).collect();
         let mut rng = StdRng::seed_from_u64(13);
@@ -677,18 +504,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn jitter_generation_stays_dense() {
-        let l = layout();
-        let users = vec![Point2::new(100.0, 0.0)];
-        let mut rng = StdRng::seed_from_u64(9);
-        let g = ChannelModel::deterministic()
-            .with_subchannel_jitter_db(3.0)
-            .generate(&l, &users, 3, &mut rng);
-        assert!(!g.is_subchannel_shared());
-        assert_eq!(g.gains.len(), 9 * 3);
     }
 
     #[test]
@@ -758,17 +573,5 @@ mod tests {
         // Out-of-range ids are rejected.
         assert!(dense.subset(&[UserId::new(4)], &servers).is_err());
         assert!(dense.subset(&users, &[ServerId::new(3)]).is_err());
-    }
-
-    #[test]
-    fn alternative_path_loss_kind_is_usable() {
-        let l = NetworkLayout::hexagonal(1, Meters::new(1000.0)).unwrap();
-        let users = vec![Point2::new(100.0, 0.0)];
-        let mut rng = StdRng::seed_from_u64(0);
-        let g = ChannelModel::deterministic()
-            .with_path_loss(PathLossKind::FreeSpace { carrier_hz: 2.0e9 })
-            .generate(&l, &users, 1, &mut rng);
-        let got = g.gain(UserId::new(0), ServerId::new(0), SubchannelId::new(0));
-        assert!(got > 0.0 && got.is_finite());
     }
 }

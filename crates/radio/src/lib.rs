@@ -10,9 +10,9 @@
 //!   of width `W = B/N`,
 //! * SINR with inter-cell interference (Eq. 3) and Shannon rates (Eq. 4).
 //!
-//! Channel gains are generated once per scenario into a dense
-//! `[user][server][subchannel]` tensor ([`ChannelGains`]), so repeated
-//! objective evaluations during search never touch the RNG.
+//! Channel gains are generated once per scenario, one value per
+//! `(user, server)` link shared by every subchannel ([`ChannelGains`]), so
+//! repeated objective evaluations during search never touch the RNG.
 //!
 //! ## Example
 //!
@@ -51,6 +51,6 @@ pub mod sinr;
 pub use channel::{ChannelGains, ChannelModel};
 pub use normal::StandardNormal;
 pub use ofdma::{thermal_noise, OfdmaConfig};
-pub use pathloss::{FreeSpace, LogDistance, PathLossModel};
+pub use pathloss::path_loss_db;
 pub use shadowing::Shadowing;
 pub use sinr::{compute_sinrs, shannon_rate, Transmission};

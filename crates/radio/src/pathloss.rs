@@ -1,4 +1,4 @@
-//! Distance-dependent path-loss models.
+//! Distance-dependent path loss.
 
 use mec_types::{constants, Meters};
 
@@ -7,77 +7,12 @@ use mec_types::{constants, Meters};
 /// methodologies apply a similar minimum-distance floor.
 pub const MIN_DISTANCE: Meters = Meters::new(10.0);
 
-/// A deterministic large-scale path-loss model.
-///
-/// Implementations return the loss in dB for a given link distance;
-/// the stochastic shadowing component lives in
-/// [`Shadowing`](crate::Shadowing).
-pub trait PathLossModel: std::fmt::Debug + Send + Sync {
-    /// Path loss in dB at the given distance (after flooring to
-    /// [`MIN_DISTANCE`]).
-    fn loss_db(&self, distance: Meters) -> f64;
-}
-
-/// The paper's log-distance model: `L[dB] = 140.7 + 36.7·log10(d[km])`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogDistance {
-    intercept_db: f64,
-    slope_db_per_decade: f64,
-}
-
-impl LogDistance {
-    /// Creates a log-distance model with an explicit intercept and slope.
-    pub fn new(intercept_db: f64, slope_db_per_decade: f64) -> Self {
-        Self {
-            intercept_db,
-            slope_db_per_decade,
-        }
-    }
-
-    /// The paper's parameters (140.7 dB intercept at 1 km, 36.7 dB/decade).
-    pub fn paper_default() -> Self {
-        Self::new(
-            constants::PATHLOSS_INTERCEPT_DB,
-            constants::PATHLOSS_SLOPE_DB,
-        )
-    }
-}
-
-impl Default for LogDistance {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
-impl PathLossModel for LogDistance {
-    fn loss_db(&self, distance: Meters) -> f64 {
-        let d_km = distance.max(MIN_DISTANCE).as_kilometers();
-        self.intercept_db + self.slope_db_per_decade * d_km.log10()
-    }
-}
-
-/// Free-space path loss at a given carrier frequency:
-/// `L[dB] = 20·log10(d[m]) + 20·log10(f[Hz]) − 147.55`.
-///
-/// Provided as an alternative substrate model for sensitivity studies; the
-/// paper's experiments all use [`LogDistance`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FreeSpace {
-    carrier_hz: f64,
-}
-
-impl FreeSpace {
-    /// Creates a free-space model at the given carrier frequency in Hz.
-    pub fn new(carrier_hz: f64) -> Self {
-        Self { carrier_hz }
-    }
-}
-
-impl PathLossModel for FreeSpace {
-    fn loss_db(&self, distance: Meters) -> f64 {
-        let d_m = distance.max(MIN_DISTANCE).as_meters();
-        20.0 * d_m.log10() + 20.0 * self.carrier_hz.log10() - 147.55
-    }
+/// The paper's log-distance path loss `L[dB] = 140.7 + 36.7·log10(d[km])`
+/// at `distance`, floored to [`MIN_DISTANCE`]. The stochastic shadowing
+/// component lives in [`Shadowing`](crate::Shadowing).
+pub fn path_loss_db(distance: Meters) -> f64 {
+    let d_km = distance.max(MIN_DISTANCE).as_kilometers();
+    constants::PATHLOSS_INTERCEPT_DB + constants::PATHLOSS_SLOPE_DB * d_km.log10()
 }
 
 #[cfg(test)]
@@ -86,24 +21,21 @@ mod tests {
 
     #[test]
     fn paper_model_at_one_km() {
-        let m = LogDistance::paper_default();
-        assert!((m.loss_db(Meters::from_kilometers(1.0)) - 140.7).abs() < 1e-9);
+        assert!((path_loss_db(Meters::from_kilometers(1.0)) - 140.7).abs() < 1e-9);
     }
 
     #[test]
     fn paper_model_slope_per_decade() {
-        let m = LogDistance::paper_default();
-        let l1 = m.loss_db(Meters::from_kilometers(0.1));
-        let l2 = m.loss_db(Meters::from_kilometers(1.0));
+        let l1 = path_loss_db(Meters::from_kilometers(0.1));
+        let l2 = path_loss_db(Meters::from_kilometers(1.0));
         assert!((l2 - l1 - 36.7).abs() < 1e-9);
     }
 
     #[test]
     fn loss_is_monotone_in_distance() {
-        let m = LogDistance::paper_default();
         let mut prev = f64::NEG_INFINITY;
         for d in [10.0, 50.0, 100.0, 500.0, 1000.0, 2000.0] {
-            let l = m.loss_db(Meters::new(d));
+            let l = path_loss_db(Meters::new(d));
             assert!(l > prev);
             prev = l;
         }
@@ -111,28 +43,8 @@ mod tests {
 
     #[test]
     fn distances_below_floor_are_clamped() {
-        let m = LogDistance::paper_default();
-        assert_eq!(m.loss_db(Meters::new(0.0)), m.loss_db(MIN_DISTANCE));
-        assert_eq!(m.loss_db(Meters::new(5.0)), m.loss_db(MIN_DISTANCE));
-        assert!(m.loss_db(Meters::new(0.0)).is_finite());
-    }
-
-    #[test]
-    fn free_space_reference_point() {
-        // FSPL at 1 km, 2 GHz ≈ 98.5 dB.
-        let m = FreeSpace::new(2.0e9);
-        let l = m.loss_db(Meters::from_kilometers(1.0));
-        assert!((l - 98.5).abs() < 0.2, "got {l}");
-    }
-
-    #[test]
-    fn models_are_object_safe() {
-        let models: Vec<Box<dyn PathLossModel>> = vec![
-            Box::new(LogDistance::paper_default()),
-            Box::new(FreeSpace::new(2.0e9)),
-        ];
-        for m in &models {
-            assert!(m.loss_db(Meters::new(100.0)).is_finite());
-        }
+        assert_eq!(path_loss_db(Meters::new(0.0)), path_loss_db(MIN_DISTANCE));
+        assert_eq!(path_loss_db(Meters::new(5.0)), path_loss_db(MIN_DISTANCE));
+        assert!(path_loss_db(Meters::new(0.0)).is_finite());
     }
 }

@@ -1,8 +1,8 @@
 //! Property tests for the wireless substrate.
 
 use mec_radio::{
-    compute_sinrs, shannon_rate, ChannelGains, ChannelModel, LogDistance, OfdmaConfig,
-    PathLossModel, Transmission,
+    compute_sinrs, path_loss_db, shannon_rate, ChannelGains, ChannelModel, OfdmaConfig,
+    Transmission,
 };
 use mec_topology::{NetworkLayout, Point2};
 use mec_types::{Hertz, Meters, ServerId, SubchannelId, UserId};
@@ -34,9 +34,8 @@ fn arb_transmissions(users: usize, servers: usize, subs: usize, seed: u64) -> Ve
 proptest! {
     #[test]
     fn path_loss_is_monotone_nondecreasing(d1 in 1.0f64..50_000.0, d2 in 1.0f64..50_000.0) {
-        let model = LogDistance::paper_default();
         let (near, far) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
-        prop_assert!(model.loss_db(Meters::new(near)) <= model.loss_db(Meters::new(far)) + 1e-12);
+        prop_assert!(path_loss_db(Meters::new(near)) <= path_loss_db(Meters::new(far)) + 1e-12);
     }
 
     #[test]

@@ -34,11 +34,14 @@ pub struct LineChart {
     x_label: String,
     y_label: String,
     series: Vec<Series>,
-    width: f64,
-    height: f64,
 }
 
-/// Default series colors (cycled).
+/// Chart width in pixels.
+const WIDTH: f64 = 720.0;
+/// Chart height in pixels.
+const HEIGHT: f64 = 420.0;
+
+/// Series colors (cycled).
 const COLORS: [&str; 6] = [
     "#1d3557", "#2a9d8f", "#e76f51", "#7b2cbf", "#e9c46a", "#457b9d",
 ];
@@ -55,8 +58,6 @@ impl LineChart {
             x_label: x_label.into(),
             y_label: y_label.into(),
             series: Vec::new(),
-            width: 720.0,
-            height: 420.0,
         }
     }
 
@@ -66,28 +67,13 @@ impl LineChart {
         self
     }
 
-    /// Sets the pixel size.
-    ///
-    /// # Panics
-    ///
-    /// `render` panics on non-positive dimensions.
-    pub fn with_size(mut self, width: f64, height: f64) -> Self {
-        self.width = width;
-        self.height = height;
-        self
-    }
-
     /// Renders the chart to an SVG document string.
     ///
     /// # Panics
     ///
-    /// Panics if no series has any point, if any coordinate is
-    /// non-finite, or if the size is non-positive.
+    /// Panics if no series has any point or if any coordinate is
+    /// non-finite.
     pub fn render(&self) -> String {
-        assert!(
-            self.width > 0.0 && self.height > 0.0,
-            "size must be positive"
-        );
         let all: Vec<(f64, f64)> = self
             .series
             .iter()
@@ -120,8 +106,8 @@ impl LineChart {
 
         // Plot area with margins for labels.
         let (ml, mr, mt, mb) = (64.0, 16.0, 36.0, 48.0);
-        let pw = self.width - ml - mr;
-        let ph = self.height - mt - mb;
+        let pw = WIDTH - ml - mr;
+        let ph = HEIGHT - mt - mb;
         let tx = |x: f64| ml + (x - x0) / (x1 - x0) * pw;
         let ty = |y: f64| mt + (1.0 - (y - y0) / (y1 - y0)) * ph;
 
@@ -130,7 +116,7 @@ impl LineChart {
             svg,
             "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{:.0}\" height=\"{:.0}\" \
              viewBox=\"0 0 {:.0} {:.0}\" font-family=\"sans-serif\">",
-            self.width, self.height, self.width, self.height
+            WIDTH, HEIGHT, WIDTH, HEIGHT
         );
         // Frame, title, axis labels.
         let _ = write!(
@@ -144,7 +130,7 @@ impl LineChart {
             ml + pw / 2.0,
             self.title,
             ml + pw / 2.0,
-            self.height - 12.0,
+            HEIGHT - 12.0,
             self.x_label,
             mt + ph / 2.0,
             mt + ph / 2.0,

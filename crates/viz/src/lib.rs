@@ -35,35 +35,18 @@ use mec_topology::{NetworkLayout, Point2};
 use mec_types::UserId;
 use std::fmt::Write as _;
 
-/// Palette used by the renderer (hex color strings).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Palette {
-    /// Cell fill.
-    pub cell_fill: &'static str,
-    /// Cell border.
-    pub cell_stroke: &'static str,
-    /// Base-station marker.
-    pub station: &'static str,
-    /// Offloaded-user dot.
-    pub offloaded: &'static str,
-    /// Local-user dot.
-    pub local: &'static str,
-    /// User→station link.
-    pub link: &'static str,
-}
-
-impl Default for Palette {
-    fn default() -> Self {
-        Self {
-            cell_fill: "#f3f6fb",
-            cell_stroke: "#8aa0c2",
-            station: "#1d3557",
-            offloaded: "#2a9d8f",
-            local: "#e76f51",
-            link: "#2a9d8f",
-        }
-    }
-}
+/// Output width in pixels; the height follows the aspect ratio.
+const WIDTH_PX: f64 = 720.0;
+/// Cell fill.
+const CELL_FILL: &str = "#f3f6fb";
+/// Cell border.
+const CELL_STROKE: &str = "#8aa0c2";
+/// Base-station marker.
+const STATION: &str = "#1d3557";
+/// Offloaded-user dot and user→station link.
+const OFFLOADED: &str = "#2a9d8f";
+/// Local-user dot.
+const LOCAL: &str = "#e76f51";
 
 /// A renderable scene: layout plus optional users and decision.
 #[derive(Debug, Clone)]
@@ -71,8 +54,6 @@ pub struct SvgScene<'a> {
     layout: &'a NetworkLayout,
     users: &'a [Point2],
     assignment: Option<&'a Assignment>,
-    palette: Palette,
-    width_px: f64,
 }
 
 impl<'a> SvgScene<'a> {
@@ -82,8 +63,6 @@ impl<'a> SvgScene<'a> {
             layout,
             users: &[],
             assignment: None,
-            palette: Palette::default(),
-            width_px: 720.0,
         }
     }
 
@@ -107,30 +86,12 @@ impl<'a> SvgScene<'a> {
         self
     }
 
-    /// Overrides the color palette.
-    pub fn with_palette(mut self, palette: Palette) -> Self {
-        self.palette = palette;
-        self
-    }
-
-    /// Sets the output width in pixels (height follows the aspect ratio).
-    ///
-    /// # Panics
-    ///
-    /// `render` panics if the width is not strictly positive.
-    pub fn with_width(mut self, width_px: f64) -> Self {
-        self.width_px = width_px;
-        self
-    }
-
     /// Renders the scene to an SVG document string.
     ///
     /// # Panics
     ///
-    /// Panics if an attached assignment disagrees with the user count or
-    /// the configured width is not positive.
+    /// Panics if an attached assignment disagrees with the user count.
     pub fn render(&self) -> String {
-        assert!(self.width_px > 0.0, "width must be positive");
         if let Some(a) = self.assignment {
             assert_eq!(
                 a.num_users(),
@@ -152,7 +113,7 @@ impl<'a> SvgScene<'a> {
         }
         let world_w = (max_x - min_x).max(1.0);
         let world_h = (max_y - min_y).max(1.0);
-        let scale = self.width_px / world_w;
+        let scale = WIDTH_PX / world_w;
         let height_px = world_h * scale;
         // Flip y so north is up.
         let tx = |p: &Point2| -> (f64, f64) { ((p.x - min_x) * scale, (max_y - p.y) * scale) };
@@ -162,7 +123,7 @@ impl<'a> SvgScene<'a> {
             svg,
             "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{:.0}\" height=\"{:.0}\" \
              viewBox=\"0 0 {:.0} {:.0}\">",
-            self.width_px, height_px, self.width_px, height_px
+            WIDTH_PX, height_px, WIDTH_PX, height_px
         );
 
         // Cells (pointy-top hexagons) and stations.
@@ -178,8 +139,8 @@ impl<'a> SvgScene<'a> {
                 svg,
                 "<polygon points=\"{}\" fill=\"{}\" stroke=\"{}\" stroke-width=\"1\"/>",
                 points.trim_end(),
-                self.palette.cell_fill,
-                self.palette.cell_stroke
+                CELL_FILL,
+                CELL_STROKE
             );
             let (x, y) = tx(station);
             let _ = write!(
@@ -188,10 +149,10 @@ impl<'a> SvgScene<'a> {
                  <text x=\"{:.1}\" y=\"{:.1}\" font-size=\"11\" fill=\"{}\">s{}</text>",
                 x - 5.0,
                 y - 5.0,
-                self.palette.station,
+                STATION,
                 x + 7.0,
                 y - 7.0,
-                self.palette.station,
+                STATION,
                 i
             );
         }
@@ -209,8 +170,7 @@ impl<'a> SvgScene<'a> {
                     let _ = write!(
                         svg,
                         "<line x1=\"{x1:.1}\" y1=\"{y1:.1}\" x2=\"{x2:.1}\" y2=\"{y2:.1}\" \
-                         stroke=\"{}\" stroke-width=\"0.8\" opacity=\"0.6\"/>",
-                        self.palette.link
+                         stroke=\"{OFFLOADED}\" stroke-width=\"0.8\" opacity=\"0.6\"/>"
                     );
                 }
             }
@@ -222,11 +182,7 @@ impl<'a> SvgScene<'a> {
                 .assignment
                 .map(|a| a.is_offloaded(UserId::new(i)))
                 .unwrap_or(false);
-            let color = if offloaded {
-                self.palette.offloaded
-            } else {
-                self.palette.local
-            };
+            let color = if offloaded { OFFLOADED } else { LOCAL };
             let (x, y) = tx(p);
             let _ = write!(
                 svg,
@@ -276,9 +232,8 @@ mod tests {
             .with_assignment(&x)
             .render();
         assert_eq!(count(&svg, "<line"), 1, "one offloaded user, one link");
-        let palette = Palette::default();
-        assert!(svg.contains(palette.offloaded));
-        assert!(svg.contains(palette.local));
+        assert!(svg.contains(OFFLOADED));
+        assert!(svg.contains(LOCAL));
     }
 
     #[test]
@@ -313,12 +268,5 @@ mod tests {
             .with_users(&users)
             .with_assignment(&x)
             .render();
-    }
-
-    #[test]
-    #[should_panic(expected = "width")]
-    fn nonpositive_width_panics() {
-        let l = layout();
-        let _ = SvgScene::new(&l).with_width(0.0).render();
     }
 }
