@@ -173,7 +173,7 @@ fn main() -> Result<(), Error> {
     let started = Instant::now();
     let solution = solver.solve(&scenario)?;
     let elapsed = started.elapsed();
-    let stats = solver.last_stats().expect("solve just ran");
+    let outcome = solver.last_outcome().expect("solve just ran");
     println!("  system utility : {:.3}", solution.utility);
     println!(
         "  offloaded      : {}/{} ({} slots)",
@@ -183,9 +183,9 @@ fn main() -> Result<(), Error> {
     );
     println!(
         "  clusters       : {} ({} sweeps, converged: {})",
-        stats.clusters, stats.sweeps, stats.converged,
+        outcome.clusters, outcome.sweeps, outcome.converged,
     );
-    println!("  halo residual  : {:.2e}", stats.halo_residual);
+    println!("  halo residual  : {:.2e}", outcome.halo_residual);
     println!("  wall clock     : {:.2?}", elapsed);
     Ok(())
 }
