@@ -260,6 +260,7 @@ impl GeneratedSpec {
                 template
                     .build_user(
                         self.downlink.as_ref().map(|d| d.output_kb),
+                        DbMilliwatts::new(self.radio.tx_power_dbm),
                         &mut template_rng,
                     )
                     .map_err(|e| SpecError::model(format!("population.template ({u})"), &e))?,
@@ -308,6 +309,7 @@ impl UserTemplate {
     fn build_user(
         &self,
         output_kb: Option<f64>,
+        tx_power: DbMilliwatts,
         rng: &mut StdRng,
     ) -> Result<UserSpec, mec_types::Error> {
         let beta = if self.beta_time_spread > 0.0 {
@@ -325,11 +327,7 @@ impl UserTemplate {
         };
         Ok(UserSpec {
             task,
-            device: DeviceProfile::new(
-                Hertz::from_giga(self.user_cpu_ghz),
-                self.kappa,
-                DbMilliwatts::new(10.0),
-            )?,
+            device: DeviceProfile::new(Hertz::from_giga(self.user_cpu_ghz), self.kappa, tx_power)?,
             preferences: UserPreferences::new(beta)?,
             lambda: ProviderPreference::new(self.lambda)?,
         })
@@ -433,6 +431,25 @@ mod tests {
             workloads.iter().any(|w| *w != workloads[0]),
             "two templates should mix: {workloads:?}"
         );
+    }
+
+    #[test]
+    fn every_population_shape_transmits_at_the_radio_power() {
+        let heavy = UserTemplate {
+            task_mcycles: 3000.0,
+            ..UserTemplate::default()
+        };
+        let one = ScenarioBuilder::new("one").users(8).tx_power_dbm(23.0);
+        let two = ScenarioBuilder::new("two")
+            .users(8)
+            .tx_power_dbm(23.0)
+            .add_template(heavy);
+        for spec in [one.build(), two.build()] {
+            let scenario = spec.materialize(5).unwrap();
+            for user in scenario.users() {
+                assert_eq!(user.device.tx_power().as_dbm(), 23.0, "{}", spec.name);
+            }
+        }
     }
 
     #[test]
