@@ -37,8 +37,8 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Whether this process's `TSAJS_BENCH_QUICK` selects the quick
-/// (CI-scale) preset of the loadtest and the `mec-bench` harnesses: it
-/// does when set to anything but an empty value or `0`.
+/// (CI-scale) preset of the `mec-bench` harnesses: it does when set to
+/// anything but an empty value or `0`.
 pub fn quick_from_env() -> bool {
     quick_requested(std::env::var("TSAJS_BENCH_QUICK").ok().as_deref())
 }
