@@ -222,7 +222,9 @@ pub struct ClusterMembers {
 pub struct Partition {
     cluster_size: usize,
     server_cluster: Vec<usize>,
-    user_cluster: Vec<usize>,
+    /// Each user's cluster, narrowed to 32 bits: a cluster index is below
+    /// the server count, which `Scenario::new` caps at 2²⁰.
+    user_cluster: Vec<u32>,
     clusters: Vec<ClusterMembers>,
 }
 
@@ -265,12 +267,12 @@ impl Partition {
         }
 
         let gains = scenario.gains();
-        let user_cluster: Vec<usize> = scenario
+        let user_cluster: Vec<u32> = scenario
             .user_ids()
-            .map(|u| server_cluster[gains.best_server(u).index()])
+            .map(|u| server_cluster[gains.best_server(u).index()] as u32)
             .collect();
         for (u, &c) in user_cluster.iter().enumerate() {
-            clusters[c].users.push(UserId::new(u));
+            clusters[c as usize].users.push(UserId::new(u));
         }
 
         Self {
@@ -327,7 +329,7 @@ impl Partition {
 
     /// The cluster user `u` is attached to.
     pub fn cluster_of_user(&self, u: UserId) -> usize {
-        self.user_cluster[u.index()]
+        self.user_cluster[u.index()] as usize
     }
 }
 

@@ -89,7 +89,9 @@
 //! `tests/soa_props.rs` pins the drift below `1e-9` relative and the
 //! score/apply deltas bit-exact against each other.
 
-use crate::assignment::Assignment;
+use crate::assignment::{
+    pack_slot, unpack_slot, Assignment, MAX_PACKED_USERS, SERVER_BITS, SUBCHANNEL_BITS,
+};
 use crate::coefficients::CoefficientBlocks;
 use crate::scenario::Scenario;
 use crate::simd;
@@ -121,70 +123,34 @@ pub enum PrimOp {
 pub const MAX_MOVE_OPS: usize = 4;
 
 /// Bits of a packed op word that hold the user index (the low bits).
-const USER_BITS: u32 = 32;
-/// Bits of a packed op word that hold the server index, above the user.
-const SERVER_BITS: u32 = 20;
-/// Bits of a packed op word that hold the subchannel index, above the
-/// server; the one bit left on top marks an `Assign`.
-const SUBCHANNEL_BITS: u32 = 11;
-const SERVER_SHIFT: u32 = USER_BITS;
-const SUBCHANNEL_SHIFT: u32 = USER_BITS + SERVER_BITS;
+const USER_BITS: u32 = u32::BITS;
+/// The bit on top of a packed op word, above the user and the slot
+/// word, that marks an `Assign`.
 const ASSIGN_BIT: u64 = 1 << (USER_BITS + SERVER_BITS + SUBCHANNEL_BITS);
 
-/// Most users a [`MoveDesc`] can address (user indices take 32 bits of
-/// a packed op); [`Scenario::new`] rejects larger populations.
-pub(crate) const MAX_PACKED_USERS: u64 = 1 << USER_BITS;
-/// Most servers a [`MoveDesc`] can address (20 bits of a packed op).
-pub(crate) const MAX_PACKED_SERVERS: u64 = 1 << SERVER_BITS;
-/// Most subchannels a [`MoveDesc`] can address (11 bits of a packed op).
-pub(crate) const MAX_PACKED_SUBCHANNELS: u64 = 1 << SUBCHANNEL_BITS;
-
-/// Checks that every id of a `users × servers × subchannels` geometry
-/// fits a packed [`MoveDesc`] op, naming the first count that does not.
-pub(crate) fn check_packed_geometry(
-    users: usize,
-    servers: usize,
-    subchannels: usize,
-) -> Result<(), Error> {
-    for (name, count, max) in [
-        ("U", users, MAX_PACKED_USERS),
-        ("S", servers, MAX_PACKED_SERVERS),
-        ("N", subchannels, MAX_PACKED_SUBCHANNELS),
-    ] {
-        if count as u64 > max {
-            return Err(Error::invalid(
-                name,
-                format!("{count} exceeds the {max} a packed move can address"),
-            ));
-        }
-    }
-    Ok(())
-}
-
 impl PrimOp {
-    /// The op as one word: the user in the low 32 bits, then the server
-    /// (20 bits) and the subchannel (11 bits) of an `Assign`, and the top
-    /// bit set for an `Assign`. A `Release` is its user index alone.
+    /// The op as one word: the user in the low 32 bits, then the slot
+    /// word of an `Assign` (the server in 20 bits, the subchannel in 11;
+    /// see [`crate::assignment`]), and the top bit set for an `Assign`. A
+    /// `Release` is its user index alone.
     ///
     /// # Panics
     ///
     /// Panics if an id does not fit its field.
     #[inline]
     fn pack(self) -> u64 {
-        let (user, server, subchannel, assign) = match self {
+        match self {
             PrimOp::Assign {
                 user,
                 server,
                 subchannel,
-            } => (user, server.index(), subchannel.index(), ASSIGN_BIT),
-            PrimOp::Release { user } => (user, 0, 0, 0),
-        };
-        let (u, s, j) = (user.index() as u64, server as u64, subchannel as u64);
-        assert!(
-            u < MAX_PACKED_USERS && s < MAX_PACKED_SERVERS && j < MAX_PACKED_SUBCHANNELS,
-            "op ids beyond the packed range: user {u}, server {s}, subchannel {j}"
-        );
-        assign | (j << SUBCHANNEL_SHIFT) | (s << SERVER_SHIFT) | u
+            } => {
+                ASSIGN_BIT
+                    | u64::from(pack_slot(server, subchannel)) << USER_BITS
+                    | user.index() as u64
+            }
+            PrimOp::Release { user } => user.index() as u64,
+        }
     }
 
     /// Decodes a word written by [`pack`](Self::pack).
@@ -194,12 +160,11 @@ impl PrimOp {
         if word & ASSIGN_BIT == 0 {
             return PrimOp::Release { user };
         }
+        let (server, subchannel) = unpack_slot((word >> USER_BITS) as u32);
         PrimOp::Assign {
             user,
-            server: ServerId::new(((word >> SERVER_SHIFT) & (MAX_PACKED_SERVERS - 1)) as usize),
-            subchannel: SubchannelId::new(
-                ((word >> SUBCHANNEL_SHIFT) & (MAX_PACKED_SUBCHANNELS - 1)) as usize,
-            ),
+            server,
+            subchannel,
         }
     }
 }
@@ -1988,6 +1953,7 @@ impl MoveLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assignment::{check_packed_geometry, MAX_PACKED_SERVERS, MAX_PACKED_SUBCHANNELS};
     use crate::evaluation::{EvalScratch, Evaluator};
     use crate::scenario::UserSpec;
     use mec_radio::{ChannelGains, OfdmaConfig};

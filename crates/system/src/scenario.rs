@@ -112,7 +112,7 @@ impl Scenario {
                 actual: gains.num_subchannels(),
             });
         }
-        crate::incremental::check_packed_geometry(
+        crate::assignment::check_packed_geometry(
             users.len(),
             servers.len(),
             ofdma.num_subchannels(),

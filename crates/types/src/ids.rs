@@ -2,7 +2,9 @@
 //!
 //! Users, servers and OFDMA subchannels are all indexed densely from zero,
 //! but carrying them as distinct newtypes prevents a user index from being
-//! used to index a server table and vice versa.
+//! used to index a server table and vice versa. Each id is 32 bits wide,
+//! so a decision or a member list holds half what a `usize` would;
+//! `Scenario::new` rejects geometries whose ids would not fit.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -14,24 +16,29 @@ macro_rules! id {
             Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
         )]
         #[serde(transparent)]
-        pub struct $name(usize);
+        pub struct $name(u32);
 
         impl $name {
             /// Creates an identifier from a dense zero-based index.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `index` does not fit in 32 bits.
             #[inline]
             pub const fn new(index: usize) -> Self {
-                Self(index)
+                assert!(index <= u32::MAX as usize, "id index beyond 32 bits");
+                Self(index as u32)
             }
 
             /// The dense zero-based index.
             #[inline]
             pub const fn index(self) -> usize {
-                self.0
+                self.0 as usize
             }
 
             /// Iterates over the first `count` identifiers: `0..count`.
             pub fn all(count: usize) -> impl Iterator<Item = Self> + Clone {
-                (0..count).map(Self)
+                (0..count).map(Self::new)
             }
         }
 
@@ -43,13 +50,13 @@ macro_rules! id {
 
         impl From<usize> for $name {
             fn from(index: usize) -> Self {
-                Self(index)
+                Self::new(index)
             }
         }
 
         impl From<$name> for usize {
             fn from(id: $name) -> usize {
-                id.0
+                id.index()
             }
         }
     };
@@ -109,6 +116,28 @@ mod tests {
         let set: HashSet<UserId> = UserId::all(10).collect();
         assert_eq!(set.len(), 10);
         assert!(set.contains(&UserId::new(9)));
+    }
+
+    #[test]
+    fn ids_are_four_bytes() {
+        assert_eq!(std::mem::size_of::<UserId>(), 4);
+        assert_eq!(std::mem::size_of::<ServerId>(), 4);
+        assert_eq!(std::mem::size_of::<SubchannelId>(), 4);
+        assert_eq!(std::mem::size_of::<Option<UserId>>(), 8);
+    }
+
+    #[test]
+    fn largest_index_round_trips() {
+        let top = u32::MAX as usize;
+        assert_eq!(UserId::new(top).index(), top);
+        assert_eq!(UserId::new(top).to_string(), format!("u{top}"));
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    #[should_panic(expected = "beyond 32 bits")]
+    fn index_beyond_32_bits_panics() {
+        let _ = UserId::new(u32::MAX as usize + 1);
     }
 
     #[test]
