@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// `X_us ~ N(0, σ_sh²)` in dB is drawn independently for every link.
 /// Fast fading is averaged out over the long-term association timescale
 /// (§III-A.2), so a link carries the same gain on every subchannel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelModel {
     shadowing_stddev_db: f64,
 }
@@ -25,14 +25,6 @@ impl ChannelModel {
     pub fn paper_default() -> Self {
         Self {
             shadowing_stddev_db: mec_types::constants::SHADOWING_STDDEV_DB,
-        }
-    }
-
-    /// A deterministic variant (shadowing disabled) for reproducible unit
-    /// tests and worked examples.
-    pub fn deterministic() -> Self {
-        Self {
-            shadowing_stddev_db: 0.0,
         }
     }
 
@@ -75,13 +67,6 @@ impl ChannelModel {
             shared: true,
             gains,
         }
-    }
-}
-
-impl Default for ChannelModel {
-    /// Defaults to [`ChannelModel::paper_default`].
-    fn default() -> Self {
-        Self::paper_default()
     }
 }
 
@@ -384,7 +369,9 @@ mod tests {
         let l = layout();
         let users = vec![Point2::new(100.0, 0.0)];
         let mut rng = StdRng::seed_from_u64(0);
-        let g = ChannelModel::deterministic().generate(&l, &users, 2, &mut rng);
+        let g = ChannelModel::paper_default()
+            .with_shadowing_db(0.0)
+            .generate(&l, &users, 2, &mut rng);
         // d = 100 m = 0.1 km → L = 140.7 − 36.7 = 104.0 dB → h = 10^−10.4.
         let expected = 10.0_f64.powf(-10.4);
         let got = g.gain(UserId::new(0), ServerId::new(0), SubchannelId::new(0));
@@ -397,12 +384,22 @@ mod tests {
     }
 
     #[test]
+    fn paper_shadowing_is_8_db() {
+        assert_eq!(
+            ChannelModel::paper_default(),
+            ChannelModel::paper_default().with_shadowing_db(8.0)
+        );
+    }
+
+    #[test]
     fn closer_station_has_larger_gain_without_shadowing() {
         let l = layout();
         // A user near station 0.
         let users = vec![Point2::new(50.0, 0.0)];
         let mut rng = StdRng::seed_from_u64(0);
-        let g = ChannelModel::deterministic().generate(&l, &users, 1, &mut rng);
+        let g = ChannelModel::paper_default()
+            .with_shadowing_db(0.0)
+            .generate(&l, &users, 1, &mut rng);
         let g0 = g.gain(UserId::new(0), ServerId::new(0), SubchannelId::new(0));
         for s in 1..9 {
             assert!(g0 > g.gain(UserId::new(0), ServerId::new(s), SubchannelId::new(0)));
@@ -417,7 +414,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let shadowed = ChannelModel::paper_default().generate(&l, &users, 1, &mut rng);
         let mut rng2 = StdRng::seed_from_u64(7);
-        let clean = ChannelModel::deterministic().generate(&l, &users, 1, &mut rng2);
+        let clean = ChannelModel::paper_default()
+            .with_shadowing_db(0.0)
+            .generate(&l, &users, 1, &mut rng2);
         // Same positions: identical deterministic part, different realizations.
         assert_eq!(shadowed.num_users(), clean.num_users());
         let a = shadowed.gain(UserId::new(0), ServerId::new(0), SubchannelId::new(0));

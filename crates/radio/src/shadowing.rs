@@ -1,7 +1,6 @@
 //! Lognormal shadowing.
 
 use crate::normal::StandardNormal;
-use mec_types::constants;
 use rand::Rng;
 
 /// Lognormal shadow fading: a zero-mean Gaussian in the dB domain added to
@@ -32,34 +31,12 @@ impl Shadowing {
         }
     }
 
-    /// The paper's 8 dB shadowing.
-    pub fn paper_default() -> Self {
-        Self::new(constants::SHADOWING_STDDEV_DB)
-    }
-
-    /// Disabled shadowing (always samples 0 dB).
-    pub fn disabled() -> Self {
-        Self::new(0.0)
-    }
-
-    /// The configured standard deviation in dB.
-    pub fn stddev_db(&self) -> f64 {
-        self.stddev_db
-    }
-
     /// Draws one shadowing realization in dB.
     pub fn sample_db<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         if self.stddev_db == 0.0 {
             return 0.0;
         }
         self.normal.sample_with(rng, 0.0, self.stddev_db)
-    }
-}
-
-impl Default for Shadowing {
-    /// Defaults to [`Shadowing::paper_default`].
-    fn default() -> Self {
-        Self::paper_default()
     }
 }
 
@@ -72,15 +49,10 @@ mod tests {
     #[test]
     fn disabled_shadowing_is_exactly_zero() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut s = Shadowing::disabled();
+        let mut s = Shadowing::new(0.0);
         for _ in 0..100 {
             assert_eq!(s.sample_db(&mut rng), 0.0);
         }
-    }
-
-    #[test]
-    fn default_stddev_is_8_db() {
-        assert_eq!(Shadowing::default().stddev_db(), 8.0);
     }
 
     #[test]
