@@ -292,7 +292,7 @@ fn main() {
     if !std::env::args().any(|a| a == "--bench") {
         return;
     }
-    let quick = mec_service::quick_from_env();
+    let quick = mec_bench::quick_from_env();
     let users = if quick { 30 } else { 90 };
     let reps = if quick { 3 } else { 7 };
     let iters: u64 = if quick { 20_000 } else { 100_000 };

@@ -168,7 +168,7 @@ fn main() {
     if !std::env::args().any(|a| a == "--bench") {
         return;
     }
-    let quick = mec_service::quick_from_env();
+    let quick = mec_bench::quick_from_env();
     let (users, servers, reps, total_budget) = if quick {
         (2_000usize, 16usize, 2u32, 8_000u64)
     } else {

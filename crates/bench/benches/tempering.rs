@@ -84,7 +84,7 @@ fn main() {
     if !std::env::args().any(|a| a == "--bench") {
         return;
     }
-    let quick = mec_service::quick_from_env();
+    let quick = mec_bench::quick_from_env();
     let users = if quick { 30 } else { 90 };
     let base = if quick {
         TtsaConfig::paper_default().with_min_temperature(1e-3)

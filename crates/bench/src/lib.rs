@@ -26,6 +26,19 @@ pub fn preset_from_args() -> Preset {
     }
 }
 
+/// Whether this process's `TSAJS_BENCH_QUICK` selects the quick
+/// (CI-scale) preset of the bench harnesses: it does when set to
+/// anything but an empty value or `0`.
+pub fn quick_from_env() -> bool {
+    quick_requested(std::env::var("TSAJS_BENCH_QUICK").ok().as_deref())
+}
+
+/// The rule of [`quick_from_env`] on the variable's value (`None` when
+/// unset), testable without touching the process environment.
+fn quick_requested(value: Option<&str>) -> bool {
+    value.is_some_and(|v| !v.is_empty() && v != "0")
+}
+
 /// Where a run at `preset` writes its tables: the workspace-level
 /// `results/` directory for the paper-faithful preset, whose tables are
 /// committed, and `results/quick/` for anything less.
@@ -67,6 +80,14 @@ pub fn emit(tables: &[Table], figure_id: &str, preset: Preset) -> std::io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quick_preset_needs_a_value_other_than_empty_or_zero() {
+        assert!(!quick_requested(None));
+        assert!(!quick_requested(Some("")));
+        assert!(!quick_requested(Some("0")));
+        assert!(quick_requested(Some("1")));
+    }
 
     #[test]
     fn results_dir_points_into_the_workspace() {

@@ -68,9 +68,7 @@ pub mod tier;
 
 pub use batch::{Batch, BatchPolicy, MicroBatcher, RequestKind, ServiceRequest};
 pub use core::{BatchReport, LogEntry, SchedulerCore, ServiceConfig, ServiceSnapshot};
-pub use loadtest::{
-    quick_from_env, run_loadtest, LoadtestConfig, LoadtestOutcome, LoadtestReport, ProbeOutcome,
-};
+pub use loadtest::{run_loadtest, LoadtestConfig, LoadtestOutcome, LoadtestReport, ProbeOutcome};
 pub use metrics::{LatencyHistogram, ServiceMetrics};
 pub use runtime::{ServiceError, ServiceRuntime, SnapshotReader, DEFAULT_QUEUE_CAPACITY};
 pub use snapshot::SnapshotCell;

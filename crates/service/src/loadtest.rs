@@ -36,19 +36,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// Whether this process's `TSAJS_BENCH_QUICK` selects the quick
-/// (CI-scale) preset of the `mec-bench` harnesses: it does when set to
-/// anything but an empty value or `0`.
-pub fn quick_from_env() -> bool {
-    quick_requested(std::env::var("TSAJS_BENCH_QUICK").ok().as_deref())
-}
-
-/// The rule of [`quick_from_env`] on the variable's value (`None` when
-/// unset), testable without touching the process environment.
-fn quick_requested(value: Option<&str>) -> bool {
-    value.is_some_and(|v| !v.is_empty() && v != "0")
-}
-
 /// Loadtest knobs.
 #[derive(Debug, Clone)]
 pub struct LoadtestConfig {
@@ -411,14 +398,6 @@ pub fn run_loadtest(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quick_preset_needs_a_value_other_than_empty_or_zero() {
-        assert!(!quick_requested(None));
-        assert!(!quick_requested(Some("")));
-        assert!(!quick_requested(Some("0")));
-        assert!(quick_requested(Some("1")));
-    }
 
     #[test]
     fn full_preset_differs_from_quick_only_in_scale() {
