@@ -10,34 +10,26 @@ use std::time::Instant;
 /// The search walks users in id order; each user either stays local or
 /// takes one currently-free `(server, subchannel)` slot, so only feasible
 /// decisions (constraints 12b–12d) are ever visited. The number of leaves
-/// is at most `(S·N + 1)^U`; a configurable guard refuses instances whose
-/// upper bound exceeds [`ExhaustiveSolver::max_leaves`], because this
+/// is at most `(S·N + 1)^U`; a guard refuses instances whose upper bound
+/// exceeds [`ExhaustiveSolver::DEFAULT_MAX_LEAVES`], because this
 /// method is meant for the confined networks of Fig. 3 (`U=6, S=4, N=2` ⇒
 /// ≤ 9⁶ ≈ 5.3·10⁵ leaves).
 #[derive(Debug, Clone, Copy)]
 pub struct ExhaustiveSolver {
-    max_leaves: f64,
     parallel: bool,
     threads: Option<usize>,
 }
 
 impl ExhaustiveSolver {
-    /// Default guard: 5·10⁷ leaf evaluations.
+    /// The guard: 5·10⁷ leaf evaluations.
     pub const DEFAULT_MAX_LEAVES: f64 = 5.0e7;
 
-    /// Creates the solver with the default guard (parallel search on).
+    /// Creates the solver (parallel search on).
     pub fn new() -> Self {
         Self {
-            max_leaves: Self::DEFAULT_MAX_LEAVES,
             parallel: true,
             threads: None,
         }
-    }
-
-    /// Overrides the leaf-count guard.
-    pub fn with_max_leaves(mut self, max_leaves: f64) -> Self {
-        self.max_leaves = max_leaves;
-        self
     }
 
     /// Disables the branch-parallel search (single-threaded DFS). The
@@ -55,11 +47,6 @@ impl ExhaustiveSolver {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
-    }
-
-    /// The configured guard.
-    pub fn max_leaves(&self) -> f64 {
-        self.max_leaves
     }
 
     /// Upper bound on the number of leaves for a scenario.
@@ -151,11 +138,11 @@ impl Solver for ExhaustiveSolver {
 
     fn solve(&mut self, scenario: &Scenario) -> Result<Solution, Error> {
         let bound = Self::leaf_bound(scenario);
-        if bound > self.max_leaves {
+        if bound > Self::DEFAULT_MAX_LEAVES {
             return Err(Error::UnsupportedScenario(format!(
                 "exhaustive search bound {bound:.2e} exceeds the {:.2e} guard \
                  (U={}, S={}, N={})",
-                self.max_leaves,
+                Self::DEFAULT_MAX_LEAVES,
                 scenario.num_users(),
                 scenario.num_servers(),
                 scenario.num_subchannels()
@@ -343,10 +330,9 @@ mod tests {
     #[test]
     fn size_guard_refuses_large_instances() {
         let sc = uniform_scenario(10, 4, 3, 1e-10);
-        // 13^10 ≈ 1.4e11 > default guard.
+        // 13^10 ≈ 1.4e11 > the guard.
         let result = ExhaustiveSolver::new().solve(&sc);
         assert!(matches!(result, Err(Error::UnsupportedScenario(_))));
-        // But a raised guard of this magnitude is accepted structurally.
         assert!(ExhaustiveSolver::leaf_bound(&sc) > ExhaustiveSolver::DEFAULT_MAX_LEAVES);
     }
 

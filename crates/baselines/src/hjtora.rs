@@ -21,29 +21,21 @@ use mec_types::{Error, SubchannelId};
 use std::time::Instant;
 
 /// The hJTORA-style steepest-ascent baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct HJtoraSolver {
-    max_rounds: u64,
-    improvement_tolerance: f64,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HJtoraSolver;
 
 impl HJtoraSolver {
-    /// Default cap on improvement rounds (each round applies one
-    /// adjustment, so this also caps the number of offloading changes).
+    /// Cap on improvement rounds (each round applies one adjustment, so
+    /// this also caps the number of offloading changes).
     pub const DEFAULT_MAX_ROUNDS: u64 = 10_000;
 
-    /// Creates the solver with default limits.
-    pub fn new() -> Self {
-        Self {
-            max_rounds: Self::DEFAULT_MAX_ROUNDS,
-            improvement_tolerance: 1e-12,
-        }
-    }
+    /// How much an adjustment must raise the objective to count as an
+    /// improvement.
+    const IMPROVEMENT_TOLERANCE: f64 = 1e-12;
 
-    /// Overrides the round cap.
-    pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
-        self.max_rounds = max_rounds;
-        self
+    /// Creates the solver.
+    pub fn new() -> Self {
+        Self
     }
 
     /// All candidate single-user adjustments plus pairwise swaps.
@@ -82,12 +74,6 @@ impl HJtoraSolver {
             }
         }
         moves
-    }
-}
-
-impl Default for HJtoraSolver {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -205,13 +191,13 @@ impl HJtoraSolver {
         let mut inc = IncrementalObjective::new(scenario, x)?;
         let mut best_obj = inc.current();
         *evals += 1;
-        while *rounds < self.max_rounds {
+        while *rounds < Self::DEFAULT_MAX_ROUNDS {
             let mut best_move: Option<(MoveDesc, f64)> = None;
             for mv in Self::candidate_moves(scenario, inc.assignment()) {
                 let desc = mv.to_desc(inc.assignment());
                 let obj = inc.score(&desc);
                 *evals += 1;
-                if obj > best_obj + self.improvement_tolerance
+                if obj > best_obj + Self::IMPROVEMENT_TOLERANCE
                     && best_move.is_none_or(|(_, prev)| obj > prev)
                 {
                     best_move = Some((desc, obj));
@@ -311,17 +297,6 @@ mod tests {
         let b = HJtoraSolver::new().solve(&sc).unwrap();
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.utility, b.utility);
-    }
-
-    #[test]
-    fn round_cap_limits_work() {
-        let sc = uniform_scenario(6, 3, 3, 1e-10);
-        let solution = HJtoraSolver::new().with_max_rounds(1).solve(&sc).unwrap();
-        // The round budget is shared across the two starts, so exactly one
-        // adjustment is applied in total.
-        assert_eq!(solution.stats.iterations, 1);
-        let unlimited = HJtoraSolver::new().solve(&sc).unwrap();
-        assert!(unlimited.stats.iterations >= solution.stats.iterations);
     }
 
     #[test]

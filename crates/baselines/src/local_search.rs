@@ -19,15 +19,13 @@ use tsajs::NeighborhoodKernel;
 /// so it converges quickly to the nearest local optimum.
 #[derive(Debug, Clone)]
 pub struct LocalSearchSolver {
-    max_iterations: u64,
-    patience: u64,
     rng: StdRng,
 }
 
 impl LocalSearchSolver {
-    /// Default proposal budget.
+    /// Proposal budget.
     pub const DEFAULT_MAX_ITERATIONS: u64 = 20_000;
-    /// Default convergence patience (consecutive non-improving proposals).
+    /// Convergence patience (consecutive non-improving proposals).
     pub const DEFAULT_PATIENCE: u64 = 1_500;
 
     /// Proposals between full re-synchronizations of the incremental
@@ -35,25 +33,11 @@ impl LocalSearchSolver {
     /// [`IncrementalObjective::resync`]).
     const RESYNC_INTERVAL: u64 = 4_096;
 
-    /// Creates the solver with default limits and the given seed.
+    /// Creates the solver with the given seed.
     pub fn with_seed(seed: u64) -> Self {
         Self {
-            max_iterations: Self::DEFAULT_MAX_ITERATIONS,
-            patience: Self::DEFAULT_PATIENCE,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Overrides the total proposal budget.
-    pub fn with_max_iterations(mut self, max_iterations: u64) -> Self {
-        self.max_iterations = max_iterations;
-        self
-    }
-
-    /// Overrides the convergence patience.
-    pub fn with_patience(mut self, patience: u64) -> Self {
-        self.patience = patience;
-        self
     }
 }
 
@@ -77,7 +61,7 @@ impl Solver for LocalSearchSolver {
         let mut stale: u64 = 0;
         let mut iterations: u64 = 0;
 
-        while iterations < self.max_iterations && stale < self.patience {
+        while iterations < Self::DEFAULT_MAX_ITERATIONS && stale < Self::DEFAULT_PATIENCE {
             let (mv, _) = kernel.propose_move(scenario, inc.assignment(), &mut self.rng);
             let obj = inc.score(&mv);
             evals += 1;
@@ -144,23 +128,9 @@ mod tests {
     }
 
     #[test]
-    fn respects_the_iteration_budget() {
-        let sc = scenario(4, 1e-10);
-        let solution = LocalSearchSolver::with_seed(2)
-            .with_max_iterations(100)
-            .with_patience(1_000_000)
-            .solve(&sc)
-            .unwrap();
-        assert_eq!(solution.stats.iterations, 100);
-    }
-
-    #[test]
     fn stops_early_when_stale() {
         let sc = scenario(2, 1e-10);
-        let solution = LocalSearchSolver::with_seed(3)
-            .with_patience(50)
-            .solve(&sc)
-            .unwrap();
+        let solution = LocalSearchSolver::with_seed(3).solve(&sc).unwrap();
         assert!(solution.stats.iterations < LocalSearchSolver::DEFAULT_MAX_ITERATIONS);
     }
 

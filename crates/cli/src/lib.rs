@@ -8,7 +8,7 @@
 //! tsajs-sim compare  --scenario scenario.json --seed 7
 //! ```
 //!
-//! Scenarios are stored as JSON [`ScenarioSpec`]s, so a run is fully
+//! Scenarios are stored as JSON [`ScenarioSnapshot`]s, so a run is fully
 //! reproducible from the file alone. The library half of the crate holds
 //! the argument parsing and command logic so it is unit-testable; `main`
 //! is a thin shim.
@@ -24,7 +24,7 @@ use mec_online::{
     AdmissionPolicy, AdmitAll, CapacityGate, OnlineConfig, OnlineEngine, PoissonChurn,
 };
 use mec_scenario_spec::SpecError;
-use mec_system::{Assignment, Scenario, ScenarioSpec, Solver, SystemEvaluation};
+use mec_system::{Assignment, Scenario, ScenarioSnapshot, Solver, SystemEvaluation};
 use mec_types::{Bits, BitsPerSecond, Cycles, Seconds, UserId};
 use mec_viz::SvgScene;
 use mec_workloads::{ExperimentParams, ScenarioGenerator};
@@ -855,7 +855,7 @@ pub fn load_scenario(path: &Path, seed: u64) -> Result<Scenario, CliError> {
         let spec = load_declarative_spec(path)?;
         return Ok(spec.materialize(seed)?);
     }
-    let spec: ScenarioSpec = serde_json::from_str(&text)?;
+    let spec: ScenarioSnapshot = serde_json::from_str(&text)?;
     Ok(spec.into_scenario()?)
 }
 
@@ -924,7 +924,7 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), CliErro
         } => {
             let (scenario, positions) =
                 ScenarioGenerator::new(params).generate_with_positions(seed)?;
-            let spec = ScenarioSpec::from_scenario(&scenario).with_positions(positions)?;
+            let spec = ScenarioSnapshot::from_scenario(&scenario).with_positions(positions)?;
             std::fs::write(&path, serde_json::to_string_pretty(&spec)?)?;
             writeln!(
                 out,
@@ -996,7 +996,7 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), CliErro
             threads,
         } => {
             let text = std::fs::read_to_string(&scenario)?;
-            let spec: ScenarioSpec = serde_json::from_str(&text)?;
+            let spec: ScenarioSnapshot = serde_json::from_str(&text)?;
             let positions = spec.positions.clone().ok_or_else(|| {
                 CliError::Usage(
                     "this scenario file carries no user positions; regenerate it with \

@@ -2,7 +2,7 @@
 //! round-trips for arbitrary geometries.
 
 use mec_radio::{ChannelGains, OfdmaConfig};
-use mec_system::{Assignment, Evaluator, Scenario, ScenarioSpec, UserSpec};
+use mec_system::{Assignment, Evaluator, Scenario, ScenarioSnapshot, UserSpec};
 use mec_types::{constants, Cycles, ServerId, ServerProfile, SubchannelId, UserId};
 use proptest::prelude::*;
 
@@ -33,13 +33,13 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// ScenarioSpec → JSON → ScenarioSpec → Scenario preserves the model
+    /// ScenarioSnapshot → JSON → ScenarioSnapshot → Scenario preserves the model
     /// exactly (objective values included).
     #[test]
     fn scenario_spec_json_roundtrip(scenario in arb_scenario(), seed in 0u64..100) {
-        let spec = ScenarioSpec::from_scenario(&scenario);
+        let spec = ScenarioSnapshot::from_scenario(&scenario);
         let json = serde_json::to_string(&spec).unwrap();
-        let back: ScenarioSpec = serde_json::from_str(&json).unwrap();
+        let back: ScenarioSnapshot = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(&back, &spec);
         let rebuilt = back.into_scenario().unwrap();
 

@@ -76,44 +76,6 @@ pub fn explicit_spec(scenario: &Scenario, name: &str) -> ScenarioSpec {
     }
 }
 
-/// A stable fingerprint of everything the objective depends on: the raw
-/// f64 bits of every coefficient, gain, capacity and the noise floor.
-/// Two scenarios with equal fingerprints produce identical objectives for
-/// every assignment.
-pub fn scenario_fingerprint(scenario: &Scenario) -> u64 {
-    // FNV-1a over the exact bit patterns — no tolerance, no rounding.
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: f64| {
-        for byte in v.to_bits().to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(scenario.ofdma().bandwidth().as_hz());
-    eat(scenario.noise().as_watts());
-    eat(scenario.downlink().map(|r| r.as_bps()).unwrap_or(-1.0));
-    for s in scenario.servers() {
-        eat(s.capacity().as_hz());
-    }
-    for u in scenario.user_ids() {
-        let spec = scenario.user(u);
-        eat(spec.task.data().as_bits());
-        eat(spec.task.workload().as_cycles());
-        eat(spec.task.output().as_bits());
-        eat(spec.preferences.beta_time());
-        eat(spec.lambda.value());
-        eat(spec.device.cpu().as_hz());
-        eat(spec.device.kappa());
-        eat(spec.device.tx_power().as_dbm());
-        for s in scenario.server_ids() {
-            for j in 0..scenario.num_subchannels() {
-                eat(scenario.gains().gain(u, s, SubchannelId::new(j)));
-            }
-        }
-    }
-    hash
-}
-
 /// Extracts the violating seeds recorded in a verdict report, with the
 /// invariant that flagged each. Examples are prefixed `"seed N: ..."` by
 /// [`crate::report::InvariantVerdict::record`]; anything else is skipped.
@@ -198,6 +160,44 @@ pub fn write_violation_artifacts(
 mod tests {
     use super::*;
     use crate::report::InvariantVerdict;
+
+    /// A stable fingerprint of everything the objective depends on: the raw
+    /// f64 bits of every coefficient, gain, capacity and the noise floor.
+    /// Two scenarios with equal fingerprints produce identical objectives for
+    /// every assignment.
+    fn scenario_fingerprint(scenario: &Scenario) -> u64 {
+        // FNV-1a over the exact bit patterns — no tolerance, no rounding.
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |v: f64| {
+            for byte in v.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        eat(scenario.ofdma().bandwidth().as_hz());
+        eat(scenario.noise().as_watts());
+        eat(scenario.downlink().map(|r| r.as_bps()).unwrap_or(-1.0));
+        for s in scenario.servers() {
+            eat(s.capacity().as_hz());
+        }
+        for u in scenario.user_ids() {
+            let spec = scenario.user(u);
+            eat(spec.task.data().as_bits());
+            eat(spec.task.workload().as_cycles());
+            eat(spec.task.output().as_bits());
+            eat(spec.preferences.beta_time());
+            eat(spec.lambda.value());
+            eat(spec.device.cpu().as_hz());
+            eat(spec.device.kappa());
+            eat(spec.device.tx_power().as_dbm());
+            for s in scenario.server_ids() {
+                for j in 0..scenario.num_subchannels() {
+                    eat(scenario.gains().gain(u, s, SubchannelId::new(j)));
+                }
+            }
+        }
+        hash
+    }
 
     #[test]
     fn explicit_specs_replay_fuzzed_scenarios_bit_for_bit() {

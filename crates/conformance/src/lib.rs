@@ -33,7 +33,7 @@ pub mod oracle;
 pub mod replay;
 pub mod report;
 
-pub use emit::{explicit_spec, scenario_fingerprint, write_violation_artifacts};
+pub use emit::{explicit_spec, write_violation_artifacts};
 pub use fuzz::FuzzConfig;
 pub use oracle::Oracle;
 pub use replay::ReplayConfig;

@@ -539,7 +539,7 @@ mod tests {
             prev_best = e.best_objective;
             prev_temp = e.temperature;
         }
-        assert_eq!(trace.final_best(), Some(out.objective));
+        assert_eq!(prev_best, out.objective);
     }
 
     #[test]

@@ -51,7 +51,6 @@
 pub mod annealing;
 pub mod config;
 pub mod moves;
-pub mod power;
 pub mod shard;
 pub mod solver;
 pub mod tempering;
@@ -63,7 +62,6 @@ pub use config::{
     DEFAULT_REFRESH_TEMPERATURE,
 };
 pub use moves::{MoveKind, MoveMix, NeighborhoodKernel};
-pub use power::{solve_with_power_control, PowerControlConfig, PowerControlOutcome};
 pub use shard::{
     cluster_external, halo_totals, publish_halo_delta, resolve_sharded, solve_sharded, Descent,
     Partition, ShardConfig, ShardOutcome, ShardRun, ShardSolver, DESCENT_IMPROVEMENT_FLOOR,

@@ -1,11 +1,11 @@
 //! The [`Solver`] wrapper around the TTSA loop.
 
-use crate::annealing::{anneal, anneal_from};
+use crate::annealing::anneal;
 use crate::config::{TemperingConfig, TtsaConfig};
 use crate::moves::{MoveMix, NeighborhoodKernel};
-use crate::tempering::{temper, temper_from};
+use crate::tempering::temper;
 use crate::trace::SearchTrace;
-use mec_system::{Assignment, Scenario, Solution, Solver, SolverStats};
+use mec_system::{Scenario, Solution, Solver, SolverStats};
 use mec_types::{effective_parallelism, Error};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,50 +88,6 @@ impl TsajsSolver {
         self.tempering
             .as_ref()
             .map_or(Ok(()), TemperingConfig::validate)
-    }
-
-    /// Warm-started solve: continues from an explicit starting decision
-    /// instead of a fresh initial solution — the entry point for periodic
-    /// re-solves that inherit the previous epoch's schedule. Pair it with
-    /// a refresh configuration (see
-    /// [`ResolveMode::refresh_config`](crate::ResolveMode::refresh_config))
-    /// to keep the refresh cheap. Runs a single chain, or — after
-    /// [`with_tempering`](Self::with_tempering) — a shortened warm ladder
-    /// seeded with `warm` on every rung.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] for an invalid configuration
-    /// and [`Error::InfeasibleAssignment`] /
-    /// [`Error::DimensionMismatch`]-class errors if `warm` does not fit
-    /// the scenario's geometry.
-    pub fn solve_from(&mut self, scenario: &Scenario, warm: Assignment) -> Result<Solution, Error> {
-        self.validate()?;
-        warm.verify_feasible(scenario)?;
-        let start = Instant::now();
-        let outcome = match self.tempering {
-            Some(tcfg) => temper_from(
-                scenario,
-                &tcfg,
-                &self.config,
-                &self.kernel,
-                &mut self.rng,
-                effective_parallelism(self.threads),
-                warm,
-            ),
-            None => anneal_from(scenario, &self.config, &self.kernel, &mut self.rng, warm),
-        };
-        let elapsed = start.elapsed();
-        self.last_trace = outcome.trace;
-        Ok(Solution {
-            assignment: outcome.assignment,
-            utility: outcome.objective,
-            stats: SolverStats {
-                objective_evaluations: outcome.proposals + 1,
-                iterations: outcome.proposals,
-                elapsed,
-            },
-        })
     }
 }
 
@@ -292,32 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_solve_is_deterministic_and_consistent() {
-        use crate::config::ResolveMode;
-        let sc = scenario(6);
-        let warm = TsajsSolver::new(quick().with_seed(5))
-            .solve(&sc)
-            .unwrap()
-            .assignment;
-        let refresh = ResolveMode::warm(200).refresh_config(&quick());
-        let run = || {
-            TsajsSolver::new(refresh.with_seed(8))
-                .solve_from(&sc, warm.clone())
-                .unwrap()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.utility, b.utility);
-        // The refresh respects its budget (anytime mode stops at the end
-        // of the epoch in which the cap is reached).
-        assert!(a.stats.iterations <= 200 + refresh.inner_iterations as u64);
-        let recomputed = Evaluator::new(&sc).objective(&a.assignment);
-        assert!((a.utility - recomputed).abs() < 1e-12);
-        a.assignment.verify_feasible(&sc).unwrap();
-    }
-
-    #[test]
     fn resolve_dispatches_on_the_mode_and_the_warm_start() {
         use crate::config::{ResolveMode, TemperingConfig};
         use crate::{anneal, anneal_from, temper_from, NeighborhoodKernel};
@@ -372,45 +302,5 @@ mod tests {
                 warm
             ))
         );
-    }
-
-    #[test]
-    fn tempered_warm_start_routes_through_the_short_ladder() {
-        let sc = scenario(6);
-        let warm = TsajsSolver::new(quick().with_seed(5))
-            .solve(&sc)
-            .unwrap()
-            .assignment;
-        let warm_obj = Evaluator::new(&sc).objective(&warm);
-        let tcfg = TemperingConfig::paper_default().with_replicas(4);
-        let refresh = quick()
-            .with_proposal_budget(2_000)
-            .with_initial_temperature(crate::config::InitialTemperature::Fixed(0.05));
-        let run = |threads: usize| {
-            TsajsSolver::new(refresh.with_seed(9))
-                .with_tempering(tcfg)
-                .with_threads(threads)
-                .solve_from(&sc, warm.clone())
-                .unwrap()
-        };
-        let a = run(1);
-        let b = run(2);
-        assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.utility, b.utility);
-        // The budget-derived ladder stays within the anytime cap.
-        assert!(a.stats.iterations <= 2_000);
-        assert!(a.utility >= warm_obj - 1e-12);
-        a.assignment.verify_feasible(&sc).unwrap();
-    }
-
-    #[test]
-    fn warm_start_rejects_mismatched_geometry_and_bad_configs() {
-        let sc = scenario(4);
-        let wrong_dims = Assignment::with_dims(3, 2, 2);
-        assert!(TsajsSolver::new(quick().with_seed(0))
-            .solve_from(&sc, wrong_dims)
-            .is_err());
-        let mut bad = TsajsSolver::new(quick().with_cooling(Cooling::Geometric { alpha: 1.5 }));
-        assert!(bad.solve_from(&sc, Assignment::all_local(&sc)).is_err());
     }
 }

@@ -57,11 +57,6 @@ impl SearchTrace {
         self.epochs.iter().filter(|e| e.trigger_fired).count()
     }
 
-    /// The best objective over the whole run, if any epoch was recorded.
-    pub fn final_best(&self) -> Option<f64> {
-        self.epochs.last().map(|e| e.best_objective)
-    }
-
     /// Renders the trace as CSV (one row per epoch), ready for plotting.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
@@ -106,14 +101,12 @@ mod tests {
     fn trace_accumulates_and_summarizes() {
         let mut trace = SearchTrace::default();
         assert!(trace.is_empty());
-        assert_eq!(trace.final_best(), None);
         trace.epochs.push(record(3.0, 1.0, false));
         trace.epochs.push(record(2.91, 1.5, true));
         trace.epochs.push(record(2.62, 1.5, false));
         assert_eq!(trace.len(), 3);
         assert!(!trace.is_empty());
         assert_eq!(trace.trigger_count(), 1);
-        assert_eq!(trace.final_best(), Some(1.5));
     }
 
     #[test]

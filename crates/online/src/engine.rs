@@ -795,11 +795,6 @@ impl OnlineEngine {
         self.motion.positions()
     }
 
-    /// Epochs simulated so far.
-    pub fn epochs_run(&self) -> usize {
-        self.epoch
-    }
-
     /// Current simulated time.
     pub fn clock(&self) -> Seconds {
         Seconds::new(self.clock_s)
@@ -934,7 +929,7 @@ mod tests {
         let mut e = engine(1, 6, 0.1);
         let reports = e.run(5).unwrap();
         assert_eq!(reports.len(), 5);
-        assert_eq!(e.epochs_run(), 5);
+        assert_eq!(e.epoch, 5);
         assert_eq!(e.clock().as_secs(), 50.0);
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.epoch, i);

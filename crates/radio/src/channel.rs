@@ -5,7 +5,8 @@ use crate::shadowing::Shadowing;
 use mec_topology::{NetworkLayout, Point2};
 use mec_types::{Decibels, Error, ServerId, SubchannelId, UserId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::de::Error as _;
+use serde::{Deserialize, Deserializer, Serialize};
 
 /// The large-scale channel model used to generate gains.
 ///
@@ -86,16 +87,70 @@ impl ChannelModel {
 /// multiplies into a flat buffer plus one well-predicted layout branch.
 /// Equality is *logical*: two tensors compare equal iff every
 /// `h[u][s][j]` matches, regardless of representation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ChannelGains {
     num_users: usize,
     num_servers: usize,
     num_subchannels: usize,
-    /// True for the subchannel-shared layout. Serialized tensors from
-    /// before this field existed were always dense, hence the default.
+    /// True for the subchannel-shared layout.
+    shared: bool,
+    gains: Vec<f64>,
+}
+
+/// The serialized form of [`ChannelGains`]. Loading goes through it so
+/// that a tensor whose length does not match its dimensions, or that
+/// holds a negative or non-finite gain, is rejected rather than trusted.
+#[derive(Deserialize)]
+struct GainsRepr {
+    num_users: usize,
+    num_servers: usize,
+    num_subchannels: usize,
+    /// Serialized tensors from before this field existed were always
+    /// dense, hence the default.
     #[serde(default)]
     shared: bool,
     gains: Vec<f64>,
+}
+
+impl<'de> Deserialize<'de> for ChannelGains {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let repr = GainsRepr::deserialize(deserializer)?;
+        let invalid = |what: String| D::Error::custom(format!("invalid channel gains: {what}"));
+        // Saturating: no tensor can hold `usize::MAX` values, so an
+        // overflowing geometry is rejected as a length mismatch.
+        let links = repr.num_users.saturating_mul(repr.num_servers);
+        let (expected, per_link) = if repr.shared {
+            (links, String::new())
+        } else {
+            (
+                links.saturating_mul(repr.num_subchannels),
+                format!(" x {} subchannels", repr.num_subchannels),
+            )
+        };
+        if repr.gains.len() != expected {
+            return Err(invalid(format!(
+                "{} values for {links} links{per_link}",
+                repr.gains.len()
+            )));
+        }
+        if let Some((i, g)) = repr
+            .gains
+            .iter()
+            .enumerate()
+            .find(|(_, g)| !g.is_finite() || **g < 0.0)
+        {
+            return Err(invalid(format!(
+                "gain {i} must be finite and >= 0, got {g}"
+            )));
+        }
+        Ok(Self {
+            num_users: repr.num_users,
+            num_servers: repr.num_servers,
+            num_subchannels: repr.num_subchannels,
+            shared: repr.shared,
+            gains: repr.gains,
+        })
+    }
 }
 
 impl PartialEq for ChannelGains {
@@ -572,5 +627,38 @@ mod tests {
         // Out-of-range ids are rejected.
         assert!(dense.subset(&[UserId::new(4)], &servers).is_err());
         assert!(dense.subset(&users, &[ServerId::new(3)]).is_err());
+    }
+
+    #[test]
+    fn a_truncated_tensor_fails_to_load() {
+        let shared =
+            r#"{"num_users":1,"num_servers":2,"num_subchannels":3,"shared":true,"gains":[1.0]}"#;
+        let err = serde_json::from_str::<ChannelGains>(shared).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid channel gains: 1 values for 2 links"
+        );
+        // A dense tensor, the layout of files written before `shared`
+        // existed, holds one value per subchannel of every link.
+        let dense = |gains: &str| {
+            format!(r#"{{"num_users":1,"num_servers":2,"num_subchannels":3,"gains":[{gains}]}}"#)
+        };
+        let err = serde_json::from_str::<ChannelGains>(&dense("1.0,2.0")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid channel gains: 2 values for 2 links x 3 subchannels"
+        );
+        let full: ChannelGains = serde_json::from_str(&dense("1.0,2.0,3.0,4.0,5.0,6.0")).unwrap();
+        assert!(!full.is_subchannel_shared());
+    }
+
+    #[test]
+    fn a_negative_gain_fails_to_load() {
+        let json = r#"{"num_users":1,"num_servers":2,"num_subchannels":3,"shared":true,"gains":[1.0,-1.0]}"#;
+        let err = serde_json::from_str::<ChannelGains>(json).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid channel gains: gain 1 must be finite and >= 0, got -1"
+        );
     }
 }

@@ -50,7 +50,7 @@ pub mod sinr;
 
 pub use channel::{ChannelGains, ChannelModel};
 pub use normal::StandardNormal;
-pub use ofdma::{thermal_noise, OfdmaConfig};
+pub use ofdma::OfdmaConfig;
 pub use pathloss::path_loss_db;
 pub use shadowing::Shadowing;
 pub use sinr::{compute_sinrs, shannon_rate, Transmission};

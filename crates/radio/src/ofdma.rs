@@ -67,30 +67,6 @@ impl OfdmaConfig {
     }
 }
 
-/// Thermal noise power over a bandwidth: `σ² = −174 dBm/Hz +
-/// 10·log₁₀(W) + NF`.
-///
-/// A sanity anchor for the paper's `σ² = −100 dBm`: over one 6.67 MHz
-/// subchannel with a ~6 dB receiver noise figure, thermal noise is
-/// ≈ −100 dBm — i.e. the paper's constant is a realistic per-subchannel
-/// noise floor.
-///
-/// # Example
-///
-/// ```
-/// use mec_radio::{thermal_noise, OfdmaConfig};
-///
-/// # fn main() -> Result<(), mec_types::Error> {
-/// let ofdma = OfdmaConfig::paper_default();
-/// let noise = thermal_noise(ofdma.subchannel_width(), 6.0);
-/// assert!((noise.as_dbm() - (-99.76)).abs() < 0.1);
-/// # Ok(())
-/// # }
-/// ```
-pub fn thermal_noise(width: Hertz, noise_figure_db: f64) -> mec_types::DbMilliwatts {
-    mec_types::DbMilliwatts::new(-174.0 + 10.0 * width.as_hz().log10() + noise_figure_db)
-}
-
 impl Default for OfdmaConfig {
     /// Defaults to [`OfdmaConfig::paper_default`].
     fn default() -> Self {
@@ -125,20 +101,6 @@ mod tests {
         assert!(OfdmaConfig::new(Hertz::new(0.0), 3).is_err());
         assert!(OfdmaConfig::new(Hertz::new(-1.0), 3).is_err());
         assert!(OfdmaConfig::new(Hertz::from_mega(20.0), 0).is_err());
-    }
-
-    #[test]
-    fn thermal_noise_reference_points() {
-        // 1 Hz, NF 0: the universal -174 dBm/Hz floor.
-        assert!((thermal_noise(Hertz::new(1.0), 0.0).as_dbm() + 174.0).abs() < 1e-9);
-        // 20 MHz, NF 9: -174 + 73 + 9 = -92 dBm.
-        let n = thermal_noise(Hertz::from_mega(20.0), 9.0);
-        assert!((n.as_dbm() + 92.0).abs() < 0.02);
-        // Wider bands are noisier.
-        assert!(
-            thermal_noise(Hertz::from_mega(20.0), 6.0).as_dbm()
-                > thermal_noise(Hertz::from_mega(5.0), 6.0).as_dbm()
-        );
     }
 
     #[test]

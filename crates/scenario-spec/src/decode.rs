@@ -262,15 +262,6 @@ impl MapBuilder {
         }
     }
 
-    /// Appends a table only when it has entries.
-    pub fn push_nonempty(self, key: &str, value: Content) -> Self {
-        match &value {
-            Content::Map(m) if m.is_empty() => self,
-            Content::Seq(s) if s.is_empty() => self,
-            _ => self.push(key, value),
-        }
-    }
-
     /// Finishes into a `Content::Map`.
     pub fn build(self) -> Content {
         Content::Map(self.entries)

@@ -21,7 +21,7 @@ use mec_types::{
     Bits, BitsPerSecond, Cycles, DbMilliwatts, DeviceProfile, Hertz, Meters, ProviderPreference,
     Seconds, ServerProfile, Task, UserPreferences, Watts,
 };
-use mec_workloads::{ExperimentParams, PlacementModel, ScenarioGenerator};
+use mec_workloads::{ExperimentParams, PlacementModel, ScenarioGenerator, SHADOWING_STREAM};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tsajs::{ResolveMode, TtsaConfig};
@@ -42,7 +42,7 @@ impl ScenarioSpec {
     /// Builds the concrete [`Scenario`] this spec describes.
     ///
     /// Generated mode: placements come from `seed`, shadowing from
-    /// `seed ^ 0xD1B5_4A32_D192_ED03` (the exact streams
+    /// `seed ^` [`SHADOWING_STREAM`] (the exact streams
     /// [`ScenarioGenerator`] uses, so single-template specs reproduce the
     /// generator bit-for-bit) and template sampling / preference jitter
     /// from a third stream. Explicit mode ignores `seed` entirely.
@@ -245,7 +245,7 @@ impl GeneratedSpec {
                 &mut placement_rng,
             ),
         };
-        let mut shadow_rng = StdRng::seed_from_u64(seed ^ 0xD1B5_4A32_D192_ED03);
+        let mut shadow_rng = StdRng::seed_from_u64(seed ^ SHADOWING_STREAM);
         let model = ChannelModel::paper_default().with_shadowing_db(self.radio.shadowing_db);
         let gains: ChannelGains =
             model.generate(&layout, &positions, self.radio.subchannels, &mut shadow_rng);
@@ -404,6 +404,30 @@ mod tests {
         assert_eq!(scenario.gains(), generated.gains());
         assert_eq!(scenario.num_users(), 6);
         assert_eq!(scenario.num_servers(), 4);
+    }
+
+    #[test]
+    fn a_second_template_keeps_the_placement_and_shadowing_streams() {
+        // One template goes through the generator, two through the
+        // heterogeneous path; both place users from `seed` and shadow from
+        // `seed ^ SHADOWING_STREAM`, so the gains must agree.
+        let heavy = UserTemplate {
+            task_mcycles: 3000.0,
+            ..UserTemplate::default()
+        };
+        let uniform = ScenarioBuilder::new("one").servers(4).users(12);
+        let hotspot = uniform.clone().hotspots(2, 150.0);
+        for one in [uniform, hotspot] {
+            let two = one.clone().add_template(heavy.clone()).build();
+            let one = one.build();
+            for seed in [0, 3, 11] {
+                assert_eq!(
+                    one.materialize(seed).unwrap().gains(),
+                    two.materialize(seed).unwrap().gains(),
+                    "seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

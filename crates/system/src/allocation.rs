@@ -20,8 +20,9 @@ pub struct ResourceAllocation {
 }
 
 impl ResourceAllocation {
-    /// Builds an allocation from raw per-user shares in Hz (crate-internal;
-    /// used by the numeric CRA solver).
+    /// Builds an allocation from raw per-user shares in Hz (used by the
+    /// numeric CRA check).
+    #[cfg(test)]
     pub(crate) fn from_shares(shares: Vec<f64>) -> Self {
         Self { shares }
     }

@@ -288,14 +288,7 @@ impl Assignment {
         self.offloaded().map(|(u, s, j)| Transmission::new(u, s, j))
     }
 
-    /// Users currently attached to server `s` (the set `U_s`).
-    ///
-    /// Allocates; hot loops should prefer [`Assignment::server_users_iter`].
-    pub fn server_users(&self, s: ServerId) -> Vec<UserId> {
-        self.server_users_iter(s).collect()
-    }
-
-    /// Allocation-free variant of [`Assignment::server_users`], in
+    /// Users currently attached to server `s` (the set `U_s`), in
     /// subchannel order.
     pub fn server_users_iter(&self, s: ServerId) -> impl Iterator<Item = UserId> + '_ {
         (0..self.num_subchannels).filter_map(move |j| self.occupant(s, SubchannelId::new(j)))
@@ -308,15 +301,7 @@ impl Assignment {
             .find(|j| self.occupant(s, *j).is_none())
     }
 
-    /// All free subchannels at server `s`.
-    ///
-    /// Allocates; hot loops should prefer
-    /// [`Assignment::free_subchannels_iter`].
-    pub fn free_subchannels(&self, s: ServerId) -> Vec<SubchannelId> {
-        self.free_subchannels_iter(s).collect()
-    }
-
-    /// Allocation-free variant of [`Assignment::free_subchannels`].
+    /// The free subchannels at server `s`, in index order.
     pub fn free_subchannels_iter(&self, s: ServerId) -> impl Iterator<Item = SubchannelId> + '_ {
         (0..self.num_subchannels)
             .map(SubchannelId::new)
@@ -812,14 +797,14 @@ mod tests {
     fn free_subchannel_queries() {
         let mut a = fresh();
         assert_eq!(a.free_subchannel(s(0)), Some(j(0)));
-        assert_eq!(a.free_subchannels(s(0)).len(), 2);
+        assert_eq!(a.free_subchannels_iter(s(0)).count(), 2);
         a.assign(u(0), s(0), j(0)).unwrap();
         assert_eq!(a.free_subchannel(s(0)), Some(j(1)));
         a.assign(u(1), s(0), j(1)).unwrap();
         assert_eq!(a.free_subchannel(s(0)), None);
-        assert!(a.free_subchannels(s(0)).is_empty());
-        assert_eq!(a.server_users(s(0)), vec![u(0), u(1)]);
-        assert!(a.server_users(s(1)).is_empty());
+        assert_eq!(a.free_subchannels_iter(s(0)).next(), None);
+        assert_eq!(a.server_users_iter(s(0)).collect::<Vec<_>>(), [u(0), u(1)]);
+        assert_eq!(a.server_users_iter(s(1)).next(), None);
     }
 
     #[test]

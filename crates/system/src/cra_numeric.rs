@@ -12,9 +12,7 @@
 //! with projected gradient descent over the capped simplex, with no
 //! knowledge of the closed form. A property test asserts the two agree,
 //! which is as close to a machine-checked proof of the Lemma as a
-//! simulation codebase gets — and it gives downstream users an
-//! allocation path for objective variants whose KKT system has no closed
-//! form.
+//! simulation codebase gets. The module compiles only for tests.
 
 use crate::allocation::ResourceAllocation;
 use crate::assignment::Assignment;
@@ -145,7 +143,7 @@ pub fn numeric_allocation(
     x.verify_feasible(scenario)?;
     let mut shares = vec![0.0; scenario.num_users()];
     for s in scenario.server_ids() {
-        let users = x.server_users(s);
+        let users: Vec<_> = x.server_users_iter(s).collect();
         if users.is_empty() {
             continue;
         }

@@ -57,24 +57,24 @@
 pub mod allocation;
 pub mod assignment;
 pub mod coefficients;
-pub mod cra_numeric;
+#[cfg(test)]
+mod cra_numeric;
 pub mod evaluation;
 pub mod incremental;
 pub mod metrics;
 pub mod scenario;
 pub mod simd;
+pub mod snapshot;
 pub mod solver;
-pub mod spec;
 
 pub use allocation::{
     equal_share_allocation, kkt_allocation, optimal_lambda_cost, ResourceAllocation,
 };
 pub use assignment::{reassigned_survivors, survivor_map, Assignment};
 pub use coefficients::{CoefficientBlocks, UserCoefficients};
-pub use cra_numeric::{numeric_allocation, solve_server_numeric, NumericCraOptions};
 pub use evaluation::{EvalScratch, Evaluator};
 pub use incremental::{IncrementalObjective, MoveDesc, ObjectiveTables, PrimOp};
 pub use metrics::{SystemEvaluation, UserMetrics};
 pub use scenario::{Scenario, UserSpec};
+pub use snapshot::ScenarioSnapshot;
 pub use solver::{Solution, Solver, SolverStats};
-pub use spec::ScenarioSpec;

@@ -69,11 +69,6 @@ impl SystemEvaluation {
             .unwrap_or(Joules::ZERO)
     }
 
-    /// Mean per-user utility `J_u` (unweighted).
-    pub fn average_utility(&self) -> f64 {
-        self.average_of(|m| m.utility).unwrap_or(0.0)
-    }
-
     fn average_of<F: Fn(&UserMetrics) -> f64>(&self, f: F) -> Option<f64> {
         if self.users.is_empty() {
             return None;
@@ -112,7 +107,6 @@ mod tests {
         };
         assert_eq!(eval.average_completion_time(), Seconds::new(2.0));
         assert_eq!(eval.average_energy(), Joules::new(3.0));
-        assert!((eval.average_utility() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -127,6 +121,5 @@ mod tests {
         };
         assert_eq!(eval.average_completion_time(), Seconds::ZERO);
         assert_eq!(eval.average_energy(), Joules::ZERO);
-        assert_eq!(eval.average_utility(), 0.0);
     }
 }

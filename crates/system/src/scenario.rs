@@ -3,8 +3,8 @@
 use crate::coefficients::UserCoefficients;
 use mec_radio::{ChannelGains, OfdmaConfig};
 use mec_types::{
-    constants, BitsPerSecond, Cycles, DbMilliwatts, DeviceProfile, Error, LocalCost,
-    ProviderPreference, ServerId, ServerProfile, Task, UserId, UserPreferences, Watts,
+    constants, BitsPerSecond, Cycles, DeviceProfile, Error, LocalCost, ProviderPreference,
+    ServerId, ServerProfile, Task, UserId, UserPreferences, Watts,
 };
 use serde::{Deserialize, Serialize};
 
@@ -208,16 +208,6 @@ impl Scenario {
         Ok(())
     }
 
-    /// Builder-style variant of [`Scenario::set_external_rx`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Scenario::set_external_rx`].
-    pub fn with_external_rx(mut self, external: Vec<f64>) -> Result<Self, Error> {
-        self.set_external_rx(Some(external))?;
-        Ok(self)
-    }
-
     /// Removes and returns the installed external field (if any), leaving
     /// the scenario in the isolated (`None`) state. The sharded engine's
     /// halo loop uses this to recycle the field's buffer across visits
@@ -286,31 +276,6 @@ impl Scenario {
                 .collect(),
             coefficients: users.iter().map(|u| self.coefficients[u.index()]).collect(),
         })
-    }
-
-    /// Overrides user `u`'s uplink transmit power — the mutation hook for
-    /// the joint power-control extension (the paper keeps `p_u` fixed and
-    /// names power optimization as future work).
-    ///
-    /// The objective coefficients `φ/ψ/η` do not depend on `p_u` (it
-    /// enters Eq. 19 only as the `ψ_u·p_u` multiplier and through the
-    /// SINR), so only the cached linear power needs updating.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownEntity`] for an out-of-range user and
-    /// [`Error::InvalidParameter`] for a non-finite power.
-    pub fn set_tx_power(&mut self, u: UserId, power: DbMilliwatts) -> Result<(), Error> {
-        let Some(spec) = self.users.get_mut(u.index()) else {
-            return Err(Error::UnknownEntity {
-                kind: "user",
-                index: u.index(),
-                count: self.tx_powers_watts.len(),
-            });
-        };
-        spec.device = spec.device.with_tx_power(power)?;
-        self.tx_powers_watts[u.index()] = power.to_watts().as_watts();
-        Ok(())
     }
 
     /// Number of users `U`.
@@ -409,12 +374,6 @@ impl Scenario {
         ServerId::all(self.servers.len())
     }
 
-    /// Number of binary decision variables `n = U·S·N` (the exponent in
-    /// the exhaustive search space `2^n`).
-    pub fn num_decision_vars(&self) -> usize {
-        self.num_users() * self.num_servers() * self.num_subchannels()
-    }
-
     /// Re-indexes the user population: new user `v` is old user
     /// `perm[v]`, with the gain tensor rows carried along. The objective
     /// landscape is invariant under this relabeling (only user *ids*
@@ -495,7 +454,7 @@ impl Scenario {
 mod tests {
     use super::*;
     use mec_radio::ChannelGains;
-    use mec_types::Hertz;
+    use mec_types::{DbMilliwatts, Hertz};
 
     fn small() -> Scenario {
         Scenario::new(
@@ -508,13 +467,30 @@ mod tests {
         .unwrap()
     }
 
+    /// [`small`] with user 2 transmitting at 20 dBm, so that the users
+    /// are distinguishable.
+    fn distinct() -> Scenario {
+        let s = small();
+        let mut users = s.users().to_vec();
+        let device = users[2].device;
+        users[2].device =
+            DeviceProfile::new(device.cpu(), device.kappa(), DbMilliwatts::new(20.0)).unwrap();
+        Scenario::new(
+            users,
+            s.servers().to_vec(),
+            *s.ofdma(),
+            s.gains().clone(),
+            s.noise(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn dimensions_are_exposed() {
         let s = small();
         assert_eq!(s.num_users(), 3);
         assert_eq!(s.num_servers(), 2);
         assert_eq!(s.num_subchannels(), 2);
-        assert_eq!(s.num_decision_vars(), 12);
         assert_eq!(s.user_ids().count(), 3);
         assert_eq!(s.server_ids().count(), 2);
     }
@@ -537,29 +513,6 @@ mod tests {
         for p in s.tx_powers_watts() {
             assert!((p - 0.01).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn set_tx_power_updates_cache_and_spec() {
-        let mut s = small();
-        s.set_tx_power(UserId::new(1), DbMilliwatts::new(20.0))
-            .unwrap();
-        assert!(
-            (s.tx_powers_watts()[1] - 0.1).abs() < 1e-12,
-            "20 dBm = 100 mW"
-        );
-        assert_eq!(s.user(UserId::new(1)).device.tx_power().as_dbm(), 20.0);
-        // Other users untouched; coefficients unchanged (p-independent).
-        assert!((s.tx_powers_watts()[0] - 0.01).abs() < 1e-12);
-        let before = *small().coefficients(UserId::new(1));
-        assert_eq!(*s.coefficients(UserId::new(1)), before);
-        // Errors.
-        assert!(s
-            .set_tx_power(UserId::new(9), DbMilliwatts::new(10.0))
-            .is_err());
-        assert!(s
-            .set_tx_power(UserId::new(0), DbMilliwatts::new(f64::NAN))
-            .is_err());
     }
 
     #[test]
@@ -601,10 +554,7 @@ mod tests {
 
     #[test]
     fn permute_users_relabels_specs_and_gain_rows() {
-        let mut s = small();
-        // Make the users distinguishable.
-        s.set_tx_power(UserId::new(2), DbMilliwatts::new(20.0))
-            .unwrap();
+        let s = distinct();
         let perm = [UserId::new(2), UserId::new(0), UserId::new(1)];
         let p = s.permute_users(&perm).unwrap();
         for (v, &old) in perm.iter().enumerate() {
@@ -664,10 +614,10 @@ mod tests {
         assert_eq!(s.external_rx().unwrap().len(), 4);
         s.set_external_rx(None).unwrap();
         assert!(s.external_rx().is_none());
-        let s = small().with_external_rx(vec![0.0; 4]).unwrap();
+        s.set_external_rx(Some(vec![0.0; 4])).unwrap();
         assert!(s.external_rx().is_some());
         // take_external_rx hands the buffer back for reuse.
-        let mut s = small().with_external_rx(vec![2e-12; 4]).unwrap();
+        s.set_external_rx(Some(vec![2e-12; 4])).unwrap();
         let taken = s.take_external_rx().unwrap();
         assert_eq!(taken, vec![2e-12; 4]);
         assert!(s.external_rx().is_none());
@@ -676,9 +626,7 @@ mod tests {
 
     #[test]
     fn subset_restricts_population_and_keeps_physics() {
-        let mut s = small();
-        s.set_tx_power(UserId::new(2), DbMilliwatts::new(20.0))
-            .unwrap();
+        let s = distinct();
         let users = [UserId::new(2), UserId::new(0)];
         let servers = [ServerId::new(1)];
         let sub = s.subset(&users, &servers).unwrap();

@@ -8,8 +8,7 @@ use serde::{Deserialize, Serialize};
 /// A multi-cell network: base-station positions plus the cell geometry.
 ///
 /// The paper's evaluation uses hexagonal cells with a 1 km inter-site
-/// distance ([`NetworkLayout::hexagonal`]); arbitrary station positions are
-/// supported through [`NetworkLayout::from_stations`] for custom scenarios.
+/// distance ([`NetworkLayout::hexagonal`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetworkLayout {
     stations: Vec<Point2>,
@@ -37,29 +36,6 @@ impl NetworkLayout {
         Ok(Self {
             stations: hex_centers(count, isd),
             cell_radius: cell_circumradius(isd),
-        })
-    }
-
-    /// Builds a layout from explicit station positions and a cell
-    /// circumradius.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] if `stations` is empty or the
-    /// radius is non-positive.
-    pub fn from_stations(stations: Vec<Point2>, cell_radius: Meters) -> Result<Self, Error> {
-        if stations.is_empty() {
-            return Err(Error::invalid(
-                "stations",
-                "network needs at least one station",
-            ));
-        }
-        if !cell_radius.is_finite() || cell_radius.as_meters() <= 0.0 {
-            return Err(Error::invalid("cell_radius", "must be positive"));
-        }
-        Ok(Self {
-            stations,
-            cell_radius,
         })
     }
 
@@ -138,12 +114,6 @@ mod tests {
         assert!(NetworkLayout::hexagonal(0, Meters::new(1000.0)).is_err());
         assert!(NetworkLayout::hexagonal(9, Meters::new(0.0)).is_err());
         assert!(NetworkLayout::hexagonal(9, Meters::new(-5.0)).is_err());
-    }
-
-    #[test]
-    fn from_stations_rejects_degenerate_inputs() {
-        assert!(NetworkLayout::from_stations(vec![], Meters::new(100.0)).is_err());
-        assert!(NetworkLayout::from_stations(vec![Point2::ORIGIN], Meters::new(0.0)).is_err());
     }
 
     #[test]

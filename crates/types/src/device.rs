@@ -90,19 +90,6 @@ impl DeviceProfile {
         self.tx_power.to_watts()
     }
 
-    /// Returns a copy of this profile with a different transmit power.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] if the power is non-finite.
-    pub fn with_tx_power(mut self, tx_power: DbMilliwatts) -> Result<Self, Error> {
-        if !tx_power.is_finite() {
-            return Err(Error::invalid("p_u", "transmit power must be finite"));
-        }
-        self.tx_power = tx_power;
-        Ok(self)
-    }
-
     /// The local execution cost for a task of the given workload.
     pub fn local_cost(&self, workload: Cycles) -> LocalCost {
         let time = workload / self.cpu;
@@ -140,16 +127,6 @@ mod tests {
         assert!(
             DeviceProfile::new(Hertz::from_giga(1.0), 1e-27, DbMilliwatts::new(f64::NAN)).is_err()
         );
-    }
-
-    #[test]
-    fn with_tx_power_replaces_only_the_power() {
-        let d = DeviceProfile::paper_default();
-        let boosted = d.with_tx_power(DbMilliwatts::new(20.0)).unwrap();
-        assert_eq!(boosted.tx_power().as_dbm(), 20.0);
-        assert_eq!(boosted.cpu(), d.cpu());
-        assert_eq!(boosted.kappa(), d.kappa());
-        assert!(d.with_tx_power(DbMilliwatts::new(f64::NAN)).is_err());
     }
 
     #[test]

@@ -210,11 +210,6 @@ impl Bits {
         Self::new(kb * 8.0 * 1024.0)
     }
 
-    /// Constructs from megabits (1 Mb = 10^6 bits).
-    pub fn from_megabits(mb: f64) -> Self {
-        Self::new(mb * 1.0e6)
-    }
-
     /// The value in kilobytes.
     pub fn as_kilobytes(self) -> f64 {
         self.as_bits() / (8.0 * 1024.0)
@@ -265,18 +260,6 @@ impl Seconds {
     /// Constructs from milliseconds.
     pub fn from_millis(ms: f64) -> Self {
         Self::new(ms / 1.0e3)
-    }
-
-    /// The value in milliseconds.
-    pub fn as_millis(self) -> f64 {
-        self.as_secs() * 1.0e3
-    }
-}
-
-impl Joules {
-    /// The value in millijoules.
-    pub fn as_millijoules(self) -> f64 {
-        self.as_joules() * 1.0e3
     }
 }
 
@@ -421,7 +404,6 @@ mod tests {
         let e = Watts::new(0.01) * Seconds::new(3.0);
         assert_eq!(e, Joules::new(0.03));
         assert_eq!(Seconds::new(3.0) * Watts::new(0.01), e);
-        assert!((e.as_millijoules() - 30.0).abs() < 1e-12);
     }
 
     #[test]

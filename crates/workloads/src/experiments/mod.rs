@@ -121,13 +121,6 @@ impl CellResult {
         )
     }
 
-    /// Mean ± CI of the fraction of users that offload.
-    pub fn offload_rate(&self) -> SampleStats {
-        SampleStats::from_sample(&self.samples(|o| {
-            o.evaluation.num_offloaded as f64 / o.evaluation.users.len().max(1) as f64
-        }))
-    }
-
     fn samples<F: Fn(&TrialOutcome) -> f64>(&self, f: F) -> Vec<f64> {
         self.outcomes.iter().map(f).collect()
     }
@@ -189,8 +182,6 @@ mod tests {
         assert!(cell.time_ms().mean >= 0.0);
         assert!(cell.average_energy().mean > 0.0);
         assert!(cell.average_delay().mean > 0.0);
-        let rate = cell.offload_rate();
-        assert!((0.0..=1.0).contains(&rate.mean));
     }
 
     #[test]

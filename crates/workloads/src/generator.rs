@@ -16,6 +16,12 @@ use rand::SeedableRng;
 /// seed their annealing chain with `seed ^ CHAIN_STREAM`.
 pub const CHAIN_STREAM: u64 = 0x5851_F42D_4C95_7F2D;
 
+/// Salt that decorrelates a scenario's shadowing stream from its placement
+/// stream: [`ScenarioGenerator::generate`] and generated scenario specs
+/// place users from `seed` and draw shadowing from
+/// `seed ^ SHADOWING_STREAM`.
+pub const SHADOWING_STREAM: u64 = 0xD1B5_4A32_D192_ED03;
+
 /// The shadowing seed of epoch (or service batch) `epoch` under master
 /// seed `seed`, shared by every driver that regenerates channels per
 /// epoch so their redraws decorrelate the same way.
@@ -87,7 +93,7 @@ impl ScenarioGenerator {
         };
         // Decorrelate the shadowing stream from the placement stream (both
         // are derived from `seed`).
-        let scenario = self.generate_at(&positions, seed ^ 0xD1B5_4A32_D192_ED03)?;
+        let scenario = self.generate_at(&positions, seed ^ SHADOWING_STREAM)?;
         Ok((scenario, positions))
     }
 
@@ -315,7 +321,7 @@ mod tests {
         use mec_types::{ServerId, SubchannelId, UserId};
         let generator = ScenarioGenerator::new(ExperimentParams::small_network());
         let (full, positions) = generator.generate_with_positions(11).unwrap();
-        let shadow_seed = 11 ^ 0xD1B5_4A32_D192_ED03;
+        let shadow_seed = 11 ^ SHADOWING_STREAM;
 
         // All-true mask: bit-identical to the unmasked path.
         let same = generator

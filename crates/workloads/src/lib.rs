@@ -39,7 +39,7 @@ pub mod report;
 pub mod runner;
 pub mod stats;
 
-pub use generator::{epoch_seed, ScenarioGenerator, CHAIN_STREAM};
+pub use generator::{epoch_seed, ScenarioGenerator, CHAIN_STREAM, SHADOWING_STREAM};
 pub use params::{ExperimentParams, PlacementModel, Preset};
 pub use report::Table;
 pub use runner::{run_trials, TrialOutcome};

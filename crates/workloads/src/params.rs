@@ -50,15 +50,6 @@ impl Preset {
         }
     }
 
-    /// Builds an ad-hoc effort level (shows up as `"custom"` in reports).
-    pub fn from_effort(trials: usize, ttsa_min_temperature: f64) -> Preset {
-        Preset {
-            name: "custom",
-            trials,
-            ttsa_min_temperature,
-        }
-    }
-
     /// Whether this is the paper-faithful effort level (or deeper).
     pub fn is_full(&self) -> bool {
         self.trials >= Preset::Full.trials
@@ -373,7 +364,12 @@ mod tests {
             Preset::Quick.scenario_file(),
             Some("scenarios/preset_quick.toml")
         );
-        assert_eq!(Preset::from_effort(7, 1e-4).scenario_file(), None);
+        let custom = Preset {
+            name: "custom",
+            trials: 7,
+            ttsa_min_temperature: 1e-4,
+        };
+        assert_eq!(custom.scenario_file(), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! and spec round-trips.
 
 use tsajs_mec::prelude::*;
-use tsajs_mec::system::ScenarioSpec;
+use tsajs_mec::system::ScenarioSnapshot;
 use tsajs_mec::types::BitsPerSecond;
 
 fn downlink_scenario(rate_mbps: f64) -> Scenario {
@@ -81,7 +81,7 @@ fn slower_downlink_reduces_offloading_appeal() {
 #[test]
 fn downlink_scenarios_roundtrip_through_specs() {
     let original = downlink_scenario(100.0);
-    let spec = ScenarioSpec::from_scenario(&original);
+    let spec = ScenarioSnapshot::from_scenario(&original);
     let rebuilt = spec.into_scenario().unwrap();
     // Identical objective on an identical decision.
     let mut x = Assignment::all_local(&original);

@@ -96,7 +96,7 @@ proptest! {
         let f = mec_system::kkt_allocation(&scenario, &x);
         prop_assert!(f.verify(&scenario, &x).is_ok());
         for s in scenario.server_ids() {
-            let users = x.server_users(s);
+            let users: Vec<_> = x.server_users_iter(s).collect();
             if !users.is_empty() {
                 let load = f.server_load(s, &x).as_hz();
                 let cap = scenario.server(s).capacity().as_hz();
@@ -129,7 +129,7 @@ proptest! {
         // Perturbed allocation: skew shares toward the first user on each
         // server, renormalized to capacity.
         for s in scenario.server_ids() {
-            let users = x.server_users(s);
+            let users: Vec<_> = x.server_users_iter(s).collect();
             if users.len() < 2 {
                 continue;
             }

@@ -9,7 +9,7 @@ use tsajs_mec::baselines::upper_bound;
 use tsajs_mec::online::{OnlineConfig, OnlineEngine};
 use tsajs_mec::prelude::*;
 use tsajs_mec::service::{RequestKind, SchedulerCore, ServiceConfig, ServiceRuntime};
-use tsajs_mec::system::ScenarioSpec;
+use tsajs_mec::system::ScenarioSnapshot;
 use tsajs_mec::topology::place_users_uniform;
 use tsajs_mec::tsajs::ResolveMode;
 use tsajs_mec::viz::SvgScene;
@@ -28,7 +28,7 @@ fn end_to_end_story() {
 
     // 2. Persist and reload through the spec — the reloaded instance must
     //    behave identically.
-    let spec = ScenarioSpec::from_scenario(&scenario);
+    let spec = ScenarioSnapshot::from_scenario(&scenario);
     let reloaded = spec.into_scenario().unwrap();
     assert_eq!(reloaded.gains(), scenario.gains());
 
