@@ -30,7 +30,7 @@ use crate::sla::{CompletedUser, SlaLog};
 use crate::waypoint::RandomWaypoint;
 use mec_system::{reassigned_survivors, survivor_map, Assignment, Evaluator, Scenario, Solver};
 use mec_topology::{NetworkLayout, Point2};
-use mec_types::{effective_parallelism, DeviceProfile, Error, Seconds, ServerId, Task, UserId};
+use mec_types::{effective_parallelism, Error, Seconds, ServerId, UserId};
 use mec_workloads::{epoch_seed, ExperimentParams, ScenarioGenerator, CHAIN_STREAM};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -304,11 +304,7 @@ impl OnlineEngine {
         let motion = RandomWaypoint::new(&layout, 0, config.speed_range_mps, &mut motion_rng);
         // Forced-local users never enter a Scenario, so their completion
         // time comes straight from the task's local cost.
-        let device = DeviceProfile::new(params.user_cpu, params.kappa, params.tx_power)?;
-        let task = match params.task_output {
-            Some(output) => Task::with_output(params.task_data, params.task_workload, output)?,
-            None => Task::new(params.task_data, params.task_workload)?,
-        };
+        let (task, device) = params.task_and_device()?;
         let local_time_s = task.local_cost(&device).time.as_secs();
         Ok(Self {
             params,

@@ -8,10 +8,11 @@
 use crate::error::SpecError;
 use crate::schema::{
     AdmissionSpec, ChurnSpec, DownlinkSpec, EffortSpec, ExpectSpec, GeneratedSpec, OnlineSpec,
-    PlacementSpec, ScenarioSpec, SlaSpec, SpecMode, UserTemplate, SCHEMA_VERSION,
+    ScenarioSpec, SlaSpec, SpecMode, UserTemplate, SCHEMA_VERSION,
 };
 use mec_online::{EngineEvent, TimedEvent};
 use mec_types::Seconds;
+use mec_workloads::PlacementModel;
 
 /// Builds generated-mode [`ScenarioSpec`]s fluently.
 ///
@@ -136,7 +137,7 @@ impl ScenarioBuilder {
 
     /// Clustered (hotspot) placement.
     pub fn hotspots(mut self, clusters: usize, spread_m: f64) -> Self {
-        self.generated().population.placement = PlacementSpec::Hotspots { clusters, spread_m };
+        self.generated().population.placement = PlacementModel::Hotspots { clusters, spread_m };
         self
     }
 

@@ -57,6 +57,6 @@ pub use expect::{check_expectations, ExpectReport, OnlineOutcome};
 pub use materialize::OnlinePlan;
 pub use schema::{
     AdmissionSpec, ChurnSpec, ComputeSpec, DownlinkSpec, EffortSpec, ExpectSpec, ExplicitSpec,
-    ExplicitUser, GeneratedSpec, OnlineSpec, PlacementSpec, PopulationSpec, ProvenanceSpec,
-    RadioSpec, ScenarioSpec, SpecMode, TopologySpec, UserTemplate, SCHEMA_VERSION,
+    ExplicitUser, GeneratedSpec, OnlineSpec, PopulationSpec, ProvenanceSpec, RadioSpec,
+    ScenarioSpec, SpecMode, TopologySpec, UserTemplate, SCHEMA_VERSION,
 };

@@ -1,8 +1,9 @@
 //! Turning validated specs into concrete model objects.
 //!
 //! - [`ScenarioSpec::materialize`] — a snapshot [`Scenario`] (generated
-//!   mode draws placements/gains/jitter from the seed; explicit mode is
-//!   seed-independent and bit-exact).
+//!   mode draws placements/gains/jitter from the seed through
+//!   [`ScenarioGenerator`]; explicit mode is seed-independent and
+//!   bit-exact).
 //! - [`ScenarioSpec::to_experiment_params`] — the [`ExperimentParams`]
 //!   equivalent of a single-template generated spec, for code paths that
 //!   still speak parameters.
@@ -10,25 +11,16 @@
 //!   with churn, admission, SLA and the compiled event timeline.
 
 use crate::error::SpecError;
-use crate::schema::{
-    ExplicitSpec, GeneratedSpec, PlacementSpec, ScenarioSpec, SpecMode, UserTemplate,
-};
+use crate::schema::{ExplicitSpec, GeneratedSpec, ScenarioSpec, SpecMode, UserTemplate};
 use mec_online::{AdmitAll, CapacityGate, EventSchedule, OnlineConfig, OnlineEngine, PoissonChurn};
-use mec_radio::{ChannelGains, ChannelModel, OfdmaConfig};
+use mec_radio::{ChannelGains, OfdmaConfig};
 use mec_system::{Scenario, UserSpec};
-use mec_topology::{place_users_hotspots, place_users_uniform, NetworkLayout};
 use mec_types::{
     Bits, BitsPerSecond, Cycles, DbMilliwatts, DeviceProfile, Hertz, Meters, ProviderPreference,
     Seconds, ServerProfile, Task, UserPreferences, Watts,
 };
-use mec_workloads::{ExperimentParams, PlacementModel, ScenarioGenerator, SHADOWING_STREAM};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mec_workloads::{ExperimentParams, ScenarioGenerator};
 use tsajs::{ResolveMode, TtsaConfig};
-
-/// Stream salt decorrelating template sampling / preference jitter from
-/// the placement and shadowing streams.
-const TEMPLATE_STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Everything an online run needs, assembled from one spec.
 pub struct OnlinePlan {
@@ -41,11 +33,11 @@ pub struct OnlinePlan {
 impl ScenarioSpec {
     /// Builds the concrete [`Scenario`] this spec describes.
     ///
-    /// Generated mode: placements come from `seed`, shadowing from
-    /// `seed ^` [`SHADOWING_STREAM`] (the exact streams
-    /// [`ScenarioGenerator`] uses, so single-template specs reproduce the
-    /// generator bit-for-bit) and template sampling / preference jitter
-    /// from a third stream. Explicit mode ignores `seed` entirely.
+    /// Generated mode: the spec's parameters with one user class per
+    /// `[[population.template]]`, drawn by [`ScenarioGenerator::generate`]
+    /// with `seed` as its placement seed, so a single-template spec
+    /// reproduces its [`to_experiment_params`](Self::to_experiment_params)
+    /// bit for bit. Explicit mode ignores `seed` entirely.
     ///
     /// # Errors
     ///
@@ -82,37 +74,7 @@ impl ScenarioSpec {
                 ),
             ));
         };
-        let mut params = ExperimentParams {
-            num_users: g.population.users,
-            num_servers: g.topology.servers,
-            num_subchannels: g.radio.subchannels,
-            bandwidth: Hertz::new(g.radio.bandwidth_hz),
-            noise: DbMilliwatts::new(g.radio.noise_dbm),
-            tx_power: DbMilliwatts::new(g.radio.tx_power_dbm),
-            inter_site_distance: Meters::new(g.topology.inter_site_distance_m),
-            shadowing_db: g.radio.shadowing_db,
-            server_cpu: Hertz::from_giga(g.compute.server_cpu_ghz),
-            user_cpu: Hertz::from_giga(t.user_cpu_ghz),
-            kappa: t.kappa,
-            task_data: Bits::from_kilobytes(t.task_data_kb),
-            task_workload: Cycles::from_mega(t.task_mcycles),
-            beta_time: t.beta_time,
-            beta_time_spread: t.beta_time_spread,
-            lambda: t.lambda,
-            task_output: None,
-            downlink_rate: None,
-            placement: match g.population.placement {
-                PlacementSpec::Uniform => PlacementModel::Uniform,
-                PlacementSpec::Hotspots { clusters, spread_m } => {
-                    PlacementModel::Hotspots { clusters, spread_m }
-                }
-            },
-        };
-        if let Some(d) = &g.downlink {
-            params.task_output = Some(Bits::from_kilobytes(d.output_kb));
-            params.downlink_rate = Some(BitsPerSecond::new(d.rate_mbps * 1.0e6));
-        }
-        Ok(params)
+        Ok(g.params(t))
     }
 
     /// Assembles the online run this spec describes: engine (with churn,
@@ -200,137 +162,42 @@ impl ScenarioSpec {
 }
 
 impl GeneratedSpec {
+    /// The spec's [`ExperimentParams`], with `template`'s user fields.
+    fn params(&self, template: &UserTemplate) -> ExperimentParams {
+        let downlink = self.downlink.as_ref();
+        ExperimentParams {
+            num_users: self.population.users,
+            num_servers: self.topology.servers,
+            num_subchannels: self.radio.subchannels,
+            bandwidth: Hertz::new(self.radio.bandwidth_hz),
+            noise: DbMilliwatts::new(self.radio.noise_dbm),
+            tx_power: DbMilliwatts::new(self.radio.tx_power_dbm),
+            inter_site_distance: Meters::new(self.topology.inter_site_distance_m),
+            shadowing_db: self.radio.shadowing_db,
+            server_cpu: Hertz::from_giga(self.compute.server_cpu_ghz),
+            user_cpu: Hertz::from_giga(template.user_cpu_ghz),
+            kappa: template.kappa,
+            task_data: Bits::from_kilobytes(template.task_data_kb),
+            task_workload: Cycles::from_mega(template.task_mcycles),
+            beta_time: template.beta_time,
+            beta_time_spread: template.beta_time_spread,
+            lambda: template.lambda,
+            task_output: downlink.map(|d| Bits::from_kilobytes(d.output_kb)),
+            downlink_rate: downlink.map(|d| BitsPerSecond::new(d.rate_mbps * 1.0e6)),
+            placement: self.population.placement,
+        }
+    }
+
     fn materialize(&self, seed: u64) -> Result<Scenario, SpecError> {
-        if let [_] = self.population.templates.as_slice() {
-            // Single template: go through the generator so the spec
-            // reproduces ExperimentParams-driven experiments bit-for-bit.
-            let spec = ScenarioSpec {
-                schema_version: crate::schema::SCHEMA_VERSION,
-                name: "params".into(),
-                description: None,
-                mode: SpecMode::Generated(self.clone()),
-                churn: None,
-                admission: None,
-                sla: None,
-                online: None,
-                timeline: Vec::new(),
-                expect: None,
-                provenance: None,
-                effort: None,
-            };
-            let params = spec.to_experiment_params()?;
-            return ScenarioGenerator::new(params)
-                .generate(seed)
-                .map_err(|e| SpecError::model("", &e));
-        }
-
-        // Heterogeneous population: draw the same placement and shadowing
-        // streams the generator uses, plus a third stream for template
-        // sampling and per-user jitter.
-        let layout = NetworkLayout::hexagonal(
-            self.topology.servers,
-            Meters::new(self.topology.inter_site_distance_m),
-        )
-        .map_err(|e| SpecError::model("topology", &e))?;
-        let mut placement_rng = StdRng::seed_from_u64(seed);
-        let positions = match self.population.placement {
-            PlacementSpec::Uniform => {
-                place_users_uniform(&layout, self.population.users, &mut placement_rng)
-            }
-            PlacementSpec::Hotspots { clusters, spread_m } => place_users_hotspots(
-                &layout,
-                self.population.users,
-                clusters,
-                spread_m,
-                &mut placement_rng,
-            ),
-        };
-        let mut shadow_rng = StdRng::seed_from_u64(seed ^ SHADOWING_STREAM);
-        let model = ChannelModel::paper_default().with_shadowing_db(self.radio.shadowing_db);
-        let gains: ChannelGains =
-            model.generate(&layout, &positions, self.radio.subchannels, &mut shadow_rng);
-
-        let mut template_rng = StdRng::seed_from_u64(seed ^ TEMPLATE_STREAM_SALT);
-        let total_weight: f64 = self.population.templates.iter().map(|t| t.weight).sum();
-        let mut users = Vec::with_capacity(self.population.users);
-        for u in 0..self.population.users {
-            let template =
-                pick_template(&self.population.templates, total_weight, &mut template_rng);
-            users.push(
-                template
-                    .build_user(
-                        self.downlink.as_ref().map(|d| d.output_kb),
-                        DbMilliwatts::new(self.radio.tx_power_dbm),
-                        &mut template_rng,
-                    )
-                    .map_err(|e| SpecError::model(format!("population.template ({u})"), &e))?,
-            );
-        }
-        let servers = vec![
-            ServerProfile::new(Hertz::from_giga(self.compute.server_cpu_ghz))
-                .map_err(|e| SpecError::model("compute.server_cpu_ghz", &e))?;
-            self.topology.servers
-        ];
-        let ofdma = OfdmaConfig::new(Hertz::new(self.radio.bandwidth_hz), self.radio.subchannels)
-            .map_err(|e| SpecError::model("radio", &e))?;
-        let scenario = Scenario::new(
-            users,
-            servers,
-            ofdma,
-            gains,
-            DbMilliwatts::new(self.radio.noise_dbm).to_watts(),
-        )
-        .map_err(|e| SpecError::model("", &e))?;
-        match &self.downlink {
-            Some(d) => scenario
-                .with_downlink(BitsPerSecond::new(d.rate_mbps * 1.0e6))
-                .map_err(|e| SpecError::model("downlink", &e)),
-            None => Ok(scenario),
-        }
-    }
-}
-
-fn pick_template<'a>(
-    templates: &'a [UserTemplate],
-    total_weight: f64,
-    rng: &mut StdRng,
-) -> &'a UserTemplate {
-    let mut pick = rng.gen::<f64>() * total_weight;
-    for t in templates {
-        if pick < t.weight {
-            return t;
-        }
-        pick -= t.weight;
-    }
-    templates.last().expect("validate() requires a template")
-}
-
-impl UserTemplate {
-    fn build_user(
-        &self,
-        output_kb: Option<f64>,
-        tx_power: DbMilliwatts,
-        rng: &mut StdRng,
-    ) -> Result<UserSpec, mec_types::Error> {
-        let beta = if self.beta_time_spread > 0.0 {
-            let lo = (self.beta_time - self.beta_time_spread).max(0.0);
-            let hi = (self.beta_time + self.beta_time_spread).min(1.0);
-            rng.gen_range(lo..=hi)
-        } else {
-            self.beta_time
-        };
-        let data = Bits::from_kilobytes(self.task_data_kb);
-        let workload = Cycles::from_mega(self.task_mcycles);
-        let task = match output_kb {
-            Some(kb) => Task::with_output(data, workload, Bits::from_kilobytes(kb))?,
-            None => Task::new(data, workload)?,
-        };
-        Ok(UserSpec {
-            task,
-            device: DeviceProfile::new(Hertz::from_giga(self.user_cpu_ghz), self.kappa, tx_power)?,
-            preferences: UserPreferences::new(beta)?,
-            lambda: ProviderPreference::new(self.lambda)?,
-        })
+        let templates = &self.population.templates;
+        let mix = templates
+            .iter()
+            .map(|t| (t.weight, self.params(t)))
+            .collect();
+        ScenarioGenerator::new(self.params(&templates[0]))
+            .with_mix(mix)
+            .generate(seed)
+            .map_err(|e| SpecError::model("", &e))
     }
 }
 
@@ -408,9 +275,9 @@ mod tests {
 
     #[test]
     fn a_second_template_keeps_the_placement_and_shadowing_streams() {
-        // One template goes through the generator, two through the
-        // heterogeneous path; both place users from `seed` and shadow from
-        // `seed ^ SHADOWING_STREAM`, so the gains must agree.
+        // A second template only adds the class stream: users are still
+        // placed from `seed` and shadowed from `seed ^ SHADOWING_STREAM`,
+        // so the gains must agree.
         let heavy = UserTemplate {
             task_mcycles: 3000.0,
             ..UserTemplate::default()

@@ -21,6 +21,7 @@ use crate::error::SpecError;
 use crate::toml;
 use mec_online::{EngineEvent, TimedEvent};
 use mec_types::Seconds;
+use mec_workloads::PlacementModel;
 use serde::Content;
 
 /// The only schema version this build reads.
@@ -143,27 +144,13 @@ impl Default for ComputeSpec {
     }
 }
 
-/// User placement over the layout.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlacementSpec {
-    /// Uniform over the coverage area.
-    Uniform,
-    /// Clustered around `clusters` random hotspots.
-    Hotspots {
-        /// Number of hotspot clusters.
-        clusters: usize,
-        /// Gaussian spread around each hotspot, meters.
-        spread_m: f64,
-    },
-}
-
 /// `[population]` — who is in the cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopulationSpec {
     /// Number of users.
     pub users: usize,
     /// Spatial placement model.
-    pub placement: PlacementSpec,
+    pub placement: PlacementModel,
     /// Weighted user templates (`[[population.template]]`).
     pub templates: Vec<UserTemplate>,
 }
@@ -172,7 +159,7 @@ impl Default for PopulationSpec {
     fn default() -> Self {
         Self {
             users: 30,
-            placement: PlacementSpec::Uniform,
+            placement: PlacementModel::Uniform,
             templates: vec![UserTemplate::default()],
         }
     }
@@ -643,9 +630,9 @@ impl PopulationSpec {
                         ));
                     }
                 }
-                PlacementSpec::Uniform
+                PlacementModel::Uniform
             }
-            "hotspots" => PlacementSpec::Hotspots {
+            "hotspots" => PlacementModel::Hotspots {
                 clusters: w.usize_or("hotspot_clusters", 3)?,
                 spread_m: w.f64_or("hotspot_spread_m", 80.0)?,
             },
@@ -677,10 +664,10 @@ impl PopulationSpec {
     fn encode(&self) -> Content {
         let mut b = MapBuilder::new().push("users", Content::U64(self.users as u64));
         match &self.placement {
-            PlacementSpec::Uniform => {
+            PlacementModel::Uniform => {
                 b = b.push("placement", Content::Str("uniform".into()));
             }
-            PlacementSpec::Hotspots { clusters, spread_m } => {
+            PlacementModel::Hotspots { clusters, spread_m } => {
                 b = b
                     .push("placement", Content::Str("hotspots".into()))
                     .push("hotspot_clusters", Content::U64(*clusters as u64))
@@ -1418,7 +1405,7 @@ impl GeneratedSpec {
         if self.population.users == 0 {
             return Err(SpecError::new("population.users", "must be at least 1"));
         }
-        if let PlacementSpec::Hotspots { clusters, spread_m } = &self.population.placement {
+        if let PlacementModel::Hotspots { clusters, spread_m } = &self.population.placement {
             if *clusters == 0 {
                 return Err(SpecError::new(
                     "population.hotspot_clusters",

@@ -13,9 +13,8 @@ use crate::params::{ExperimentParams, Preset};
 use crate::report::Table;
 use crate::stats::SampleStats;
 use crate::ScenarioGenerator;
-use mec_radio::{ChannelGains, OfdmaConfig};
 use mec_system::{Scenario, UserSpec};
-use mec_types::{DbMilliwatts, Error, ProviderPreference, UserId};
+use mec_types::{Error, ProviderPreference, UserId};
 
 /// Priority-study configuration.
 #[derive(Debug, Clone)]
@@ -70,20 +69,14 @@ fn mixed_scenario(config: &PriorityConfig, seed: u64) -> Result<Scenario, Error>
             ProviderPreference::new(config.lambda_standard)?
         };
     }
-    // Rebuild with the same gains/noise but the new priorities.
-    let rebuilt = Scenario::new(
+    // Rebuild with the same radio but the new priorities.
+    Scenario::new(
         users,
         base.servers().to_vec(),
-        OfdmaConfig::new(base.ofdma().bandwidth(), base.num_subchannels())?,
-        ChannelGains::from_fn(
-            base.num_users(),
-            base.num_servers(),
-            base.num_subchannels(),
-            |u, s, j| base.gains().gain(u, s, j),
-        )?,
-        DbMilliwatts::new(base.noise().to_dbm().as_dbm()).to_watts(),
-    )?;
-    Ok(rebuilt)
+        *base.ofdma(),
+        base.gains().clone(),
+        base.noise(),
+    )
 }
 
 /// Runs the priority study: offload rate per user class, for a couple of

@@ -5,11 +5,10 @@ use mec_radio::{ChannelModel, OfdmaConfig};
 use mec_system::{Scenario, UserSpec};
 use mec_topology::{place_users_hotspots, place_users_uniform, NetworkLayout};
 use mec_types::{
-    DbMilliwatts, DeviceProfile, Error, ProviderPreference, ServerId, ServerProfile, Task, UserId,
-    UserPreferences,
+    DbMilliwatts, Error, ProviderPreference, ServerId, ServerProfile, UserId, UserPreferences,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Salt that decorrelates an epoch driver's solver stream from its master
 /// seed: the online engine, the mobility simulation and the service all
@@ -21,6 +20,11 @@ pub const CHAIN_STREAM: u64 = 0x5851_F42D_4C95_7F2D;
 /// place users from `seed` and draw shadowing from
 /// `seed ^ SHADOWING_STREAM`.
 pub const SHADOWING_STREAM: u64 = 0xD1B5_4A32_D192_ED03;
+
+/// Salt of a user-class mix's own stream: with two or more classes,
+/// [`ScenarioGenerator::generate`] draws each user's class and β jitter
+/// from `seed ^ CLASS_STREAM`.
+const CLASS_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The shadowing seed of epoch (or service batch) `epoch` under master
 /// seed `seed`, shared by every driver that regenerates channels per
@@ -38,17 +42,29 @@ pub fn epoch_seed(seed: u64, epoch: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct ScenarioGenerator {
     params: ExperimentParams,
+    /// Weighted user classes: `params` alone unless [`with_mix`](Self::with_mix)
+    /// replaced it.
+    classes: Vec<(f64, ExperimentParams)>,
 }
 
 impl ScenarioGenerator {
     /// Creates a generator for the given parameters.
     pub fn new(params: ExperimentParams) -> Self {
-        Self { params }
+        Self {
+            params,
+            classes: vec![(1.0, params)],
+        }
     }
 
-    /// The parameters this generator draws from.
-    pub fn params(&self) -> &ExperimentParams {
-        &self.params
+    /// Draws users from a weighted mix of classes: each user takes class
+    /// `i` with probability `weight_i / Σ weight`, and with it that
+    /// class's task, device, β (and its jitter) and λ. Only those user
+    /// fields of a class are read; the network, the placement and the
+    /// user count stay the generator's. A mix of one class draws no
+    /// class pick.
+    pub fn with_mix(mut self, mix: Vec<(f64, ExperimentParams)>) -> Self {
+        self.classes = mix;
+        self
     }
 
     /// The network layout these parameters imply.
@@ -99,13 +115,17 @@ impl ScenarioGenerator {
 
     /// Generates a scenario for *explicit* user positions (the mobility
     /// substrate moves users itself and regenerates channels per epoch).
-    /// `seed` drives the shadowing realization only.
+    /// `seed` drives the shadowing realization (and, with a mix of two or
+    /// more classes, the class stream `seed ^ SHADOWING_STREAM ^
+    /// CLASS_STREAM`: the placement seed's class stream under
+    /// [`generate`](Self::generate)).
     ///
     /// # Errors
     ///
     /// As [`generate`](Self::generate); additionally
     /// [`Error::DimensionMismatch`] if `positions` does not match the
-    /// configured user count.
+    /// configured user count and [`Error::InvalidParameter`] for a class
+    /// weight that is not positive and finite.
     pub fn generate_at(
         &self,
         positions: &[mec_topology::Point2],
@@ -128,28 +148,7 @@ impl ScenarioGenerator {
         let model = ChannelModel::paper_default().with_shadowing_db(p.shadowing_db);
         let gains = model.generate(&layout, positions, p.num_subchannels, &mut rng);
 
-        let device = DeviceProfile::new(p.user_cpu, p.kappa, p.tx_power)?;
-        let task = match p.task_output {
-            Some(output) => Task::with_output(p.task_data, p.task_workload, output)?,
-            None => Task::new(p.task_data, p.task_workload)?,
-        };
-        let mut users = Vec::with_capacity(p.num_users);
-        for _ in 0..p.num_users {
-            let beta = if p.beta_time_spread > 0.0 {
-                use rand::Rng;
-                let lo = (p.beta_time - p.beta_time_spread).max(0.0);
-                let hi = (p.beta_time + p.beta_time_spread).min(1.0);
-                rng.gen_range(lo..=hi)
-            } else {
-                p.beta_time
-            };
-            users.push(UserSpec {
-                task,
-                device,
-                preferences: UserPreferences::new(beta)?,
-                lambda: ProviderPreference::new(p.lambda)?,
-            });
-        }
+        let users = self.draw_users(&mut rng, seed ^ SHADOWING_STREAM ^ CLASS_STREAM)?;
         let servers = vec![ServerProfile::new(p.server_cpu)?; p.num_servers];
         let ofdma = OfdmaConfig::new(p.bandwidth, p.num_subchannels)?;
 
@@ -164,6 +163,66 @@ impl ScenarioGenerator {
             Some(rate) => scenario.with_downlink(rate),
             None => Ok(scenario),
         }
+    }
+
+    /// Draws every user's class, task, device, β and λ.
+    ///
+    /// One class continues `shadowing` past the gains for its β jitter; a
+    /// mix draws class picks and jitter from `class_seed`. The two streams
+    /// are history: scenario specs drew one-template populations through
+    /// this generator and heterogeneous ones through a builder of their
+    /// own, and each stream is kept so that no seeded scenario moves.
+    fn draw_users(&self, shadowing: &mut StdRng, class_seed: u64) -> Result<Vec<UserSpec>, Error> {
+        let classes = &self.classes;
+        if classes.is_empty() || classes.iter().any(|&(w, _)| !(w.is_finite() && w > 0.0)) {
+            return Err(Error::invalid(
+                "mix",
+                "need classes of positive, finite weight",
+            ));
+        }
+        let built = classes
+            .iter()
+            .map(|(_, class)| class.task_and_device())
+            .collect::<Result<Vec<_>, Error>>()?;
+        let total_weight: f64 = classes.iter().map(|&(w, _)| w).sum();
+        let mut class_rng = StdRng::seed_from_u64(class_seed);
+        let rng = if classes.len() == 1 {
+            shadowing
+        } else {
+            &mut class_rng
+        };
+        let mut users = Vec::with_capacity(self.params.num_users);
+        for _ in 0..self.params.num_users {
+            let i = if classes.len() == 1 {
+                0
+            } else {
+                let mut pick = rng.gen::<f64>() * total_weight;
+                classes
+                    .iter()
+                    .position(|&(w, _)| {
+                        let hit = pick < w;
+                        pick -= w;
+                        hit
+                    })
+                    .unwrap_or(classes.len() - 1)
+            };
+            let class = &classes[i].1;
+            let beta = if class.beta_time_spread > 0.0 {
+                let lo = (class.beta_time - class.beta_time_spread).max(0.0);
+                let hi = (class.beta_time + class.beta_time_spread).min(1.0);
+                rng.gen_range(lo..=hi)
+            } else {
+                class.beta_time
+            };
+            let (task, device) = built[i];
+            users.push(UserSpec {
+                task,
+                device,
+                preferences: UserPreferences::new(beta)?,
+                lambda: ProviderPreference::new(class.lambda)?,
+            });
+        }
+        Ok(users)
     }
 
     /// As [`generate_at`](Self::generate_at), but restricted to the
@@ -361,6 +420,19 @@ mod tests {
         assert!(generator
             .generate_at_subset(&positions, shadow_seed, &[true; 3])
             .is_err());
+    }
+
+    #[test]
+    fn a_mix_needs_classes_of_positive_finite_weight() {
+        let params = ExperimentParams::small_network();
+        for mix in [
+            vec![],
+            vec![(1.0, params), (0.0, params)],
+            vec![(f64::NAN, params)],
+        ] {
+            let generator = ScenarioGenerator::new(params).with_mix(mix);
+            assert!(generator.generate(0).is_err());
+        }
     }
 
     #[test]

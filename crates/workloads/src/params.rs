@@ -1,7 +1,8 @@
 //! Experiment parameter sets (§V defaults plus per-figure overrides).
 
-use mec_types::{constants, Bits, BitsPerSecond, Cycles, DbMilliwatts, Hertz, Meters};
-use serde::{Deserialize, Serialize};
+use mec_types::{
+    constants, Bits, BitsPerSecond, Cycles, DbMilliwatts, DeviceProfile, Error, Hertz, Meters, Task,
+};
 
 /// How much compute an experiment run should spend.
 ///
@@ -66,36 +67,8 @@ impl Preset {
     }
 }
 
-// The legacy enum serialized its unit variants as `"Quick"` / `"Full"`
-// strings; keep that wire format (named presets capitalize, custom levels
-// serialize their name verbatim and round-trip through `resolve`).
-impl Serialize for Preset {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let label = match self.name {
-            "quick" => "Quick".to_string(),
-            "full" => "Full".to_string(),
-            other => other.to_string(),
-        };
-        serializer.serialize_content(serde::Content::Str(label))
-    }
-}
-
-impl<'de> Deserialize<'de> for Preset {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::Error;
-        match deserializer.deserialize_content()? {
-            serde::Content::Str(s) => {
-                Preset::resolve(&s).ok_or_else(|| D::Error::custom(format!("unknown preset `{s}`")))
-            }
-            other => Err(D::Error::custom(format!(
-                "expected a preset name string, found {other:?}"
-            ))),
-        }
-    }
-}
-
 /// How users are scattered over the coverage area.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlacementModel {
     /// Uniform over the coverage area (the paper's setting).
     Uniform,
@@ -114,7 +87,7 @@ pub enum PlacementModel {
 /// All users are homogeneous unless an experiment says otherwise (that is
 /// exactly the paper's setup); heterogeneity enters through positions and
 /// shadowing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentParams {
     /// Number of users `U`.
     pub num_users: usize,
@@ -262,6 +235,23 @@ impl ExperimentParams {
         self.placement = PlacementModel::Hotspots { clusters, spread_m };
         self
     }
+
+    /// The task and device every user drawn from these parameters
+    /// carries (each user adds its own β and the class's λ).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] for a non-positive task size,
+    /// workload, CPU or `κ`, a negative output size or a non-finite
+    /// transmit power.
+    pub fn task_and_device(&self) -> Result<(Task, DeviceProfile), Error> {
+        let device = DeviceProfile::new(self.user_cpu, self.kappa, self.tx_power)?;
+        let task = match self.task_output {
+            Some(output) => Task::with_output(self.task_data, self.task_workload, output)?,
+            None => Task::new(self.task_data, self.task_workload)?,
+        };
+        Ok((task, device))
+    }
 }
 
 impl Default for ExperimentParams {
@@ -370,35 +360,5 @@ mod tests {
             ttsa_min_temperature: 1e-4,
         };
         assert_eq!(custom.scenario_file(), None);
-    }
-
-    #[test]
-    fn presets_keep_the_legacy_wire_format() {
-        use serde::{Deserializer, Serializer};
-
-        struct Cap;
-        impl Serializer for Cap {
-            type Ok = serde::Content;
-            type Error = serde::ContentError;
-            fn serialize_content(
-                self,
-                content: serde::Content,
-            ) -> Result<serde::Content, serde::ContentError> {
-                Ok(content)
-            }
-        }
-        struct Feed(serde::Content);
-        impl<'de> Deserializer<'de> for Feed {
-            type Error = serde::ContentError;
-            fn deserialize_content(self) -> Result<serde::Content, serde::ContentError> {
-                Ok(self.0)
-            }
-        }
-
-        let wire = Preset::Full.serialize(Cap).unwrap();
-        assert!(matches!(&wire, serde::Content::Str(s) if s == "Full"));
-        let back = Preset::deserialize(Feed(wire)).unwrap();
-        assert_eq!(back, Preset::Full);
-        assert!(Preset::deserialize(Feed(serde::Content::U64(3))).is_err());
     }
 }
