@@ -178,7 +178,7 @@ pub struct UserTemplate {
     pub beta_time: f64,
     /// Uniform jitter half-width applied to `beta_time` per user.
     pub beta_time_spread: f64,
-    /// Provider preference weight `lambda`.
+    /// Provider preference weight `lambda` in `(0, 1]`.
     pub lambda: f64,
     /// Device CPU in GHz.
     pub user_cpu_ghz: f64,
@@ -1427,7 +1427,12 @@ impl GeneratedSpec {
             positive(t.task_mcycles, &p("task_mcycles"))?;
             unit_interval(t.beta_time, &p("beta_time"))?;
             non_negative(t.beta_time_spread, &p("beta_time_spread"))?;
-            positive(t.lambda, &p("lambda"))?;
+            if !(t.lambda > 0.0 && t.lambda <= 1.0) {
+                return Err(SpecError::new(
+                    p("lambda"),
+                    format!("must be within (0, 1] (got {})", t.lambda),
+                ));
+            }
             positive(t.user_cpu_ghz, &p("user_cpu_ghz"))?;
             positive(t.kappa, &p("kappa"))?;
         }

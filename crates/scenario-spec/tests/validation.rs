@@ -120,6 +120,12 @@ const VALIDATE_REJECTIONS: &[Case] = &[
         message: "must be positive",
     },
     Case {
+        label: "template lambda above one",
+        doc: "schema_version = 1\nname = \"x\"\n[[population.template]]\nlambda = 2.0\n",
+        path: "population.template[0].lambda",
+        message: "within (0, 1]",
+    },
+    Case {
         label: "churn without an online section",
         doc: "schema_version = 1\nname = \"x\"\n[churn]\narrival_rate_hz = 0.1\nmean_sojourn_s = 60.0\n",
         path: "churn",
